@@ -10,7 +10,7 @@
 //! 1. adaptive campaigns (beam and inject) swept over threads 1/2/5 x
 //!    strike batches 1/7/64, compared bit-for-bit;
 //! 2. the fixed path re-asserted against fingerprints captured before
-//!    adaptive sampling existed;
+//!    adaptive sampling existed, plus absolute adaptive fingerprints;
 //! 3. a quick-scale study run twice — fixed vs adaptive — with the
 //!    FPGA figure conclusions (FIT ordering, TRE monotonicity, MEBF
 //!    crossovers) required to agree while adaptive executes fewer
@@ -153,6 +153,28 @@ fn fixed_path_still_matches_pre_adaptive_pins() {
         .run();
     assert_eq!((r.counts.masked, r.counts.sdc, r.counts.due), (7, 293, 0));
     assert_eq!(hash_f64s(&r.severities), 0x956ad637fbb2021f);
+
+    // Adaptive cells pinned as absolute bytes too, so a refactor of the
+    // strike loop is checked against fixed values rather than only
+    // against itself across threads x batch.
+    let profile = profiles::mxm_fpga();
+    let r = BeamCampaign::new(&fpga, &gemm8, &profile, Precision::Half)
+        .session(BeamSession::quick(11).with_target_candidates(150))
+        .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
+        .run();
+    assert_eq!((r.executed, r.sdc.events()), (64, 25));
+    assert_eq!(hash_f64s(&r.severities), 0xf42f981702878d1a);
+    // The stratified rate rescales the SDC fluence; pin its bits too.
+    assert_eq!(r.sdc.fluence().to_bits(), 4544921889275888042);
+
+    let r = InjectionCampaign::new(&gemm8, Precision::Single)
+        .injections(300)
+        .seed(42)
+        .threads(3)
+        .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
+        .run();
+    assert_eq!((r.counts.total(), r.counts.sdc), (32, 32));
+    assert_eq!(hash_f64s(&r.severities), 0x997748504385431f);
 }
 
 /// Indices of `xs` sorted ascending by value — the ordering a reader
