@@ -1,18 +1,16 @@
 //! # mpr-bench
 //!
-//! Criterion benchmark harness. Each bench target regenerates one group
-//! of the paper's tables/figures (printing them once per run) and times
-//! the regeneration:
+//! The gate benchmarks CI runs (both `harness = false` binaries that
+//! check their own results and exit nonzero on a miss):
 //!
-//! * `paper_tables` — Tables 1-3 (execution-time models).
-//! * `fpga_figures` — Figures 2-5 (Zynq-7000 campaigns).
-//! * `knc_figures` — Figures 6-9 (Xeon Phi campaigns).
-//! * `gpu_figures` — Figures 10-13 (Titan V campaigns).
-//! * `softfloat_ops` — raw binary16 soft-float operation latencies.
-//! * `kernel_throughput` — the study's kernels at each precision on the
-//!   host CPU (the simulator's own mixed-precision cost).
+//! * `strike_throughput` — naive vs per-strike replay vs batched strike
+//!   execution per workload, gated on per-workload speedup floors;
+//!   writes `BENCH_strikes.json`.
+//! * `adaptive_sampling` — fixed vs adaptive campaigns at one seed,
+//!   gated on the strikes-saved ratio and CI-width targets; writes
+//!   `BENCH_sampling.json`.
 //!
-//! Run with `cargo bench --workspace`.
-
-/// The seed every bench uses, so printed tables match EXPERIMENTS.md.
-pub const BENCH_SEED: u64 = 2019;
+//! Run one with `cargo bench -p mpr-bench --bench <name> [-- --quick]`.
+//! The tables and figures themselves come from `mpr report` or the
+//! `paper_report` example; the whole-study benchmark is the separate
+//! `e2ebench/` package.

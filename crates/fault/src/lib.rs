@@ -16,9 +16,12 @@
 //! * [`hook`] — the instrumentation used by kernels to expose every
 //!   intermediate value as a fault site with a single code path for
 //!   golden, counting, and injected runs.
-//! * [`InjectionCampaign`] — N seeded injections (parallelized with
-//!   std::thread::scope), producing outcome counts, AVF/PVF estimates, and the
-//!   per-SDC severity list that feeds the TRE analysis.
+//! * [`StrikeRunner`] — the one strike loop behind injection and beam
+//!   campaigns: seeded draws, batched parallel execution, cancellation,
+//!   panic capture and the strike-index merge, fixed or adaptive.
+//! * [`InjectionCampaign`] — N seeded injections on the runner, producing
+//!   outcome counts, AVF/PVF estimates, and the per-SDC severity list that
+//!   feeds the TRE analysis.
 //!
 //! # Example
 //!
@@ -69,8 +72,10 @@ mod campaign;
 pub mod hook;
 pub mod hostile;
 mod model;
+mod runner;
 mod workload;
 
 pub use campaign::{CampaignError, InjectionCampaign, InjectionReport};
 pub use model::{FaultModel, ValueFault};
+pub use runner::{StrikeRunner, Strikes};
 pub use workload::Workload;
