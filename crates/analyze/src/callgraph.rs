@@ -4,9 +4,9 @@
 //! cells — which means a reachable panic on the strike fast path or in
 //! a campaign driver no longer *fails* anything, it silently burns
 //! retry budget. PH004 makes that cost visible: it walks the call
-//! graph from the hot roots (`run_from_site`, `run_from_site_into`,
-//! `dispatch_mono`, and the `run*` drivers in `campaign.rs` files) and
-//! flags panic sites in every function reachable from them.
+//! graph from the hot roots (every `run_strike_batch`, the trait
+//! default and each override, and the `run*` drivers in `campaign.rs`
+//! files) and flags panic sites in every function reachable from them.
 //!
 //! Resolution is by simple name: a call to `run` edges to every
 //! function named `run` in the workspace (same-file definitions
@@ -31,8 +31,10 @@ use crate::source::SourceFile;
 use crate::{Finding, Severity};
 use std::collections::BTreeMap;
 
-/// Fast-path entry points recognized anywhere in the workspace.
-const ROOT_FNS: [&str; 3] = ["run_from_site", "run_from_site_into", "dispatch_mono"];
+/// Fast-path entry points recognized anywhere in the workspace: the
+/// strike method of the `mpr_fault::Workload` contract (a tier-1 test
+/// checks each name is declared there).
+pub const ROOT_FNS: [&str; 1] = ["run_strike_batch"];
 
 /// True when `f` (defined in `rel_path`) is a reachability root.
 fn is_root(rel_path: &str, f: &FnItem) -> bool {
@@ -184,7 +186,7 @@ mod tests {
     fn documented_panic_reachable_from_fast_path_is_flagged() {
         let f = run(&[(
             "crates/fault/src/x.rs",
-            "fn run_from_site(k: usize) {\n    helper(k);\n}\n/// # Panics\n///\n/// Panics when k is 0.\nfn helper(k: usize) {\n    if k == 0 { panic!(\"zero\") }\n}\n",
+            "fn run_strike_batch(k: usize) {\n    helper(k);\n}\n/// # Panics\n///\n/// Panics when k is 0.\nfn helper(k: usize) {\n    if k == 0 { panic!(\"zero\") }\n}\n",
         )]);
         assert!(
             f.iter().any(|x| x.lint == "PH004" && x.line == 8),
@@ -225,7 +227,7 @@ mod tests {
         let files = [
             (
                 "crates/kernels/src/gemm.rs",
-                "fn run_from_site(a: &[f64], i: usize, n: usize) -> f64 {\n    a[i * n]\n}\n",
+                "fn run_strike_batch(a: &[f64], i: usize, n: usize) -> f64 {\n    a[i * n]\n}\n",
             ),
             (
                 "crates/beam/src/campaign.rs",

@@ -300,12 +300,10 @@ pub fn fault_site(file: &SourceFile) -> Vec<Finding> {
 /// Trait-object hook dispatch in kernel code. `dyn FaultHook` costs a
 /// virtual call per touched value — millions per run — which is exactly
 /// what the monomorphized fast path removes. Kernel code must take the
-/// hook generically (`H: FaultHook + ?Sized`) and let
-/// [`Workload::dispatch_mono`] instantiate it statically; the one
+/// hook generically (`H: FaultHook + ?Sized`) so golden runs and strike
+/// replays instantiate it statically with a concrete hook; the one
 /// sanctioned trait-object boundary is the campaign-facing `dispatch`,
 /// which carries a justified pragma.
-///
-/// [`Workload::dispatch_mono`]: https://docs.rs/mpr-fault
 pub fn dyn_hook(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     for (idx, masked) in file.masked.iter().enumerate() {
@@ -328,8 +326,8 @@ pub fn dyn_hook(file: &SourceFile) -> Vec<Finding> {
                     "fault-site",
                     format!(
                         "`dyn {path}` in kernel code pays a virtual call per touched value; \
-                         take `H: FaultHook + ?Sized` generically so `dispatch_mono` \
-                         monomorphizes the hook, and keep trait objects at the campaign boundary"
+                         take `H: FaultHook + ?Sized` generically so a concrete hook \
+                         monomorphizes, and keep trait objects at the campaign boundary"
                     ),
                 ));
             }

@@ -51,9 +51,9 @@ pub struct PanicSite {
 /// A parsed function item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
-    /// Simple name (`run_from_site`).
+    /// Simple name (`run_strike_batch`).
     pub name: String,
-    /// Qualified name when inside an `impl` block (`Gemm::run_from_site`),
+    /// Qualified name when inside an `impl` block (`Gemm::run_strike_batch`),
     /// otherwise the simple name.
     pub qual: String,
     /// 1-based line of the `fn` keyword.
@@ -561,10 +561,10 @@ mod tests {
 
     #[test]
     fn impl_methods_are_qualified() {
-        let p = parse("impl Gemm {\n    fn run_from_site(&self) {}\n}\nimpl Workload for Lud {\n    fn run(&self) {}\n}\n");
+        let p = parse("impl Gemm {\n    fn run_strike_batch(&self) {}\n}\nimpl Workload for Lud {\n    fn run(&self) {}\n}\n");
         assert_eq!(
-            p.fn_named("run_from_site").expect("m").qual,
-            "Gemm::run_from_site"
+            p.fn_named("run_strike_batch").expect("m").qual,
+            "Gemm::run_strike_batch"
         );
         assert_eq!(p.fn_named("run").expect("m").qual, "Lud::run");
     }

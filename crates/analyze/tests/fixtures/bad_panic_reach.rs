@@ -3,7 +3,7 @@
 //! fast-path root. The documentation keeps PH001-PH003 quiet — PH004
 //! is what notices the hot path can still hit them.
 
-fn run_from_site(table: &[usize], k: usize) -> usize {
+fn run_strike_batch(table: &[usize], k: usize) -> usize {
     lookup(table, k)
 }
 

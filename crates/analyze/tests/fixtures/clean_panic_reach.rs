@@ -3,7 +3,7 @@
 //! on a cold path no campaign root reaches. Must produce zero
 //! findings.
 
-fn run_from_site(table: &[usize], k: usize) -> usize {
+fn run_strike_batch(table: &[usize], k: usize) -> usize {
     checked_lookup(table, k)
 }
 

@@ -1,9 +1,8 @@
-//! Strike-execution throughput: the batched golden-prefix replay path
-//! (`Workload::run_strike_batch`, what the campaign drivers now run)
-//! and the per-strike replay (`Workload::run_from_site_into`) against
-//! the naive full-rerun path (`Workload::run_with_fault`), over the
-//! exact strike stream the campaign drivers draw (`mix_seed`-derived
-//! per-strike RNG, site then fault sample).
+//! Strike-execution throughput: the fast path
+//! (`Workload::run_strike_batch`, what the campaign drivers run)
+//! against the naive full-rerun oracle (`Workload::run_with_fault`),
+//! over the exact strike stream the campaign drivers draw
+//! (`mix_seed`-derived per-strike RNG, site then fault sample).
 //!
 //! The naive lap is *conservative*: it already benefits from the
 //! per-precision input cache, so the reported speedups understate the
@@ -73,7 +72,6 @@ struct Measurement {
     strikes: u64,
     sites: u64,
     naive_per_s: f64,
-    replay_per_s: f64,
     batched_per_s: f64,
     headline: bool,
     floor: f64,
@@ -213,23 +211,14 @@ fn measure(config: &Config, precision: Precision, strikes: u64, seed: u64) -> Me
     let width = precision.total_bits();
     let stream = strike_stream(seed, strikes, sites, width, config.model);
 
-    // Differential check (untimed): both fast paths must be
-    // byte-identical to the full rerun on every strike they are about
-    // to be timed on. Batched results arrive in region order, so they
-    // are keyed back by index before comparing.
-    let mut out = Vec::with_capacity(golden.len());
-    let mut naives = Vec::with_capacity(stream.len());
-    for &(site, fault) in &stream {
-        let naive = w.run_with_fault(precision, site, fault);
-        w.run_from_site_into(precision, site, fault, &golden, &mut out);
-        assert!(
-            bits_equal(&out, &naive),
-            "{} {} site {site} {fault:?}: per-strike replay diverged from naive",
-            config.label,
-            precision
-        );
-        naives.push(naive);
-    }
+    // Differential check (untimed): the batched path must be
+    // byte-identical to the full rerun on every strike it is about to
+    // be timed on. Batched results arrive in region order, so they are
+    // keyed back by index before comparing.
+    let naives: Vec<Vec<f64>> = stream
+        .iter()
+        .map(|&(site, fault)| w.run_with_fault(precision, site, fault))
+        .collect();
     for (c, chunk) in stream.chunks(BATCH).enumerate() {
         w.run_strike_batch(precision, chunk, &golden, &mut |b, out| {
             let (site, fault) = chunk[b];
@@ -262,13 +251,6 @@ fn measure(config: &Config, precision: Precision, strikes: u64, seed: u64) -> Me
         }
     });
 
-    let replay_secs = lap(&mut || {
-        for &(site, fault) in &stream {
-            w.run_from_site_into(precision, site, fault, &golden, &mut out);
-            black_box(&out);
-        }
-    });
-
     let batched_secs = lap(&mut || {
         for chunk in stream.chunks(BATCH) {
             w.run_strike_batch(precision, chunk, &golden, &mut |_, out| {
@@ -285,7 +267,6 @@ fn measure(config: &Config, precision: Precision, strikes: u64, seed: u64) -> Me
         strikes,
         sites,
         naive_per_s: strikes as f64 / naive_secs.max(1e-9),
-        replay_per_s: strikes as f64 / replay_secs.max(1e-9),
         batched_per_s: strikes as f64 / batched_secs.max(1e-9),
         headline: config.headline,
         floor: config.floor,
@@ -318,10 +299,6 @@ fn report_json(mode: Mode, results: &[Measurement], headline: f64, ratio: Option
             o.insert(
                 "naive_strikes_per_s".to_string(),
                 Value::Num(round2(m.naive_per_s)),
-            );
-            o.insert(
-                "fast_strikes_per_s".to_string(),
-                Value::Num(round2(m.replay_per_s)),
             );
             o.insert(
                 "batched_strikes_per_s".to_string(),
@@ -391,11 +368,10 @@ fn main() {
             }
             let m = measure(&config, precision, strikes, seed);
             println!(
-                "{:<22} {:<6}  {:>12.0} naive/s  {:>12.0} replay/s  {:>12.0} batched/s  {:>7.1}x",
+                "{:<22} {:<6}  {:>12.0} naive/s  {:>12.0} batched/s  {:>7.1}x",
                 m.label,
                 m.precision.to_string(),
                 m.naive_per_s,
-                m.replay_per_s,
                 m.batched_per_s,
                 m.speedup()
             );

@@ -3,9 +3,9 @@
 //! The gate benchmarks CI runs (both `harness = false` binaries that
 //! check their own results and exit nonzero on a miss):
 //!
-//! * `strike_throughput` — naive vs per-strike replay vs batched strike
-//!   execution per workload, gated on per-workload speedup floors;
-//!   writes `BENCH_strikes.json`.
+//! * `strike_throughput` — naive vs batched strike execution per
+//!   workload, gated on per-workload speedup floors; writes
+//!   `BENCH_strikes.json`.
 //! * `adaptive_sampling` — fixed vs adaptive campaigns at one seed,
 //!   gated on the strikes-saved ratio and CI-width targets; writes
 //!   `BENCH_sampling.json`.

@@ -399,12 +399,14 @@ mod tests {
     fn cancel_from_the_observe_callback_discards_the_partial_run() {
         // The token fires mid-batch, at the third corrupted strike. Each
         // worker polls after every strike, so with two workers at most
-        // one more corrupted strike is observed before both stop.
+        // one more corrupted strike is observed before both stop. Every
+        // observation from the third on cancels, so the other worker
+        // cannot slip strikes in between the third count and the cancel.
         for plan in plans() {
             let token = CancelToken::unlimited();
             let seen = AtomicUsize::new(0);
             let observe = |out: &[f64]| {
-                if seen.fetch_add(1, Ordering::Relaxed) + 1 == 3 {
+                if seen.fetch_add(1, Ordering::Relaxed) + 1 >= 3 {
                     token.cancel();
                 }
                 out[0]

@@ -12,23 +12,27 @@ use mpr_softfloat::Precision;
 /// computation; the provided methods derive everything the campaigns
 /// need from that single entry point.
 ///
-/// # Fast paths
+/// # Oracle and fast path
 ///
-/// The provided methods all route through `dispatch`, which erases the
-/// hook behind `dyn FaultHook` — one virtual call per value touch.
-/// Performance-critical workloads additionally override:
+/// The contract has exactly one reference and one fast path:
 ///
-/// * [`Workload::dispatch_mono`] — the same dispatch, generic over the
-///   hook, so golden and single-strike runs compile to static calls
-///   (the kernel crates generate this alongside their precision
-///   dispatch macro);
-/// * [`Workload::run_from_site_into`] — incremental strike execution
-///   that reuses the golden output for every output element the fault
-///   provably cannot reach and recomputes only the dirty slice.
+/// * [`Workload::dispatch`] is the **oracle**. `site_count`,
+///   `run_golden` and `run_with_fault` are conveniences over it (a
+///   [`GoldenHook`], a [`NullHook`], an [`InjectHook`]); kernels may
+///   override them only to monomorphize the same dispatch, never to
+///   compute anything else.
+/// * [`Workload::run_strike_batch`] is the **fast path** — the only way
+///   campaigns execute strikes. The default runs each strike through
+///   `run_with_fault`; performance-critical workloads override it with
+///   golden-prefix replay (copy every output element the fault provably
+///   cannot reach, recompute only the dirty slice) and batch-wide
+///   amortization.
 ///
-/// Every override carries the same contract: **byte-identical output to
-/// the naive path** (DT001). Campaign results, and therefore the cached
-/// campaign bytes, must not depend on which path executed a strike.
+/// The two must agree **bit for bit** (DT001): every batch result is
+/// byte-identical to `run_with_fault` for the same strike, so campaign
+/// results, and therefore the cached campaign bytes, never depend on
+/// which path executed a strike. `tests/fast_path.rs` sweeps exactly
+/// that property.
 pub trait Workload: Sync {
     /// Benchmark name as used in the paper's tables ("MxM", "LavaMD", ...).
     fn name(&self) -> &str;
@@ -37,21 +41,6 @@ pub trait Workload: Sync {
     /// value through `hook`, and returns the output vector widened to
     /// `f64` (exact for all studied formats).
     fn dispatch(&self, precision: Precision, hook: &mut dyn FaultHook) -> Vec<f64>;
-
-    /// Monomorphized [`Workload::dispatch`]: the hook type is a generic
-    /// parameter, so a concrete hook compiles to static calls with the
-    /// touch inlined into the kernel loop ([`NullHook`] disappears
-    /// entirely). The default forwards to the `dyn` path; kernels
-    /// override it via their dispatch macro. Not object-safe — this is
-    /// the entry point for callers that hold the concrete workload, and
-    /// the implementation detail behind the object-safe fast paths
-    /// below.
-    fn dispatch_mono<H: FaultHook>(&self, precision: Precision, hook: &mut H) -> Vec<f64>
-    where
-        Self: Sized,
-    {
-        self.dispatch(precision, hook)
-    }
 
     /// Whether this workload can execute at `precision` (the Xeon Phi
     /// kernels, for example, have no half-precision variant).
@@ -78,47 +67,10 @@ pub trait Workload: Sync {
         self.dispatch(precision, &mut hook)
     }
 
-    /// Fast-path strike: like [`Workload::run_with_fault`], but the
-    /// caller supplies the golden output (campaigns already hold it) so
-    /// an incremental implementation can copy every element the fault
-    /// provably cannot reach and recompute only the dirty slice.
-    ///
-    /// `golden` must be exactly `self.run_golden(precision)`; the result
-    /// is byte-identical to `run_with_fault(precision, site, fault)`.
-    fn run_from_site(
-        &self,
-        precision: Precision,
-        site: u64,
-        fault: ValueFault,
-        golden: &[f64],
-    ) -> Vec<f64> {
-        let mut out = Vec::with_capacity(golden.len());
-        self.run_from_site_into(precision, site, fault, golden, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of [`Workload::run_from_site`] for campaign
-    /// inner loops: `out` is cleared and filled, so a worker can strike
-    /// thousands of times into one allocation. The default ignores
-    /// `golden` and re-runs the whole workload through the `dyn` path;
-    /// incremental workloads override this method (and get
-    /// `run_from_site` for free).
-    fn run_from_site_into(
-        &self,
-        precision: Precision,
-        site: u64,
-        fault: ValueFault,
-        golden: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let _ = golden;
-        *out = self.run_with_fault(precision, site, fault);
-    }
-
-    /// Batched strike execution: runs every `(site, fault)` strike in
-    /// `strikes` and hands each result to `each(index, output)` exactly
-    /// once, where `index` is the strike's position in `strikes` and
-    /// `output` is byte-identical to
+    /// Batched strike execution, the fast path: runs every
+    /// `(site, fault)` strike in `strikes` and hands each result to
+    /// `each(index, output)` exactly once, where `index` is the strike's
+    /// position in `strikes` and `output` is byte-identical to
     /// `run_with_fault(precision, site, fault)`.
     ///
     /// Results may arrive in **any order** — batched implementations
@@ -135,7 +87,8 @@ pub trait Workload: Sync {
     /// per-strike cancel granularity for slow or hostile workloads;
     /// batched overrides may finish the in-flight region first).
     ///
-    /// `golden` must be exactly `self.run_golden(precision)`.
+    /// `golden` must be exactly `self.run_golden(precision)`; the
+    /// default ignores it and re-runs the whole workload per strike.
     fn run_strike_batch(
         &self,
         precision: Precision,
@@ -143,10 +96,9 @@ pub trait Workload: Sync {
         golden: &[f64],
         each: &mut dyn FnMut(usize, &[f64]) -> bool,
     ) {
-        let mut out = Vec::with_capacity(golden.len());
+        let _ = golden;
         for (index, &(site, fault)) in strikes.iter().enumerate() {
-            self.run_from_site_into(precision, site, fault, golden, &mut out);
-            if !each(index, &out) {
+            if !each(index, &self.run_with_fault(precision, site, fault)) {
                 return;
             }
         }

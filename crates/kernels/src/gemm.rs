@@ -1,7 +1,7 @@
 //! The MxM / GEMM kernel.
 
 use crate::monomorphic_workload;
-use crate::util::{gen_value, index_range, to_u64, PrecisionCache};
+use crate::util::{gen_value, index_range, strike_each, to_u64, PrecisionCache};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
 use mpr_fault::{ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
@@ -354,24 +354,9 @@ impl Workload for Gemm {
 
     monomorphic_workload!();
 
-    fn run_from_site_into(
-        &self,
-        precision: Precision,
-        site: u64,
-        fault: ValueFault,
-        golden: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        match precision {
-            Precision::Double => self.replay::<f64>(site, fault, golden, out),
-            Precision::Single => self.replay::<f32>(site, fault, golden, out),
-            Precision::Half => self.replay::<mpr_softfloat::Half>(site, fault, golden, out),
-        }
-    }
-
     /// Half precision packs strikes into wide binary16 lanes; the
     /// native-float replays already compile to vectorizable loops, so
-    /// they keep the per-strike path (which also preserves per-strike
+    /// they replay strike by strike (which also preserves per-strike
     /// cancel granularity where batching buys nothing).
     fn run_strike_batch(
         &self,
@@ -380,17 +365,14 @@ impl Workload for Gemm {
         golden: &[f64],
         each: &mut dyn FnMut(usize, &[f64]) -> bool,
     ) {
-        if precision == Precision::Half {
-            self.run_half_batch(strikes, golden, each);
-            return;
-        }
-        let mut out = Vec::with_capacity(golden.len());
-        for (index, &(site, fault)) in strikes.iter().enumerate() {
-            self.run_from_site_into(precision, site, fault, golden, &mut out);
-            if !each(index, &out) {
-                return;
-            }
-        }
+        let replay = match precision {
+            Precision::Double => Self::replay::<f64>,
+            Precision::Single => Self::replay::<f32>,
+            Precision::Half => return self.run_half_batch(strikes, golden, each),
+        };
+        strike_each(strikes, 0..strikes.len(), each, |site, fault, out| {
+            replay(self, site, fault, golden, out)
+        });
     }
 }
 

@@ -54,7 +54,7 @@ pub use micro::{Micro, MicroKernelOp};
 /// Dispatches a generic `run<F, H>` method on a runtime
 /// [`mpr_softfloat::Precision`]. The hook type is inferred at the call
 /// site, so the same macro serves the `dyn` campaign boundary and the
-/// monomorphized fast path.
+/// statically dispatched golden/site-count/strike runs.
 macro_rules! dispatch_precision {
     ($self:ident, $precision:ident, $hook:expr) => {
         match $precision {
@@ -66,13 +66,15 @@ macro_rules! dispatch_precision {
 }
 pub(crate) use dispatch_precision;
 
-/// Generates the [`mpr_fault::Workload`] dispatch family for a kernel
+/// Generates the oracle half of [`mpr_fault::Workload`] for a kernel
 /// whose `run` is generic over both the float format and the hook type:
-/// the `dyn` entry point campaigns hold, the monomorphized
-/// `dispatch_mono`, and static-dispatch overrides of the derived methods
-/// (`site_count`, `run_golden`, `run_with_fault`) so golden runs and
-/// single strikes never pay a virtual call per touch. Expand inside an
-/// `impl Workload for ...` block.
+/// the `dyn` `dispatch` campaigns hold, plus `site_count`, `run_golden`
+/// and `run_with_fault` overrides that expand `dispatch_precision!`
+/// with the concrete hook, so golden runs and reference strikes compile
+/// to static calls instead of one virtual call per touch. The same
+/// `run` executes either way, so the overrides are bit-identical to the
+/// trait defaults. Expand inside an `impl Workload for ...` block; the
+/// fast path (`run_strike_batch`) is written per kernel.
 macro_rules! monomorphic_workload {
     () => {
         fn dispatch(
@@ -84,22 +86,14 @@ macro_rules! monomorphic_workload {
             crate::dispatch_precision!(self, precision, hook)
         }
 
-        fn dispatch_mono<H: mpr_fault::hook::FaultHook>(
-            &self,
-            precision: mpr_softfloat::Precision,
-            hook: &mut H,
-        ) -> Vec<f64> {
-            crate::dispatch_precision!(self, precision, hook)
-        }
-
         fn site_count(&self, precision: mpr_softfloat::Precision) -> u64 {
             let mut hook = mpr_fault::hook::GoldenHook::new();
-            let _ = self.dispatch_mono(precision, &mut hook);
+            let _ = crate::dispatch_precision!(self, precision, &mut hook);
             hook.sites()
         }
 
         fn run_golden(&self, precision: mpr_softfloat::Precision) -> Vec<f64> {
-            self.dispatch_mono(precision, &mut mpr_fault::hook::NullHook)
+            crate::dispatch_precision!(self, precision, &mut mpr_fault::hook::NullHook)
         }
 
         fn run_with_fault(
@@ -109,7 +103,7 @@ macro_rules! monomorphic_workload {
             fault: mpr_fault::ValueFault,
         ) -> Vec<f64> {
             let mut hook = mpr_fault::hook::InjectHook::new(site, fault);
-            self.dispatch_mono(precision, &mut hook)
+            crate::dispatch_precision!(self, precision, &mut hook)
         }
     };
 }

@@ -1,7 +1,7 @@
 //! The LUD (LU decomposition) kernel.
 
 use crate::monomorphic_workload;
-use crate::util::{gen_value, to_u64, PrecisionCache};
+use crate::util::{gen_value, strike_each, to_u64, PrecisionCache};
 use mpr_fault::hook::{FaultHook, HookExt, NullHook};
 use mpr_fault::{ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
@@ -447,30 +447,6 @@ impl Workload for Lud {
         precision != Precision::Half
     }
 
-    fn run_from_site_into(
-        &self,
-        precision: Precision,
-        site: u64,
-        fault: ValueFault,
-        golden: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        fn go<F: FloatExt>(
-            lud: &Lud,
-            site: u64,
-            fault: ValueFault,
-            golden: &[f64],
-            out: &mut Vec<f64>,
-        ) {
-            LudReplayer::<F>::new(lud.n, lud.cache::<F>()).strike(site, fault, golden, out);
-        }
-        match precision {
-            Precision::Double => go::<f64>(self, site, fault, golden, out),
-            Precision::Single => go::<f32>(self, site, fault, golden, out),
-            Precision::Half => go::<mpr_softfloat::Half>(self, site, fault, golden, out),
-        }
-    }
-
     /// Batched strikes: one golden decode per batch, strikes sorted by
     /// (fault row, site) so the tail reconstruction — the only per-strike
     /// state heavier than one row — is shared between strikes that hit
@@ -499,14 +475,9 @@ impl Workload for Lud {
                 (row, site, idx)
             });
             let mut replayer = LudReplayer::<F>::new(lud.n, lud.cache::<F>());
-            let mut out = Vec::with_capacity(golden.len());
-            for idx in order {
-                let (site, fault) = strikes[idx];
-                replayer.strike(site, fault, golden, &mut out);
-                if !each(idx, &out) {
-                    return;
-                }
-            }
+            strike_each(strikes, order, each, |site, fault, out| {
+                replayer.strike(site, fault, golden, out)
+            });
         }
         match precision {
             Precision::Double => go::<f64>(self, strikes, golden, each),
@@ -601,40 +572,57 @@ mod tests {
         assert!(changed > n * n / 2, "only {changed} entries changed");
     }
 
-    #[test]
-    fn replay_matches_naive_bit_for_bit_at_every_site() {
-        // Every dynamic site — inputs, factors, updates, and the
-        // masked region past the end — must replay to the exact bits
-        // the naive injected run produces (DT001).
-        let n = 9u64;
-        let lud = Lud::new(n as usize);
-        for p in [Precision::Double, Precision::Single] {
-            let golden = lud.run_golden(p);
-            let sites = lud.site_count(p);
-            for site in 0..sites + 3 {
-                let fault = match site % 3 {
-                    0 => ValueFault::BitFlip((site % 31) as u32),
-                    1 if site % 2 == 0 => ValueFault::StuckHigh((site % 23) as u32),
-                    1 => ValueFault::StuckLow((site % 23) as u32),
-                    _ => ValueFault::XorMask(0x8000_0401 ^ site),
-                };
-                let naive = lud.run_with_fault(p, site, fault);
-                let fast = lud.run_from_site(p, site, fault, &golden);
-                let same = naive
-                    .iter()
-                    .zip(&fast)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "site {site} fault {fault:?} precision {p:?}");
-            }
+    /// Runs `strikes` as one batch and checks every result against the
+    /// naive injected run, bit for bit (DT001).
+    fn assert_batch_matches_naive(lud: &Lud, p: Precision, strikes: &[(u64, ValueFault)]) {
+        let golden = lud.run_golden(p);
+        let mut got: Vec<Option<Vec<f64>>> = vec![None; strikes.len()];
+        lud.run_strike_batch(p, strikes, &golden, &mut |idx, out| {
+            assert!(got[idx].is_none(), "strike {idx} reported twice");
+            got[idx] = Some(out.to_vec());
+            true
+        });
+        for (idx, &(site, fault)) in strikes.iter().enumerate() {
+            let want = lud.run_with_fault(p, site, fault);
+            let got = got[idx].as_ref().expect("callback ran for every strike");
+            assert_eq!(got.len(), want.len());
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                same,
+                "strike {idx} site {site} fault {fault:?} precision {p:?}"
+            );
         }
     }
 
     #[test]
-    fn batched_strikes_match_per_strike_replay() {
-        let n = 12u64;
-        let lud = Lud::new(n as usize);
+    fn batch_matches_naive_bit_for_bit_at_every_site() {
+        // Every dynamic site — inputs, factors, updates, and the
+        // masked region past the end — in one batch.
+        let lud = Lud::new(9);
+        for p in [Precision::Double, Precision::Single] {
+            let sites = lud.site_count(p);
+            let strikes: Vec<(u64, ValueFault)> = (0..sites + 3)
+                .map(|site| {
+                    let fault = match site % 3 {
+                        0 => ValueFault::BitFlip((site % 31) as u32),
+                        1 if site % 2 == 0 => ValueFault::StuckHigh((site % 23) as u32),
+                        1 => ValueFault::StuckLow((site % 23) as u32),
+                        _ => ValueFault::XorMask(0x8000_0401 ^ site),
+                    };
+                    (site, fault)
+                })
+                .collect();
+            assert_batch_matches_naive(&lud, p, &strikes);
+        }
+    }
+
+    #[test]
+    fn scattered_batch_matches_naive() {
+        let lud = Lud::new(12);
         let p = Precision::Single;
-        let golden = lud.run_golden(p);
         let sites = lud.site_count(p);
         // A scattered batch: inputs, early/late steps, repeats, masked.
         let strikes: Vec<(u64, ValueFault)> = (0..40)
@@ -645,21 +633,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut got: Vec<Option<Vec<f64>>> = vec![None; strikes.len()];
-        lud.run_strike_batch(p, &strikes, &golden, &mut |idx, out| {
-            got[idx] = Some(out.to_vec());
-            true
-        });
-        for (idx, &(site, fault)) in strikes.iter().enumerate() {
-            let want = lud.run_from_site(p, site, fault, &golden);
-            let got = got[idx].as_ref().expect("callback ran for every strike");
-            assert_eq!(got.len(), want.len());
-            let same = got
-                .iter()
-                .zip(&want)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "strike {idx} site {site}");
-        }
+        assert_batch_matches_naive(&lud, p, &strikes);
     }
 
     #[test]

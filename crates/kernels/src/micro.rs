@@ -1,7 +1,7 @@
 //! The Micro-ADD / Micro-MUL / Micro-FMA synthetic kernels.
 
 use crate::monomorphic_workload;
-use crate::util::{gen_value, to_u64};
+use crate::util::{gen_value, strike_each, to_u64};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook};
 use mpr_fault::{ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
@@ -155,19 +155,21 @@ impl Workload for Micro {
 
     monomorphic_workload!();
 
-    fn run_from_site_into(
+    fn run_strike_batch(
         &self,
         precision: Precision,
-        site: u64,
-        fault: ValueFault,
+        strikes: &[(u64, ValueFault)],
         golden: &[f64],
-        out: &mut Vec<f64>,
+        each: &mut dyn FnMut(usize, &[f64]) -> bool,
     ) {
-        match precision {
-            Precision::Double => self.replay::<f64>(site, fault, golden, out),
-            Precision::Single => self.replay::<f32>(site, fault, golden, out),
-            Precision::Half => self.replay::<mpr_softfloat::Half>(site, fault, golden, out),
-        }
+        let replay = match precision {
+            Precision::Double => Self::replay::<f64>,
+            Precision::Single => Self::replay::<f32>,
+            Precision::Half => Self::replay::<mpr_softfloat::Half>,
+        };
+        strike_each(strikes, 0..strikes.len(), each, |site, fault, out| {
+            replay(self, site, fault, golden, out)
+        });
     }
 }
 

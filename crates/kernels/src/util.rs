@@ -1,8 +1,30 @@
-//! Deterministic input generation and per-precision caching shared by
-//! the kernels.
+//! Deterministic input generation, per-precision caching, and the
+//! strike loop shared by the kernels.
 
+use mpr_fault::ValueFault;
 use mpr_softfloat::Precision;
 use std::sync::OnceLock;
+
+/// The strike-at-a-time loop behind the kernels'
+/// `Workload::run_strike_batch` overrides: for each index in `order`
+/// (a permutation of `0..strikes.len()`), `strike(site, fault, out)`
+/// refills one reused output buffer and `each(index, out)` receives it;
+/// the loop stops as soon as `each` returns `false`.
+pub(crate) fn strike_each(
+    strikes: &[(u64, ValueFault)],
+    order: impl IntoIterator<Item = usize>,
+    each: &mut dyn FnMut(usize, &[f64]) -> bool,
+    mut strike: impl FnMut(u64, ValueFault, &mut Vec<f64>),
+) {
+    let mut out = Vec::new();
+    for index in order {
+        let (site, fault) = strikes[index];
+        strike(site, fault, &mut out);
+        if !each(index, &out) {
+            return;
+        }
+    }
+}
 
 /// Checked `usize -> u64` conversion for site and input indices:
 /// replaces the silent `as u64` cast pattern the kernels used to carry.

@@ -1,18 +1,22 @@
-//! The fast-path contract (DT001): monomorphized hooks and
-//! golden-prefix replay must be byte-identical to the naive
-//! full-rerun path, and must not move any previously observable bit.
+//! The fast-path contract (DT001): `run_strike_batch` — monomorphized
+//! hooks, golden-prefix replay, batch grouping — must be byte-identical
+//! to the naive full rerun through `dispatch`, and must not move any
+//! previously observable bit.
 //!
-//! Three layers of evidence:
+//! Four layers of evidence:
 //!
 //! 1. a differential sweep — every workload x supported precision x a
 //!    deterministic spread of fault sites (region boundaries included)
-//!    x every fault shape, fast vs naive, compared bit-for-bit;
+//!    x every fault shape, batched fast path vs naive oracle, compared
+//!    bit-for-bit;
 //! 2. pinned fingerprints — golden outputs, campaign severity vectors
 //!    (threads 1/2/5), and beam cross-section counts hashed against
 //!    values captured from the pre-fast-path implementation;
 //! 3. the experiment engine's on-disk cache bytes, hashed against the
 //!    pre-fast-path bytes under the unchanged `KEY_VERSION` ("v2") —
-//!    the fast path earns zero cache invalidation.
+//!    the fast path earns zero cache invalidation;
+//! 4. the PH004 panic-reachability roots name methods the `Workload`
+//!    contract really declares, so a rename cannot empty the root set.
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
 use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
@@ -41,10 +45,10 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Strips a workload back to the naive path: only the required methods
-/// are forwarded, so every provided default (full rerun through the
-/// `dyn` hook, no golden reuse) executes as if the fast path did not
-/// exist.
+/// Strips a workload back to the oracle: only `name`, `dispatch` and
+/// `supports` are forwarded, so every other provided default (full
+/// rerun through the `dyn` hook, no golden reuse) executes as if the
+/// fast path did not exist.
 struct ForceNaive<'a>(&'a dyn Workload);
 
 impl Workload for ForceNaive<'_> {
@@ -116,23 +120,90 @@ fn fast_path_is_bit_identical_to_naive_everywhere() {
             let sc = w.site_count(p);
             assert_eq!(sc, naive.site_count(p), "{} {p}: site count", w.name());
 
-            let mut out = Vec::new();
+            let mut strikes = Vec::new();
             for site in site_sample(sc) {
                 for fault in fault_shapes(p.total_bits()) {
-                    let want = naive.run_with_fault(p, site, fault);
-                    w.run_from_site_into(p, site, fault, &golden, &mut out);
-                    assert_eq!(
-                        bits(&out),
-                        bits(&want),
-                        "{} {p} site {site}/{sc} {fault:?}: replay diverged",
-                        w.name()
-                    );
-                    // The allocating form must agree with the buffered one.
-                    let alloc = w.run_from_site(p, site, fault, &golden);
-                    assert_eq!(bits(&alloc), bits(&out), "{} {p} site {site}", w.name());
+                    strikes.push((site, fault));
                 }
             }
+            let want: Vec<Vec<u64>> = strikes
+                .iter()
+                .map(|&(site, fault)| bits(&naive.run_with_fault(p, site, fault)))
+                .collect();
+
+            // Pass 1: one-strike batches, the strike-at-a-time replay.
+            for (i, strike) in strikes.iter().enumerate() {
+                let got = run_batch(w, p, std::slice::from_ref(strike), &golden);
+                assert_eq!(
+                    got[0],
+                    want[i],
+                    "{} {p} {strike:?} (of {sc} sites): one-strike batch diverged",
+                    w.name()
+                );
+            }
+            // Pass 2: the whole sample as one batch in reverse order, so
+            // region grouping, wide lanes, row sorting, and buffer reuse
+            // all run across every site region and fault shape at once.
+            strikes.reverse();
+            let got = run_batch(w, p, &strikes, &golden);
+            for (i, strike) in strikes.iter().enumerate() {
+                assert_eq!(
+                    got[i],
+                    want[strikes.len() - 1 - i],
+                    "{} {p} {strike:?} (of {sc} sites): whole-sample batch diverged",
+                    w.name()
+                );
+            }
         }
+    }
+}
+
+/// Runs `strikes` through `run_strike_batch` and returns each strike's
+/// output bits by index, asserting every index is reported exactly once.
+fn run_batch(
+    w: &dyn Workload,
+    p: Precision,
+    strikes: &[(u64, ValueFault)],
+    golden: &[f64],
+) -> Vec<Vec<u64>> {
+    let mut got: Vec<Option<Vec<u64>>> = vec![None; strikes.len()];
+    w.run_strike_batch(p, strikes, golden, &mut |index, out| {
+        assert!(
+            got[index].replace(bits(out)).is_none(),
+            "{} {p}: strike {index} reported twice",
+            w.name()
+        );
+        true
+    });
+    got.into_iter()
+        .enumerate()
+        .map(|(index, out)| {
+            out.unwrap_or_else(|| panic!("{} {p}: strike {index} never reported", w.name()))
+        })
+        .collect()
+}
+
+#[test]
+fn ph004_roots_are_declared_by_the_workload_contract() {
+    // PH004 roots resolve by simple name: if the contract renamed its
+    // strike method, the root set would silently go empty and the lint
+    // would pass vacuously. Parse the contract with the analyzer's own
+    // parser so "declared" means what the call graph will see.
+    use mpr_analyze::{callgraph::ROOT_FNS, parse::ParsedFile, source::SourceFile};
+    let rel = "crates/fault/src/workload.rs";
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/fault/src/workload.rs"
+    ))
+    .expect("read the Workload contract");
+    let file = SourceFile::parse(rel, &text);
+    let parsed = ParsedFile::parse(&file);
+    for name in ROOT_FNS {
+        let declared = parsed
+            .fns
+            .iter()
+            .any(|f| f.name == name && !file.in_test[f.line - 1]);
+        assert!(declared, "PH004 root `{name}` is not declared in {rel}");
     }
 }
 
