@@ -24,12 +24,12 @@
 //! - `--quick`: quick CI target (0.8), writes `BENCH_sampling.json`
 //! - default:   paper CI target (0.25), larger budgets, same gates
 
-use mpr_analyze::json::{self, Value};
 use mpr_arch::Fpga;
 use mpr_beam::{BeamCampaign, BeamSession};
 use mpr_fault::InjectionCampaign;
 use mpr_kernels::{profiles, Gemm};
 use mpr_metrics::{SamplingConfig, SamplingPlan};
+use mpr_obs::json::{self, Value};
 use mpr_softfloat::Precision;
 use std::collections::BTreeMap;
 
@@ -120,22 +120,13 @@ fn report_json(mode: Mode, results: &[Measurement], headline: f64) -> String {
         .map(|m| {
             let mut o = BTreeMap::new();
             o.insert("label".to_string(), Value::Str(m.label.to_string()));
-            o.insert("budget".to_string(), Value::Num(m.budget as f64));
-            o.insert("executed".to_string(), Value::Num(m.executed as f64));
-            o.insert("ci_target".to_string(), Value::Num(m.ci_target));
-            o.insert("ci_width".to_string(), Value::Num(round3(m.ci_width)));
-            o.insert(
-                "saved_ratio".to_string(),
-                Value::Num(round3(m.saved_ratio())),
-            );
-            o.insert(
-                "fixed_sdc_rate".to_string(),
-                Value::Num(round3(m.fixed_rate)),
-            );
-            o.insert(
-                "adaptive_sdc_rate".to_string(),
-                Value::Num(round3(m.adaptive_rate)),
-            );
+            o.insert("budget".to_string(), Value::Num(m.budget.to_string()));
+            o.insert("executed".to_string(), Value::Num(m.executed.to_string()));
+            o.insert("ci_target".to_string(), Value::Num(m.ci_target.to_string()));
+            o.insert("ci_width".to_string(), round3(m.ci_width));
+            o.insert("saved_ratio".to_string(), round3(m.saved_ratio()));
+            o.insert("fixed_sdc_rate".to_string(), round3(m.fixed_rate));
+            o.insert("adaptive_sdc_rate".to_string(), round3(m.adaptive_rate));
             Value::Obj(o)
         })
         .collect();
@@ -155,17 +146,14 @@ fn report_json(mode: Mode, results: &[Measurement], headline: f64) -> String {
             .to_string(),
         ),
     );
-    root.insert(
-        "strikes_saved_ratio".to_string(),
-        Value::Num(round3(headline)),
-    );
-    root.insert("floor".to_string(), Value::Num(5.0));
+    root.insert("strikes_saved_ratio".to_string(), round3(headline));
+    root.insert("floor".to_string(), Value::Num("5".to_string()));
     root.insert("configs".to_string(), Value::Arr(configs));
     Value::Obj(root).to_string()
 }
 
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
+fn round3(x: f64) -> Value {
+    Value::Num(((x * 1000.0).round() / 1000.0).to_string())
 }
 
 fn main() {

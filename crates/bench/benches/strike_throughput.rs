@@ -29,9 +29,9 @@
 //!   (GEMM beam proxy >= 5x, LUD >= 10x, ...) and the half-vs-single
 //!   ratio, writes and re-parses `BENCH_strikes.json`
 
-use mpr_analyze::json::{self, Value};
 use mpr_fault::{FaultModel, ValueFault, Workload};
 use mpr_kernels::{Gemm, LavaMd, Lud, Micro, MicroKernelOp};
+use mpr_obs::json::{self, Value};
 use mpr_obs::mix_seed;
 use mpr_softfloat::Precision;
 use rand::rngs::StdRng;
@@ -294,18 +294,12 @@ fn report_json(mode: Mode, results: &[Measurement], headline: f64, ratio: Option
             o.insert("label".to_string(), Value::Str(m.label.to_string()));
             o.insert("workload".to_string(), Value::Str(m.name.clone()));
             o.insert("precision".to_string(), Value::Str(m.precision.to_string()));
-            o.insert("strikes".to_string(), Value::Num(m.strikes as f64));
-            o.insert("sites".to_string(), Value::Num(m.sites as f64));
-            o.insert(
-                "naive_strikes_per_s".to_string(),
-                Value::Num(round2(m.naive_per_s)),
-            );
-            o.insert(
-                "batched_strikes_per_s".to_string(),
-                Value::Num(round2(m.batched_per_s)),
-            );
-            o.insert("speedup".to_string(), Value::Num(round2(m.speedup())));
-            o.insert("floor".to_string(), Value::Num(m.floor));
+            o.insert("strikes".to_string(), Value::Num(m.strikes.to_string()));
+            o.insert("sites".to_string(), Value::Num(m.sites.to_string()));
+            o.insert("naive_strikes_per_s".to_string(), round2(m.naive_per_s));
+            o.insert("batched_strikes_per_s".to_string(), round2(m.batched_per_s));
+            o.insert("speedup".to_string(), round2(m.speedup()));
+            o.insert("floor".to_string(), Value::Num(m.floor.to_string()));
             Value::Obj(o)
         })
         .collect();
@@ -325,23 +319,17 @@ fn report_json(mode: Mode, results: &[Measurement], headline: f64, ratio: Option
             .to_string(),
         ),
     );
-    root.insert("strike_batch".to_string(), Value::Num(BATCH as f64));
-    root.insert(
-        "gemm_beam_proxy_min_speedup".to_string(),
-        Value::Num(round2(headline)),
-    );
+    root.insert("strike_batch".to_string(), Value::Num(BATCH.to_string()));
+    root.insert("gemm_beam_proxy_min_speedup".to_string(), round2(headline));
     if let Some(r) = ratio {
-        root.insert(
-            "gemm_half_vs_single_ratio".to_string(),
-            Value::Num(round2(r)),
-        );
+        root.insert("gemm_half_vs_single_ratio".to_string(), round2(r));
     }
     root.insert("configs".to_string(), Value::Arr(configs));
     Value::Obj(root).to_string()
 }
 
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
+fn round2(x: f64) -> Value {
+    Value::Num(((x * 100.0).round() / 100.0).to_string())
 }
 
 fn main() {

@@ -16,8 +16,8 @@ use mpr_beam::{CampaignResult, SdcLabel};
 use mpr_fault::InjectionReport;
 use mpr_metrics::{CrossSection, OutcomeCounts};
 use mpr_obs::fnv1a64;
+use mpr_obs::json::{self, str_json, Value};
 use mpr_softfloat::Precision;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Identifies the file layout, independent of the cell-key version.
@@ -76,15 +76,12 @@ pub fn load(vfs: &dyn Vfs, path: &Path, store_key: &str) -> LoadOutcome {
     let Ok(body) = String::from_utf8(bytes) else {
         return LoadOutcome::Corrupt;
     };
-    let Some(value) = parse(&body) else {
-        return LoadOutcome::Corrupt;
-    };
-    let Some(obj) = value.as_obj() else {
+    let Ok(value) = json::parse(&body) else {
         return LoadOutcome::Corrupt;
     };
     match (
-        obj.get("format").and_then(Json::as_str),
-        obj.get("key").and_then(Json::as_str),
+        value.get("format").and_then(Value::as_str),
+        value.get("key").and_then(Value::as_str),
     ) {
         (Some(format), Some(key)) => {
             // A well-formed file claiming a different format version or
@@ -95,42 +92,43 @@ pub fn load(vfs: &dyn Vfs, path: &Path, store_key: &str) -> LoadOutcome {
         }
         _ => return LoadOutcome::Corrupt,
     }
-    match obj.get("result").and_then(decode_result) {
+    match value.get("result").and_then(decode_result) {
         Some(result) => LoadOutcome::Hit(result),
         None => LoadOutcome::Corrupt,
     }
 }
 
 /// Decodes the `result` object of a verified entry.
-fn decode_result(value: &Json) -> Option<CellResult> {
-    let result = value.as_obj()?;
-    match result.get("kind")?.as_str()? {
+fn decode_result(result: &Value) -> Option<CellResult> {
+    let str_of = |k: &str| result.get(k)?.as_str();
+    let u64_of = |k: &str| result.get(k)?.as_u64();
+    let f64_of = |k: &str| hex_f64(result.get(k)?);
+    let f64s_of =
+        |k: &str| -> Option<Vec<f64>> { result.get(k)?.as_arr()?.iter().map(hex_f64).collect() };
+    match str_of("kind")? {
         "beam" => Some(CellResult::Beam(CampaignResult {
-            device: result.get("device")?.as_str()?.to_string(),
-            workload: result.get("workload")?.as_str()?.to_string(),
-            precision: parse_precision(result.get("precision")?.as_str()?)?,
-            exec_time_s: result.get("exec_time_s")?.as_f64()?,
-            runs: result.get("runs")?.as_f64()?,
-            fluence: result.get("fluence")?.as_f64()?,
-            candidates: result.get("candidates")?.as_u64()?,
+            device: str_of("device")?.to_string(),
+            workload: str_of("workload")?.to_string(),
+            precision: parse_precision(str_of("precision")?)?,
+            exec_time_s: f64_of("exec_time_s")?,
+            runs: f64_of("runs")?,
+            fluence: f64_of("fluence")?,
+            candidates: u64_of("candidates")?,
             // Adaptive-only fields; absent on fixed-path entries, where
             // every candidate executed under the session fluence.
             executed: match result.get("executed") {
                 Some(v) => v.as_u64()?,
-                None => result.get("candidates")?.as_u64()?,
+                None => u64_of("candidates")?,
             },
             sdc: CrossSection::new(
-                result.get("sdc_events")?.as_u64()?,
+                u64_of("sdc_events")?,
                 match result.get("sdc_fluence") {
-                    Some(v) => v.as_f64()?,
-                    None => result.get("fluence")?.as_f64()?,
+                    Some(v) => hex_f64(v)?,
+                    None => f64_of("fluence")?,
                 },
             ),
-            due: CrossSection::new(
-                result.get("due_events")?.as_u64()?,
-                result.get("fluence")?.as_f64()?,
-            ),
-            severities: result.get("severities")?.as_f64_vec()?,
+            due: CrossSection::new(u64_of("due_events")?, f64_of("fluence")?),
+            severities: f64s_of("severities")?,
             labels: result
                 .get("labels")?
                 .as_arr()?
@@ -139,20 +137,24 @@ fn decode_result(value: &Json) -> Option<CellResult> {
                 .collect::<Option<Vec<_>>>()?,
         })),
         "inject" => Some(CellResult::Inject(InjectionReport {
-            workload: result.get("workload")?.as_str()?.to_string(),
-            precision: parse_precision(result.get("precision")?.as_str()?)?,
-            counts: OutcomeCounts::new(
-                result.get("masked")?.as_u64()?,
-                result.get("sdc")?.as_u64()?,
-                result.get("due")?.as_u64()?,
-            ),
-            severities: result.get("severities")?.as_f64_vec()?,
+            workload: str_of("workload")?.to_string(),
+            precision: parse_precision(str_of("precision")?)?,
+            counts: OutcomeCounts::new(u64_of("masked")?, u64_of("sdc")?, u64_of("due")?),
+            severities: f64s_of("severities")?,
         })),
         "accumulate" => Some(CellResult::Accumulate(AccumulateOutcome {
-            sdc_probability: result.get("sdc_probability")?.as_f64()?,
-            corruption_extent: result.get("corruption_extent")?.as_f64()?,
-            trials: result.get("trials")?.as_u64()? as u32,
+            sdc_probability: f64_of("sdc_probability")?,
+            corruption_extent: f64_of("corruption_extent")?,
+            trials: u64_of("trials")? as u32,
         })),
+        _ => None,
+    }
+}
+
+/// Floats are stored as quoted bit-hex strings.
+fn hex_f64(value: &Value) -> Option<f64> {
+    match value.as_str()? {
+        s if s.len() == 16 => u64::from_str_radix(s, 16).ok().map(f64::from_bits),
         _ => None,
     }
 }
@@ -247,24 +249,6 @@ fn last_field2(out: &mut String, name: &str, value: &str) {
     out.push_str(&format!("    \"{name}\": {value}\n"));
 }
 
-pub(crate) fn str_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Floats travel as the hex of their bits, quoted, for exact round-trip.
 fn f64_json(v: f64) -> String {
     format!("\"{:016x}\"", v.to_bits())
@@ -273,196 +257,6 @@ fn f64_json(v: f64) -> String {
 fn f64_vec_json(vs: &[f64]) -> String {
     let items: Vec<String> = vs.iter().map(|v| f64_json(*v)).collect();
     format!("[{}]", items.join(","))
-}
-
-// --- parsing ---------------------------------------------------------------
-
-/// A parsed JSON value; numbers stay as raw text until typed access.
-/// Shared with the campaign manifest module, which reuses the same
-/// hand-rolled parser discipline.
-pub(crate) enum Json {
-    Obj(BTreeMap<String, Json>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(String),
-}
-
-impl Json {
-    pub(crate) fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// Floats are stored as quoted bit-hex strings.
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Str(s) if s.len() == 16 => u64::from_str_radix(s, 16).ok().map(f64::from_bits),
-            _ => None,
-        }
-    }
-
-    fn as_f64_vec(&self) -> Option<Vec<f64>> {
-        self.as_arr()?.iter().map(Json::as_f64).collect()
-    }
-}
-
-pub(crate) fn parse(text: &str) -> Option<Json> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    (pos == bytes.len()).then_some(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while matches!(b.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(b, pos);
-    match b.get(*pos)? {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
-        b'"' => parse_str(b, pos).map(Json::Str),
-        c if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-        _ => None,
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Json> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Some(Json::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return None;
-        }
-        *pos += 1;
-        map.insert(key, parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos)? {
-            b',' => *pos += 1,
-            b'}' => {
-                *pos += 1;
-                return Some(Json::Obj(map));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Some(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos)? {
-            b',' => *pos += 1,
-            b']' => {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
-    if b.get(*pos) != Some(&b'"') {
-        return None;
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = b.get(*pos + 1..*pos + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            &c if c < 0x80 => {
-                out.push(c as char);
-                *pos += 1;
-            }
-            _ => {
-                // Multi-byte UTF-8: consume the full scalar.
-                let s = std::str::from_utf8(b.get(*pos..)?).ok()?;
-                let c = s.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Option<Json> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while b
-        .get(*pos)
-        .is_some_and(|&c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E'))
-    {
-        *pos += 1;
-    }
-    let digits = b.get(start..*pos)?;
-    (*pos > start).then(|| Json::Num(String::from_utf8_lossy(digits).into_owned()))
 }
 
 #[cfg(test)]
@@ -666,17 +460,32 @@ mod tests {
     }
 
     #[test]
-    fn foreign_labels_are_rejected() {
-        assert_eq!(intern_label("critical"), Some("critical"));
-        assert_eq!(intern_label("made-up"), None);
+    fn a_megabyte_of_non_ascii_loads() {
+        // String decoding is linear: a 1 MiB device name is an ordinary hit.
+        let dir = std::env::temp_dir().join("mpr-exp-cache-test-wide");
+        let key = "seed=0000000000000005;v2;dev=é;wl=gemm:12;p=single;k=beam";
+        let CellResult::Beam(mut wide) = sample_beam() else {
+            // mpr-allow: panic-hygiene -- test fixture is a beam result
+            panic!("sample is a beam result");
+        };
+        wide.device = "é".repeat(512 * 1024);
+        save(&RealFs, &dir, key, &CellResult::Beam(wide.clone())).expect("save");
+        let LoadOutcome::Hit(CellResult::Beam(got)) = load(&RealFs, &entry_path(&dir, key), key)
+        else {
+            // mpr-allow: panic-hygiene -- test asserts the variant round-trips
+            panic!("wide beam entry failed to load");
+        };
+        assert_eq!(got.device, wide.device);
+        assert!(matches!(
+            load(&RealFs, &entry_path(&dir, key), "seed=05;other"),
+            LoadOutcome::Miss
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse("").is_none());
-        assert!(parse("{").is_none());
-        assert!(parse("{\"a\": }").is_none());
-        assert!(parse("{} trailing").is_none());
-        assert!(parse("{\"a\": 1}").is_some());
+    fn foreign_labels_are_rejected() {
+        assert_eq!(intern_label("critical"), Some("critical"));
+        assert_eq!(intern_label("made-up"), None);
     }
 }

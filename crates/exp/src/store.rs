@@ -378,6 +378,28 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_entry_is_quarantined_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join("mpr-exp-store-test-deep");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let store = ResultStore::with_cache_dir(&dir);
+        let key = "seed=0000000000000004;v2;dev=x;wl=y;p=half;k=acc:k=1,t=1";
+        let path = cache::entry_path(&dir, key);
+        let body = format!("{{\"format\": {}", "[".repeat(100_000));
+        std::fs::write(&path, body).expect("write");
+        assert!(matches!(
+            cache::load(&RealFs, &path, key),
+            cache::LoadOutcome::Corrupt
+        ));
+
+        let (hit, source) = store.lookup_traced(key);
+        assert!(hit.is_none());
+        assert_eq!(source, LookupSource::CorruptQuarantined);
+        assert!(path.with_extension("corrupt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn opening_a_store_sweeps_stale_tmp_files() {
         let dir = std::env::temp_dir().join("mpr-exp-store-test-sweep");
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,10 +10,11 @@
 //! The crate is deliberately at the bottom of the dependency graph
 //! (std only): `mpr-beam`, `mpr-fault`, `mpr-exp`, and `mpr-core` all
 //! record into it, and it also hosts the [`seed`] module — the single
-//! audited seed-derivation scheme those same crates share — plus the
-//! fault-tolerance primitives ([`CancelToken`], [`panic_message`])
-//! that the campaign drivers and the experiment engine use to survive
-//! panicking or hung cells.
+//! audited seed-derivation scheme those same crates share — the
+//! [`json`] module every JSON reader and writer in the workspace uses,
+//! plus the fault-tolerance primitives ([`CancelToken`],
+//! [`panic_message`]) that the campaign drivers and the experiment
+//! engine use to survive panicking or hung cells.
 //!
 //! Two recorders ship built in:
 //!
@@ -22,8 +23,8 @@
 //!   an unprofiled run pays only a branch per event site.
 //! * [`JsonlRecorder`] — buffers events and flushes them as one
 //!   append-only JSONL file (one event per line, monotonic-relative
-//!   timestamps, atomic tmp+rename write — the same hand-rolled
-//!   serializer discipline as `mpr-exp`'s disk cache).
+//!   timestamps, atomic tmp+rename write; escaped and parsed by the
+//!   same [`json`] code as `mpr-exp`'s disk cache).
 //!
 //! ```rust
 //! use mpr_obs::{summarize, Counter, JsonlRecorder, Metric, Recorder, Timer};
@@ -41,6 +42,7 @@
 #![deny(missing_docs)]
 
 mod harness;
+pub mod json;
 mod jsonl;
 mod record;
 pub mod seed;
