@@ -18,8 +18,9 @@
 //! - every workload has its own speedup floor (`Config::floor`), so no
 //!   workload can regress behind the headline;
 //! - GEMM half must run within 2x of GEMM single on the batched path —
-//!   the wide binary16 lanes close the softfloat gap, and this ratio
-//!   is the regression tripwire for them.
+//!   `wide::fma` lanes over the branch-free binary16 kernels (the same
+//!   ones every scalar `Half` op runs on) close the softfloat gap, and
+//!   this ratio is the regression tripwire for them.
 //!
 //! Modes (args after `cargo bench --bench strike_throughput -- ...`):
 //! - `--test`:  tiny sizes, byte-identity check only, no file written

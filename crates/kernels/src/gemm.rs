@@ -186,10 +186,10 @@ impl Gemm {
     ///   comes up — one vectorized [`mpr_softfloat::wide::fma`] per
     ///   step serves the whole group.
     ///
-    /// Every lane is bit-identical to the scalar `Half` path, so the
-    /// outputs match `run_with_fault` byte-for-byte (DT001). The exact
-    /// binary16 product commutes, which is why `B`-column strikes may
-    /// broadcast the `B` value over transposed `A` rows.
+    /// Every lane runs the scalar `Half::mul_add`, so the outputs match
+    /// `run_with_fault` byte-for-byte (DT001). The exact binary16 product
+    /// commutes, which is why `B`-column strikes may broadcast the `B`
+    /// value over transposed `A` rows.
     fn run_half_batch(
         &self,
         strikes: &[(u64, ValueFault)],
@@ -204,12 +204,7 @@ impl Gemm {
         let bits = self.input_bits::<Half>();
         let a16: Vec<u16> = bits[..n2].iter().map(|&w| w as u16).collect();
         let b16: Vec<u16> = bits[n2..].iter().map(|&w| w as u16).collect();
-        // Pre-widened operand matrices: one exact `u16 -> f64` pass per
-        // batch instead of one per lane-step (`widen64` is exact, so
-        // every downstream FMA sees the same values as the u16 forms).
-        let aw: Vec<f64> = a16.iter().map(|&h| wide::widen64(h)).collect();
-        let bw: Vec<f64> = b16.iter().map(|&h| wide::widen64(h)).collect();
-        let mut a_colw: Option<Vec<f64>> = None; // column-major A, built on demand
+        let mut a_col: Option<Vec<u16>> = None; // column-major A, built on demand
         let mut acc = vec![0u16; n];
         let mut stripe = vec![0u16; n];
         let mut chain: Vec<usize> = Vec::new();
@@ -238,11 +233,7 @@ impl Gemm {
                 stripe[col] = fault.apply(u64::from(a16[idx]), 16) as u16;
                 acc.iter_mut().for_each(|v| *v = 0);
                 for k in 0..n {
-                    wide::fma_broadcast_widened(
-                        wide::widen64(stripe[k]),
-                        &bw[k * n..(k + 1) * n],
-                        &mut acc,
-                    );
+                    wide::fma_broadcast(stripe[k], &b16[k * n..(k + 1) * n], &mut acc);
                 }
                 for j in 0..n {
                     out[i * n + j] = Half::from_bits(acc[j]).to_f64();
@@ -253,11 +244,11 @@ impl Gemm {
                 // broadcast-FMA'd (the exact product commutes).
                 let idx = (site - n2u) as usize;
                 let (row, j) = (idx / n, idx % n);
-                let at = a_colw.get_or_insert_with(|| {
-                    let mut t = vec![0f64; n2];
+                let at = a_col.get_or_insert_with(|| {
+                    let mut t = vec![0u16; n2];
                     for r in 0..n {
                         for c in 0..n {
-                            t[c * n + r] = aw[r * n + c];
+                            t[c * n + r] = a16[r * n + c];
                         }
                     }
                     t
@@ -268,11 +259,7 @@ impl Gemm {
                 stripe[row] = fault.apply(u64::from(b16[idx]), 16) as u16;
                 acc.iter_mut().for_each(|v| *v = 0);
                 for k in 0..n {
-                    wide::fma_broadcast_widened(
-                        wide::widen64(stripe[k]),
-                        &at[k * n..(k + 1) * n],
-                        &mut acc,
-                    );
+                    wide::fma_broadcast(stripe[k], &at[k * n..(k + 1) * n], &mut acc);
                 }
                 for i in 0..n {
                     out[i * n + j] = Half::from_bits(acc[i]).to_f64();
@@ -293,8 +280,8 @@ impl Gemm {
             out[d] = golden[d];
         }
         let mut dirty: Option<usize> = None;
-        let mut av = [0f64; wide::LANES];
-        let mut bv = [0f64; wide::LANES];
+        let mut av = [0u16; wide::LANES];
+        let mut bv = [0u16; wide::LANES];
         let mut lane_acc = [0u16; wide::LANES];
         // Per-lane site decode, hoisted out of the k loop (three
         // divisions per lane per step would dominate the pass). Fixed
@@ -323,10 +310,10 @@ impl Gemm {
             for k in 0..n {
                 let brow = k * n;
                 for s in 0..wide::LANES {
-                    av[s] = aw[a_base[s] + k];
-                    bv[s] = bw[brow + b_off[s]];
+                    av[s] = a16[a_base[s] + k];
+                    bv[s] = b16[brow + b_off[s]];
                 }
-                wide::fma_widened(&av, &bv, &mut lane_acc);
+                wide::fma(&av, &bv, &mut lane_acc);
                 for s in 0..m {
                     if pos[s] == k {
                         lane_acc[s] = strikes[group[s]].1.apply(u64::from(lane_acc[s]), 16) as u16;

@@ -4,8 +4,9 @@
 //! `f32` carries 24 significand bits and binary16 carries 11, the
 //! `p' >= 2p + 2` condition of Figueroa's double-rounding theorem holds
 //! with equality, so the two roundings collapse to one: every result below
-//! is the correctly rounded binary16 result. The property tests in this
-//! module cross-check `*` and `+` against the exact integer FMA path.
+//! is the correctly rounded binary16 result. The tests in this module
+//! cross-check `+`, `*` and `/` against the exact integer reference in the
+//! test-only `oracle` module (which also sweeps every operand pair).
 
 use super::Half;
 
@@ -109,7 +110,9 @@ impl Half {
 
 #[cfg(test)]
 mod tests {
+    use super::super::oracle;
     use super::*;
+    use std::hint::black_box;
 
     /// All finite binary16 values, coarsely strided for exhaustive-ish
     /// pair testing at reasonable cost.
@@ -127,7 +130,7 @@ mod tests {
         for &a in &sample_values(97) {
             for &b in &sample_values(131) {
                 let fast = a + b;
-                let exact = a.mul_add(Half::ONE, b);
+                let exact = oracle::fma(a, Half::ONE, b);
                 assert_eq!(
                     fast.to_bits(),
                     exact.to_bits(),
@@ -139,17 +142,12 @@ mod tests {
 
     #[test]
     fn multiplication_matches_exact_reference() {
-        // a * b == fma(a, b, 0) (the +0 cannot change a nonzero product,
-        // and the zero-product sign rule matches IEEE multiplication).
+        // a * b == fma(a, b, -0): adding -0 changes no product, not even
+        // the sign of a zero one (IEEE: x + (-0) == x for every x).
         for &a in &sample_values(101) {
             for &b in &sample_values(127) {
                 let fast = a * b;
-                let exact = a.mul_add(b, Half::ZERO);
-                // fma(a,b,+0) differs from a*b only for a*b == -0: IEEE says
-                // (-0) + (+0) = +0. Compare through copysign-aware path.
-                if fast.is_zero() && exact.is_zero() {
-                    continue;
-                }
+                let exact = oracle::fma(a, b, Half::NEG_ZERO);
                 assert_eq!(fast.to_bits(), exact.to_bits(), "a={a:?} b={b:?}");
             }
         }
@@ -163,12 +161,8 @@ mod tests {
         for &a in &sample_values(89) {
             for &b in &sample_values(113) {
                 let via_f32 = a / b;
-                let via_f64 = Half::from_f64(a.to_f64() / b.to_f64());
-                if via_f32.is_nan() {
-                    assert!(via_f64.is_nan());
-                } else {
-                    assert_eq!(via_f32.to_bits(), via_f64.to_bits(), "a={a:?} b={b:?}");
-                }
+                let via_f64 = oracle::from_f64(oracle::to_f64(a) / oracle::to_f64(b));
+                assert_eq!(via_f32.to_bits(), via_f64.to_bits(), "a={a:?} b={b:?}");
             }
         }
     }
@@ -178,12 +172,8 @@ mod tests {
         for bits in 0..=u16::MAX {
             let h = Half::from_bits(bits);
             let via_f32 = h.sqrt();
-            let via_f64 = Half::from_f64(h.to_f64().sqrt());
-            if via_f32.is_nan() {
-                assert!(via_f64.is_nan(), "bits={bits:#06x}");
-            } else {
-                assert_eq!(via_f32.to_bits(), via_f64.to_bits(), "bits={bits:#06x}");
-            }
+            let via_f64 = oracle::from_f64(oracle::to_f64(h).sqrt());
+            assert_eq!(via_f32.to_bits(), via_f64.to_bits(), "bits={bits:#06x}");
         }
     }
 
@@ -198,6 +188,39 @@ mod tests {
         assert_eq!(inf + inf, inf);
         assert!((Half::NAN + Half::ONE).is_nan());
         assert!((Half::MAX + Half::MAX).is_infinite());
+    }
+
+    #[test]
+    fn nan_results_are_canonical() {
+        // Opaque operands keep the compiler from folding these, so the
+        // host's default NaN (negative on x86) reaches the narrowing.
+        let (zero, one, inf) = (
+            black_box(Half::ZERO),
+            black_box(Half::ONE),
+            black_box(Half::INFINITY),
+        );
+        let neg_nan = black_box(Half::from_bits(0xFE01));
+        let results = [
+            inf - inf,
+            inf + -inf,
+            zero * inf,
+            zero / zero,
+            inf / inf,
+            one % zero,
+            inf % one,
+            (-one).sqrt(),
+            neg_nan + one,
+            zero.mul_add(inf, one),
+            inf.mul_add(one, -inf),
+            neg_nan.mul_add(one, one),
+            Half::from_f32(black_box(-f32::NAN)),
+            Half::from_f32(black_box(0.0f32) / black_box(0.0f32)),
+            Half::from_f64(black_box(-f64::NAN)),
+            Half::from_f64(black_box(f64::INFINITY) - black_box(f64::INFINITY)),
+        ];
+        for (i, r) in results.into_iter().enumerate() {
+            assert_eq!(r.to_bits(), Half::NAN.to_bits(), "case {i}: {r:?}");
+        }
     }
 
     #[test]

@@ -1,199 +1,133 @@
-//! Conversions between binary16 and the native formats.
+//! Conversions between binary16 and the native formats — the crate's one
+//! binary16 rounding implementation.
 //!
 //! Widening conversions (`to_f32`, `to_f64`) are exact. Narrowing
 //! conversions round to nearest-even in a single rounding: `from_f64` does
 //! **not** go through `f32` because `f64 -> f32 -> f16` can double-round
 //! (e.g. a value just above a binary16 tie that rounds *onto* the tie in
-//! binary32 and then rounds the wrong way). Instead both narrowing paths
-//! decompose the source into an exact integer magnitude and round once with
-//! [`round_pack_f16`].
+//! binary32 and then rounds the wrong way). Both narrowing paths instead
+//! round the source's own bit pattern once, branch-free: every operation
+//! of [`Half`] (and every lane of [`crate::wide`]) funnels through these
+//! four kernels, so they are `#[inline(always)]` and free of data-dependent
+//! branches the autovectorizer could not map onto SIMD selects.
+//!
+//! Every NaN narrows to the canonical positive quiet NaN `0x7E00`, so a
+//! result's bits never depend on the sign of the host's default NaN.
+//! The integer reference implementation these kernels are proven against
+//! lives in the test-only `oracle` module.
 
 use super::Half;
 
-/// Right-shifts `mag` by `shift`, rounding to nearest-even with a sticky
-/// bit (all shifted-out information participates in the rounding decision).
-#[inline]
-pub(crate) fn rshift_rne(mag: u128, shift: u32) -> u128 {
-    if shift == 0 {
-        return mag;
-    }
-    if shift >= 128 {
-        // The value is strictly below half an ULP of the target position
-        // (magnitudes are < 2^127 in practice), so it rounds to zero.
-        return 0;
-    }
-    let half = 1u128 << (shift - 1);
-    let rem = mag & ((1u128 << shift) - 1);
-    let q = mag >> shift;
-    if rem > half || (rem == half && (q & 1) == 1) {
-        q + 1
-    } else {
-        q
-    }
-}
-
-/// Rounds the positive magnitude `mag * 2^lsb_exp` to binary16 (RNE) and
-/// returns the bit pattern without a sign. Returns `0x7C00` (infinity) on
-/// overflow; underflow goes gradually through subnormals to zero.
-pub(crate) fn round_pack_f16(mag: u128, lsb_exp: i32) -> u16 {
-    if mag == 0 {
-        return 0;
-    }
-    let top = 127 - mag.leading_zeros() as i32; // position of the leading 1
-    let e = lsb_exp + top; // unbiased exponent of the value
-
-    if e >= -14 {
-        // Normal candidate: produce an 11-bit significand (implicit bit kept).
-        let sig = if top >= 10 {
-            rshift_rne(mag, (top - 10) as u32)
-        } else {
-            mag << (10 - top)
-        };
-        // Rounding may carry the significand from 0x7FF to 0x800; the
-        // combined encode below absorbs the carry into the exponent field.
-        let mut e = e;
-        let mut sig = sig;
-        if sig == 0x800 {
-            sig = 0x400;
-            e += 1;
-        }
-        if e > 15 {
-            return 0x7C00;
-        }
-        debug_assert!((0x400..0x800).contains(&sig));
-        (((e + 14) as u16) << 10) + sig as u16
-    } else {
-        // Subnormal candidate: the target LSB sits at 2^-24 regardless of
-        // the value's own exponent.
-        let shift = -24 - lsb_exp;
-        let sig = if shift >= 0 {
-            rshift_rne(mag, shift as u32)
-        } else {
-            mag << (-shift)
-        };
-        // `sig == 0x400` after rounding means the value rounded up to the
-        // smallest normal; the plain encode is already correct for that.
-        debug_assert!(sig <= 0x400);
-        sig as u16
-    }
-}
-
-/// Decomposes a finite nonzero `f64` into `(negative, magnitude, lsb_exp)`
-/// such that the value equals `±magnitude * 2^lsb_exp` exactly.
-#[inline]
-fn decompose_f64(v: f64) -> (bool, u128, i32) {
-    let bits = v.to_bits();
-    let neg = bits >> 63 != 0;
-    let e = ((bits >> 52) & 0x7FF) as i32;
-    let frac = bits & ((1u64 << 52) - 1);
-    if e == 0 {
-        (neg, frac as u128, -1074)
-    } else {
-        (neg, (frac | (1 << 52)) as u128, e - 1075)
-    }
-}
-
-/// Same decomposition for `f32`.
-#[inline]
-fn decompose_f32(v: f32) -> (bool, u128, i32) {
-    let bits = v.to_bits();
-    let neg = bits >> 31 != 0;
-    let e = ((bits >> 23) & 0xFF) as i32;
-    let frac = bits & ((1u32 << 23) - 1);
-    if e == 0 {
-        (neg, frac as u128, -149)
-    } else {
-        (neg, (frac | (1 << 23)) as u128, e - 150)
-    }
-}
-
 impl Half {
     /// Converts an `f64` to binary16 with a single round-to-nearest-even.
+    ///
+    /// Same structure as [`Half::from_f32`], rebased: the exponent offset
+    /// is `1023 - 15 = 1008`, the mantissa drop is `52 - 10 = 42` bits,
+    /// and the subnormal magic constant is `2^28` (whose ULP is the
+    /// binary16 subnormal LSB `2^-24`).
     ///
     /// ```rust
     /// use mpr_softfloat::Half;
     /// assert_eq!(Half::from_f64(1.0), Half::ONE);
     /// assert!(Half::from_f64(1e9).is_infinite());
     /// assert_eq!(Half::from_f64(-0.0).to_bits(), 0x8000);
+    /// assert_eq!(Half::from_f64(-f64::NAN).to_bits(), 0x7E00);
     /// ```
+    #[inline(always)]
     pub fn from_f64(v: f64) -> Half {
-        if v.is_nan() {
-            let sign = if v.is_sign_negative() { 0x8000 } else { 0 };
-            return Half(sign | Half::NAN.0);
+        let bits = v.to_bits();
+        let sign = ((bits >> 48) & 0x8000) as u16;
+        let u = bits & 0x7FFF_FFFF_FFFF_FFFF;
+        let mant_odd = (u >> 42) & 1;
+        let norm = (u
+            .wrapping_sub(1008u64 << 52)
+            .wrapping_add((1u64 << 41) - 1)
+            .wrapping_add(mant_odd)
+            >> 42) as u16;
+        let sub = (f64::from_bits(u) + f64::from_bits(1051u64 << 52))
+            .to_bits()
+            .wrapping_sub(1051u64 << 52) as u16;
+        let mag = if u >= 1039u64 << 52 {
+            // >= 2^16: overflow or infinity.
+            0x7C00
+        } else if u < 1009u64 << 52 {
+            // < 2^-14: subnormal or zero.
+            sub
+        } else {
+            norm
+        };
+        if u > 0x7FF0_0000_0000_0000 {
+            Half::NAN
+        } else {
+            Half(sign | mag)
         }
-        if v.is_infinite() {
-            return if v > 0.0 {
-                Half::INFINITY
-            } else {
-                Half::NEG_INFINITY
-            };
-        }
-        let (neg, mag, lsb_exp) = decompose_f64(v);
-        let bits = round_pack_f16(mag, lsb_exp);
-        Half(if neg { bits | 0x8000 } else { bits })
     }
 
     /// Converts an `f32` to binary16 with a single round-to-nearest-even.
+    #[inline(always)]
     pub fn from_f32(v: f32) -> Half {
-        if v.is_nan() {
-            let sign = if v.is_sign_negative() { 0x8000 } else { 0 };
-            return Half(sign | Half::NAN.0);
+        let bits = v.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let u = bits & 0x7FFF_FFFF;
+        // Normal path: rebase the exponent by -112 and round by nudging
+        // with half-ULP-minus-one plus the mantissa-odd bit before the
+        // shift; the carry ripples into the exponent field, taking values
+        // that round past 65504 to the infinity encoding for free.
+        let mant_odd = (u >> 13) & 1;
+        let norm = (u
+            .wrapping_sub(0x3800_0000)
+            .wrapping_add(0xFFF)
+            .wrapping_add(mant_odd)
+            >> 13) as u16;
+        // Subnormal path: adding 0.5 (whose ULP, 2^-24, is the binary16
+        // subnormal LSB) makes the f32 adder perform the RNE alignment;
+        // the rounded significand then sits in the low mantissa bits.
+        let sub = (f32::from_bits(u) + f32::from_bits(0x3F00_0000))
+            .to_bits()
+            .wrapping_sub(0x3F00_0000) as u16;
+        let mag = if u >= 0x4780_0000 {
+            // >= 2^16: overflow or infinity.
+            0x7C00
+        } else if u < 0x3880_0000 {
+            // < 2^-14: subnormal or zero.
+            sub
+        } else {
+            norm
+        };
+        if u > 0x7F80_0000 {
+            Half::NAN
+        } else {
+            Half(sign | mag)
         }
-        if v.is_infinite() {
-            return if v > 0.0 {
-                Half::INFINITY
-            } else {
-                Half::NEG_INFINITY
-            };
-        }
-        let (neg, mag, lsb_exp) = decompose_f32(v);
-        let bits = round_pack_f16(mag, lsb_exp);
-        Half(if neg { bits | 0x8000 } else { bits })
     }
 
-    /// Exact widening conversion to `f32`.
+    /// Exact widening conversion to `f32`; every NaN widens to the
+    /// positive quiet `f32::NAN`.
+    #[inline(always)]
     pub fn to_f32(self) -> f32 {
-        let sign = if self.is_sign_negative() {
-            -1.0f32
+        let hu = u32::from(self.0);
+        let sign = (hu & 0x8000) << 16;
+        let mag = (hu & 0x7FFF) << 13;
+        // Bits 23..28 of `mag` hold the binary16 exponent field, so the
+        // shifted value reads as 2^-112 times the binary16 value; one
+        // exact multiply restores the scale (subnormal halves become
+        // normal f32s, the product is always exact).
+        let scaled = (f32::from_bits(mag) * f32::from_bits(0x7780_0000)).to_bits();
+        let bits = if hu & 0x7C00 != 0x7C00 {
+            sign | scaled
+        } else if hu & 0x03FF == 0 {
+            sign | 0x7F80_0000
         } else {
-            1.0
+            f32::NAN.to_bits()
         };
-        match (self.exp_field(), self.frac_field()) {
-            (0, 0) => sign * 0.0,
-            // Subnormal: frac * 2^-24, exact in f32.
-            (0, f) => sign * f as f32 * f32::from_bits(0x3380_0000), // 2^-24
-            (0x1F, 0) => sign * f32::INFINITY,
-            (0x1F, _) => f32::NAN,
-            (e, f) => {
-                // (1024 + f) * 2^(e - 25); both factors exact in f32.
-                let sig = (1024 + f) as f32;
-                sign * sig * exp2_f32(e as i32 - 25)
-            }
-        }
+        f32::from_bits(bits)
     }
 
     /// Exact widening conversion to `f64`.
+    #[inline(always)]
     pub fn to_f64(self) -> f64 {
-        let sign = if self.is_sign_negative() {
-            -1.0f64
-        } else {
-            1.0
-        };
-        match (self.exp_field(), self.frac_field()) {
-            (0, 0) => sign * 0.0,
-            (0, f) => sign * f as f64 * 2f64.powi(-24),
-            (0x1F, 0) => sign * f64::INFINITY,
-            (0x1F, _) => f64::NAN,
-            (e, f) => sign * (1024 + f) as f64 * 2f64.powi(e as i32 - 25),
-        }
+        f64::from(self.to_f32())
     }
-}
-
-/// Exact `2^n` as `f32` for the exponent range reachable from binary16.
-#[inline]
-fn exp2_f32(n: i32) -> f32 {
-    debug_assert!((-126..=127).contains(&n));
-    f32::from_bits(((n + 127) as u32) << 23)
 }
 
 #[cfg(test)]

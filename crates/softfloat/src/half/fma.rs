@@ -1,30 +1,23 @@
-//! Exact fused multiply-add for binary16.
+//! Fused multiply-add for binary16.
 //!
-//! `a * b + c` is evaluated in integer arithmetic: the 11x11-bit product is
-//! exact in 22 bits, the addend is aligned into a shared fixed-point frame
-//! (the binary16 exponent range spans < 80 bits, so `i128` holds every
-//! intermediate exactly), and the sum is rounded **once** to binary16.
-//! This is the semantics of a hardware FMA unit and cannot be obtained by
-//! rounding through a wider float without a double-rounding hazard.
+//! `a * b + c` is evaluated in `f64`: the product of two binary16
+//! significands has at most 22 bits, so the widened `f64` multiply is
+//! **exact**, and the following `f64` add rounds the exact product-sum
+//! once to 53 bits — wide enough (the aligned sum needs `p' >= 46`) that
+//! [`Half::from_f64`]'s rounding straight to binary16 yields the fused
+//! operation's single rounding. `f32` is *not* wide enough: a product
+//! landing exactly on a binary16 tie with a tiny addend loses the
+//! tiebreak in 24 bits. No `f64::mul_add` either: it lowers to a libm
+//! call on targets without a hardware FMA unit, and the plain
+//! `mul + add` is already exact up to that one rounding. The exact
+//! `i128` reference this is proven against lives in the test-only
+//! `oracle` module.
 
-use super::{round_pack_f16, Half};
-
-/// Decomposes a finite `Half` into `(negative, significand, lsb_exp)` with
-/// `value == ±significand * 2^lsb_exp` exactly. Zero yields `(sign, 0, _)`.
-#[inline]
-fn decompose(h: Half) -> (bool, u32, i32) {
-    let neg = h.is_sign_negative();
-    let e = h.exp_field() as i32;
-    let f = h.frac_field() as u32;
-    if e == 0 {
-        (neg, f, -24)
-    } else {
-        (neg, f | 0x400, e - 25)
-    }
-}
+use super::Half;
 
 impl Half {
-    /// Fused multiply-add: `self * a + b` with a single rounding.
+    /// Fused multiply-add: `self * a + b` with a single rounding. Every
+    /// NaN-producing case returns the canonical NaN `0x7E00`.
     ///
     /// ```rust
     /// use mpr_softfloat::Half;
@@ -37,102 +30,15 @@ impl Half {
     /// // whereas the unfused form overflows to +inf then NaNs:
     /// assert!(((x * y) + -Half::MAX).is_nan() || ((x * y) + -Half::MAX).is_infinite());
     /// ```
+    #[inline(always)]
     pub fn mul_add(self, a: Half, b: Half) -> Half {
-        // IEEE-754 special-case ladder.
-        if self.is_nan() || a.is_nan() || b.is_nan() {
-            return Half::NAN;
-        }
-        let prod_neg = self.is_sign_negative() ^ a.is_sign_negative();
-        if self.is_infinite() || a.is_infinite() {
-            if self.is_zero() || a.is_zero() {
-                return Half::NAN; // 0 * inf
-            }
-            if b.is_infinite() && (b.is_sign_negative() != prod_neg) {
-                return Half::NAN; // inf - inf
-            }
-            return if prod_neg {
-                Half::NEG_INFINITY
-            } else {
-                Half::INFINITY
-            };
-        }
-        if b.is_infinite() {
-            return b;
-        }
-
-        let (_, ms, es) = decompose(self);
-        let (_, ma, ea) = decompose(a);
-        let (cn, mc, ec) = decompose(b);
-
-        // Exact product: <= 22 bits of significand.
-        let mp = (ms as i128) * (ma as i128);
-        let ep = es + ea;
-
-        if mp == 0 && mc == 0 {
-            // Zero result from zero inputs: IEEE sign rules. (-0)+(+0)=+0
-            // under RNE unless both terms are negative.
-            return if prod_neg && cn {
-                Half::NEG_ZERO
-            } else {
-                Half::ZERO
-            };
-        }
-
-        // Align both terms to the smaller LSB exponent. Exponent span:
-        // ep in [-48, 10], ec in [-24, 5] -> shift <= 58; operands <= 22
-        // bits, so everything fits comfortably in i128.
-        let e0 = ep.min(ec);
-        let tp = (if prod_neg { -mp } else { mp }) << (ep - e0) as u32;
-        let tc = (if cn { -(mc as i128) } else { mc as i128 }) << (ec - e0) as u32;
-        let sum = tp + tc;
-
-        if sum == 0 {
-            // Exact cancellation of nonzero terms: RNE gives +0.
-            return Half::ZERO;
-        }
-        let neg = sum < 0;
-        let bits = round_pack_f16(sum.unsigned_abs(), e0);
-        Half::from_bits(if neg { bits | 0x8000 } else { bits })
+        Half::from_f64(self.to_f64() * a.to_f64() + b.to_f64())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Reference FMA through f64: the product of two binary16 values is
-    /// exact in f64 (22 <= 53 bits) and the f64 sum is correctly rounded
-    /// to 53 bits, which is wide enough (53 >= 2*11 + 2) for the second
-    /// rounding to binary16 to be innocuous. So f64 fma == exact fma for
-    /// binary16 operands.
-    fn reference(a: Half, b: Half, c: Half) -> Half {
-        Half::from_f64(a.to_f64().mul_add(b.to_f64(), c.to_f64()))
-    }
-
-    #[test]
-    fn fma_matches_f64_reference_on_grid() {
-        let vals: Vec<Half> = (0..=u16::MAX)
-            .step_by(419)
-            .map(Half::from_bits)
-            .filter(|h| h.is_finite())
-            .collect();
-        for &a in &vals {
-            for &b in &vals {
-                for &c in &vals {
-                    let got = a.mul_add(b, c);
-                    let want = reference(a, b, c);
-                    if got.is_zero() && want.is_zero() {
-                        continue; // sign-of-zero differences checked separately
-                    }
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "a={a:?} b={b:?} c={c:?} got={got:?} want={want:?}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn fused_recovers_the_exact_rounding_residual() {

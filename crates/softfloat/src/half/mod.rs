@@ -4,8 +4,9 @@ mod arith;
 mod convert;
 mod fma;
 mod ops;
+#[cfg(test)]
+mod oracle;
 
-pub(crate) use convert::round_pack_f16;
 pub use ops::ParseHalfError;
 
 use core::num::FpCategory;
@@ -18,8 +19,14 @@ use core::num::FpCategory;
 /// and square root are computed through `f32` — with 24 significand bits
 /// `f32` satisfies the `p' >= 2p + 2` double-rounding-innocuity bound for
 /// 11-bit operands (Figueroa, 1995), so the results are identical to a
-/// direct single rounding. The fused multiply-add is computed with exact
-/// 128-bit integer arithmetic and rounded once (see [`Half::mul_add`]).
+/// direct single rounding. The fused multiply-add widens to `f64`, where
+/// the binary16 product is exact, and rounds once (see [`Half::mul_add`]).
+/// Every operation therefore rests on four branch-free kernels — the
+/// `to_f32`/`to_f64` widenings and the `from_f32`/`from_f64` narrowings —
+/// which are the crate's only binary16 rounding code; an exact integer
+/// reference implementation exists only in the tests, as their oracle.
+/// Every NaN result is the canonical quiet NaN `0x7E00`, whatever the
+/// host's default NaN.
 ///
 /// # Example
 ///

@@ -8,10 +8,16 @@
 //! (binary32), and half (binary16) precision and studies how transient
 //! faults propagate in each. Rust has no native `f16` arithmetic, so this
 //! crate implements **binary16 from scratch** ([`Half`]): conversions,
-//! add/sub/mul/div/rem, square root, and a fused multiply-add computed with
-//! exact integer arithmetic. All operations are correctly rounded
-//! (round-to-nearest-even), including subnormals, signed zeros, infinities,
-//! and NaN propagation.
+//! add/sub/mul/div/rem, square root, and a fused multiply-add. All
+//! operations are correctly rounded (round-to-nearest-even), including
+//! subnormals, signed zeros, infinities, and NaN propagation (every NaN
+//! result is the canonical `0x7E00`). There is one implementation: four
+//! branch-free widen/narrow kernels under every operation, the FMA
+//! computed in `f64` where the binary16 product is exact. An exact
+//! integer reference implementation lives only in the tests, which hold
+//! the kernels to it bit for bit (exhaustively over every `f32` pattern
+//! and every operand pair of `+ - * /` in the `#[ignore]`d release
+//! sweeps).
 //!
 //! On top of the concrete types the crate provides:
 //!
@@ -25,9 +31,8 @@
 //! * [`math`] — in-precision transcendental functions (polynomial `exp`)
 //!   whose intermediate values live in the target precision, mirroring how
 //!   GPUs evaluate transcendentals in software (paper, Section 6.3).
-//! * [`wide`] — branch-free binary16 add/mul/FMA lanes over `&[u16]` bit
-//!   slices, bit-identical to the scalar path but shaped for the
-//!   autovectorizer; batched strike execution runs its half-precision
+//! * [`wide`] — binary16 FMA lanes over `&[u16]` bit slices, each lane
+//!   [`Half::mul_add`]; batched strike execution runs its half-precision
 //!   inner loops through them.
 //!
 //! # Example

@@ -1,181 +1,36 @@
-//! Autovectorizer-friendly wide binary16 lanes.
+//! Wide binary16 FMA lanes over bit-pattern slices.
 //!
-//! The scalar [`Half`](crate::Half) operations are exactly rounded but
-//! built from branchy decompose/round-pack integer paths (and, for the
-//! FMA, `i128` fixed-point arithmetic) that a compiler cannot
-//! vectorize. Campaign strike batches spend nearly all of their
-//! half-precision time in tight add/mul/FMA loops over independent
-//! lanes, so this module provides the same operations over `&[u16]`
-//! bit-pattern slices in a branch-free form the autovectorizer maps
-//! onto SIMD float units.
+//! Campaign strike batches spend nearly all of their half-precision time
+//! in tight FMA loops over independent lanes. This module gives those
+//! loops a slice shape: lanes are `u16` bit patterns, not
+//! [`Half`] values, because batched kernels keep their fault state as
+//! structure-of-arrays bit planes (`Half::to_bits`/`from_bits` are free).
 //!
 //! # Contract
 //!
-//! Every lane result is **bit-identical to the scalar path**:
-//!
-//! * [`add`] and [`mul`] equal `Half + Half` / `Half * Half` — both
-//!   compute in `f32`, which satisfies Figueroa's `p' >= 2p + 2`
-//!   double-rounding-innocuity bound for 11-bit operands, and both
-//!   narrow with the same round-to-nearest-even.
-//! * [`fma`], [`fma_into`], and [`fma_broadcast`] equal
-//!   [`Half::mul_add`](crate::Half::mul_add) — the exact `i128` path.
-//!   `f32` is *not* wide enough to fuse (the 22-bit product plus an
-//!   aligned addend needs `p' >= 46`; e.g. a product landing exactly
-//!   on a binary16 tie with a tiny addend loses the tiebreak in 24
-//!   bits), so the lanes run the FMA in `f64` — the widened product is
-//!   exact (22 <= 53 bits), a plain `f64` add rounds the exact
-//!   product-sum once (53 >= 46) — and narrow `f64 -> f16` directly
-//!   with a single rounding.
-//! * NaN results are canonicalized exactly as the scalar path does:
-//!   widening maps any NaN to the positive quiet `f32::NAN` (like
-//!   `Half::to_f32`), add/mul narrow a NaN to `sign | 0x7E00` (like
-//!   `Half::from_f32`), and the FMA forms return `0x7E00` for every
-//!   NaN case (like `Half::mul_add`).
-//!
-//! The differential tests below and `tests/wide_lanes.rs` prove the
-//! contract exhaustively over the widen/narrow kernels and by
-//! property-based sampling over the composed operations.
-//!
-//! # Shape
-//!
-//! The slice forms take equal-length inputs and process every element;
-//! the fixed-width [`add8`]/[`add16`] (and mul/fma) forms give the
-//! compiler a known trip count for full unrolling. Lanes are `u16` bit
-//! patterns, not [`Half`](crate::Half) values, because batched kernels
-//! keep their fault state as structure-of-arrays bit planes;
-//! `Half::to_bits`/`from_bits` are free.
+//! Every lane **is** [`Half::mul_add`]: the loops below call it, and it
+//! inlines down to the branch-free widen/narrow kernels every `Half`
+//! operation shares, which the autovectorizer maps onto SIMD float
+//! units. There is no second binary16 implementation to keep in sync;
+//! the crate's tests hold the one implementation to an exact integer
+//! oracle (DESIGN.md §4i).
+
+use crate::Half;
 
 /// Natural lane count for batched kernels: 16 lanes of binary16 fill a
 /// 256-bit vector after widening to `f32` pairs on common targets.
 pub const LANES: usize = 16;
 
-/// Branch-free exact widening of a binary16 bit pattern to `f32`,
-/// bit-identical to `Half::to_f32` (NaNs canonicalize to `f32::NAN`).
-#[inline(always)]
-fn widen(h: u16) -> f32 {
-    let hu = u32::from(h);
-    let sign = (hu & 0x8000) << 16;
-    let mag = (hu & 0x7FFF) << 13;
-    // Bits 23..28 of `mag` hold the binary16 exponent field, so the
-    // shifted value reads as 2^-112 times the binary16 value; one exact
-    // multiply restores the scale (subnormal halves become normal f32s,
-    // the product is always exact).
-    let scaled = (f32::from_bits(mag) * f32::from_bits(0x7780_0000)).to_bits();
-    let bits = if hu & 0x7C00 != 0x7C00 {
-        sign | scaled
-    } else if hu & 0x03FF == 0 {
-        sign | 0x7F80_0000
-    } else {
-        f32::NAN.to_bits()
-    };
-    f32::from_bits(bits)
-}
-
-/// Branch-free narrowing of an `f32` to a binary16 bit pattern with a
-/// single round-to-nearest-even, bit-identical to `Half::from_f32`.
-#[inline(always)]
-fn narrow(f: f32) -> u16 {
-    let bits = f.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let u = bits & 0x7FFF_FFFF;
-    // Normal path: rebase the exponent by -112 and round by nudging
-    // with half-ULP-minus-one plus the mantissa-odd bit before the
-    // shift; the carry ripples into the exponent field, taking values
-    // that round past 65504 to the infinity encoding for free.
-    let mant_odd = (u >> 13) & 1;
-    let norm = (u
-        .wrapping_sub(0x3800_0000)
-        .wrapping_add(0xFFF)
-        .wrapping_add(mant_odd)
-        >> 13) as u16;
-    // Subnormal path: adding 0.5 (whose ULP, 2^-24, is the binary16
-    // subnormal LSB) makes the f32 adder perform the RNE alignment; the
-    // rounded significand then sits in the low mantissa bits.
-    let sub = (f32::from_bits(u) + f32::from_bits(0x3F00_0000))
-        .to_bits()
-        .wrapping_sub(0x3F00_0000) as u16;
-    let mag = if u >= 0x4780_0000 {
-        // >= 2^16: overflow, infinity, or NaN.
-        if u > 0x7F80_0000 {
-            0x7E00
-        } else {
-            0x7C00
-        }
-    } else if u < 0x3880_0000 {
-        // < 2^-14: subnormal or zero.
-        sub
-    } else {
-        norm
-    };
-    sign | mag
-}
-
-/// Branch-free narrowing of an `f64` to a binary16 bit pattern with a
-/// single round-to-nearest-even, bit-identical to `Half::from_f64`.
-/// Same structure as [`narrow`], rebased: the exponent offset is
-/// `1023 - 15 = 1008`, the mantissa drop is `52 - 10 = 42` bits, and
-/// the subnormal magic constant is `2^28` (whose ULP is the binary16
-/// subnormal LSB `2^-24`).
-#[inline(always)]
-fn narrow64(f: f64) -> u16 {
-    let bits = f.to_bits();
-    let sign = ((bits >> 48) & 0x8000) as u16;
-    let u = bits & 0x7FFF_FFFF_FFFF_FFFF;
-    let mant_odd = (u >> 42) & 1;
-    let norm = (u
-        .wrapping_sub(1008u64 << 52)
-        .wrapping_add((1u64 << 41) - 1)
-        .wrapping_add(mant_odd)
-        >> 42) as u16;
-    let sub = (f64::from_bits(u) + f64::from_bits(1051u64 << 52))
-        .to_bits()
-        .wrapping_sub(1051u64 << 52) as u16;
-    let mag = if u >= 1039u64 << 52 {
-        // >= 2^16: overflow, infinity, or NaN.
-        if u > 0x7FF0_0000_0000_0000 {
-            0x7E00
-        } else {
-            0x7C00
-        }
-    } else if u < 1009u64 << 52 {
-        // < 2^-14: subnormal or zero.
-        sub
-    } else {
-        norm
-    };
-    sign | mag
-}
-
-/// One FMA lane: exactly `Half::mul_add` on bit patterns. A binary16
-/// product has at most 22 significand bits, so the widened `f64`
-/// multiply is **exact** (no rounding), and the following `f64` add
-/// performs the fused operation's single rounding of the exact
-/// product-sum (`p' >= 46 <= 53`) — no `f64::mul_add`, which lowers to
-/// a libm call on targets without a hardware FMA unit. [`narrow64`]
-/// then applies the one remaining rounding straight to binary16 —
-/// never through `f32`, which would double-round.
 #[inline(always)]
 fn fma_lane(a: u16, b: u16, c: u16) -> u16 {
-    let r = f64::from(widen(a)) * f64::from(widen(b)) + f64::from(widen(c));
-    if r.is_nan() {
-        // The scalar FMA returns the positive canonical NaN for every
-        // NaN-producing case; hardware default NaNs may carry a sign.
-        0x7E00
-    } else {
-        narrow64(r)
-    }
+    Half::from_bits(a)
+        .mul_add(Half::from_bits(b), Half::from_bits(c))
+        .to_bits()
 }
 
-#[inline(always)]
-fn check_len(a: usize, b: usize, out: usize) {
-    assert!(
-        a == b && b == out,
-        "wide lanes need equal lengths, got {a}/{b}/{out}"
-    );
-}
-
-/// Elementwise binary16 addition over bit patterns:
-/// `out[i] = a[i] + b[i]`, each lane bit-identical to `Half + Half`.
+/// Elementwise fused multiply-accumulate over bit patterns:
+/// `acc[i] = fma(a[i], b[i], acc[i])`, each lane `Half::mul_add`. This
+/// is the batched kernels' dot-product step.
 ///
 /// # Panics
 ///
@@ -183,61 +38,23 @@ fn check_len(a: usize, b: usize, out: usize) {
 ///
 /// ```rust
 /// use mpr_softfloat::{wide, Half};
-/// let a = [Half::ONE.to_bits(); 4];
-/// let b = [Half::TWO.to_bits(); 4];
-/// let mut out = [0u16; 4];
-/// wide::add(&a, &b, &mut out);
-/// assert!(out.iter().all(|&o| Half::from_bits(o).to_f32() == 3.0));
+/// let a = [Half::TWO.to_bits(); 4];
+/// let b = [Half::from_f32(1.5).to_bits(); 4];
+/// let mut acc = [Half::ONE.to_bits(); 4];
+/// wide::fma(&a, &b, &mut acc);
+/// assert!(acc.iter().all(|&o| Half::from_bits(o).to_f32() == 4.0));
 /// ```
 #[inline]
-pub fn add(a: &[u16], b: &[u16], out: &mut [u16]) {
-    check_len(a.len(), b.len(), out.len());
-    for ((&x, &y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-        *o = narrow(widen(x) + widen(y));
-    }
-}
-
-/// Elementwise binary16 multiplication over bit patterns:
-/// `out[i] = a[i] * b[i]`, each lane bit-identical to `Half * Half`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn mul(a: &[u16], b: &[u16], out: &mut [u16]) {
-    check_len(a.len(), b.len(), out.len());
-    for ((&x, &y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-        *o = narrow(widen(x) * widen(y));
-    }
-}
-
-/// Elementwise fused multiply-accumulate over bit patterns:
-/// `acc[i] = fma(a[i], b[i], acc[i])`, each lane bit-identical to
-/// `Half::mul_add`. This is the batched kernels' dot-product step.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
 pub fn fma(a: &[u16], b: &[u16], acc: &mut [u16]) {
-    check_len(a.len(), b.len(), acc.len());
+    assert!(
+        a.len() == b.len() && b.len() == acc.len(),
+        "wide lanes need equal lengths, got {}/{}/{}",
+        a.len(),
+        b.len(),
+        acc.len()
+    );
     for ((&x, &y), c) in a.iter().zip(b).zip(acc.iter_mut()) {
         *c = fma_lane(x, y, *c);
-    }
-}
-
-/// Elementwise fused multiply-add into a separate output:
-/// `out[i] = fma(a[i], b[i], c[i])`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn fma_into(a: &[u16], b: &[u16], c: &[u16], out: &mut [u16]) {
-    check_len(a.len(), b.len(), c.len());
-    assert_eq!(c.len(), out.len(), "wide lanes need equal lengths");
-    for (((&x, &y), &z), o) in a.iter().zip(b).zip(c).zip(out.iter_mut()) {
-        *o = fma_lane(x, y, z);
     }
 }
 
@@ -251,405 +68,45 @@ pub fn fma_into(a: &[u16], b: &[u16], c: &[u16], out: &mut [u16]) {
 #[inline]
 pub fn fma_broadcast(a: u16, b: &[u16], acc: &mut [u16]) {
     assert_eq!(b.len(), acc.len(), "wide lanes need equal lengths");
-    let wa = f64::from(widen(a));
     for (&y, c) in b.iter().zip(acc.iter_mut()) {
-        // The widened product is exact (22 <= 53 bits), so mul + add is
-        // the fused operation's single rounding — see `fma_lane`.
-        let r = wa * f64::from(widen(y)) + f64::from(widen(*c));
-        *c = if r.is_nan() { 0x7E00 } else { narrow64(r) };
+        *c = fma_lane(a, y, *c);
     }
-}
-
-/// Exact widening of a binary16 bit pattern to the `f64` that
-/// represents the same value (every binary16 value, including
-/// subnormals, is exactly representable; NaNs canonicalize to the
-/// positive quiet NaN, matching `Half::to_f32 as f64`).
-///
-/// This is the pre-widening step for [`fma_widened`] and
-/// [`fma_broadcast_widened`]: batched kernels convert an operand matrix
-/// once per batch instead of once per lane-step.
-#[inline]
-pub fn widen64(h: u16) -> f64 {
-    f64::from(widen(h))
-}
-
-/// [`fma`] with pre-widened multiplicands:
-/// `acc[i] = fma(a[i], b[i], acc[i])` where `a` and `b` hold
-/// [`widen64`] images of binary16 operands.
-///
-/// Bit-identical to `Half::mul_add` **only** when every `a[i]`/`b[i]`
-/// is a [`widen64`] output — then the `f64` product is exact and the
-/// add performs the fused operation's single rounding, exactly as in
-/// [`fma`]. Arbitrary `f64` multiplicands round twice and break the
-/// contract.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn fma_widened(a: &[f64], b: &[f64], acc: &mut [u16]) {
-    check_len(a.len(), b.len(), acc.len());
-    for ((&x, &y), c) in a.iter().zip(b).zip(acc.iter_mut()) {
-        let r = x * y + f64::from(widen(*c));
-        *c = if r.is_nan() { 0x7E00 } else { narrow64(r) };
-    }
-}
-
-/// [`fma_broadcast`] with pre-widened operands:
-/// `acc[i] = fma(a, b[i], acc[i])` where `a` and every `b[i]` are
-/// [`widen64`] images of binary16 operands. Same exactness contract as
-/// [`fma_widened`].
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn fma_broadcast_widened(a: f64, b: &[f64], acc: &mut [u16]) {
-    assert_eq!(b.len(), acc.len(), "wide lanes need equal lengths");
-    for (&y, c) in b.iter().zip(acc.iter_mut()) {
-        let r = a * y + f64::from(widen(*c));
-        *c = if r.is_nan() { 0x7E00 } else { narrow64(r) };
-    }
-}
-
-macro_rules! fixed_width {
-    ($($(#[$meta:meta])* $name:ident, $slice:ident, $n:literal;)*) => {
-        $(
-            $(#[$meta])*
-            pub fn $name(a: &[u16; $n], b: &[u16; $n]) -> [u16; $n] {
-                let mut out = [0u16; $n];
-                $slice(a, b, &mut out);
-                out
-            }
-        )*
-    };
-}
-
-fixed_width! {
-    /// Fixed 8-wide [`add`]: a known trip count the compiler unrolls.
-    add8, add, 8;
-    /// Fixed 16-wide [`add`].
-    add16, add, 16;
-    /// Fixed 8-wide [`mul`].
-    mul8, mul, 8;
-    /// Fixed 16-wide [`mul`].
-    mul16, mul, 16;
-}
-
-/// Fixed 8-wide fused multiply-add: `out[i] = fma(a[i], b[i], c[i])`.
-pub fn fma8(a: &[u16; 8], b: &[u16; 8], c: &[u16; 8]) -> [u16; 8] {
-    let mut out = [0u16; 8];
-    fma_into(a, b, c, &mut out);
-    out
-}
-
-/// Fixed 16-wide fused multiply-add: `out[i] = fma(a[i], b[i], c[i])`.
-pub fn fma16(a: &[u16; 16], b: &[u16; 16], c: &[u16; 16]) -> [u16; 16] {
-    let mut out = [0u16; 16];
-    fma_into(a, b, c, &mut out);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Half;
 
     #[test]
-    fn widen_matches_to_f32_for_all_bit_patterns() {
-        for bits in 0u16..=u16::MAX {
-            let got = widen(bits).to_bits();
-            let want = Half::from_bits(bits).to_f32().to_bits();
-            assert_eq!(got, want, "bits {bits:#06x}");
-        }
-    }
-
-    #[test]
-    fn narrow_matches_from_f32_around_every_half() {
-        // Every binary16 value, nudged by a few f32 ULPs in each
-        // direction, crosses every rounding boundary (ties, carries,
-        // subnormal threshold, overflow threshold).
-        for bits in 0u16..=u16::MAX {
-            let h = Half::from_bits(bits);
-            if h.is_nan() {
-                continue;
-            }
-            let base = h.to_f32().to_bits();
-            for delta in [-2i64, -1, 0, 1, 2] {
-                let probe = base as i64 + delta;
-                if !(0..=u32::MAX as i64).contains(&probe) {
-                    continue;
-                }
-                let f = f32::from_bits(probe as u32);
-                assert_eq!(
-                    narrow(f),
-                    Half::from_f32(f).to_bits(),
-                    "f={f:?} ({probe:#010x})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_matches_from_f32_on_specials_and_random_patterns() {
-        for f in [
-            0.0f32,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            -f32::NAN,
-            f32::MIN_POSITIVE,
-            f32::MAX,
-            65519.999,
-            65520.0,
-            65521.0,
-            -65520.0,
-            2f32.powi(-24),
-            2f32.powi(-25),
-            1.5 * 2f32.powi(-25),
-        ] {
-            assert_eq!(narrow(f), Half::from_f32(f).to_bits(), "f={f:?}");
-        }
-        // A cheap xorshift sweep over arbitrary f32 bit patterns.
-        let mut x = 0x2545F491_4F6CDD1Du64;
-        for _ in 0..200_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let f = f32::from_bits(x as u32);
-            assert_eq!(
-                narrow(f),
-                Half::from_f32(f).to_bits(),
-                "f={f:?} ({:#010x})",
-                x as u32
-            );
-        }
-    }
-
-    #[test]
-    fn narrow64_matches_from_f64_around_every_half() {
-        // Same boundary sweep as the f32 narrow test: every binary16
-        // value, nudged by a few f64 ULPs, crosses every tie, carry,
-        // subnormal threshold, and overflow threshold.
-        for bits in 0u16..=u16::MAX {
-            let h = Half::from_bits(bits);
-            if h.is_nan() {
-                continue;
-            }
-            let base = h.to_f64().to_bits();
-            for delta in [-2i128, -1, 0, 1, 2] {
-                let probe = base as i128 + delta;
-                if !(0..=u64::MAX as i128).contains(&probe) {
-                    continue;
-                }
-                let f = f64::from_bits(probe as u64);
-                assert_eq!(
-                    narrow64(f),
-                    Half::from_f64(f).to_bits(),
-                    "f={f:?} ({probe:#018x})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn narrow64_matches_from_f64_on_specials_and_random_patterns() {
-        for f in [
-            0.0f64,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            f64::MIN_POSITIVE,
-            f64::MAX,
-            65519.999,
-            // The overflow tie: rounds to infinity under RNE.
-            65520.0,
-            65521.0,
-            -65520.0,
-            2f64.powi(-24),
-            2f64.powi(-25),
-            1.5 * 2f64.powi(-25),
-            // Below half the smallest subnormal: rounds to zero.
-            2f64.powi(-26),
-            2f64.powi(-1000),
-        ] {
-            assert_eq!(narrow64(f), Half::from_f64(f).to_bits(), "f={f:?}");
-        }
-        let mut x = 0x9E3779B9_7F4A7C15u64;
-        for _ in 0..200_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let f = f64::from_bits(x);
-            assert_eq!(
-                narrow64(f),
-                Half::from_f64(f).to_bits(),
-                "f={f:?} ({x:#018x})"
-            );
-        }
-    }
-
-    #[test]
-    fn fma_lane_matches_scalar_mul_add_on_grid() {
-        let vals: Vec<u16> = (0..=u16::MAX).step_by(251).collect();
-        for &a in &vals {
-            for &b in &vals {
-                for &c in [vals[0], vals[7], vals[31], vals[101], vals[200]].iter() {
-                    let got = fma_lane(a, b, c);
-                    let want = Half::from_bits(a)
-                        .mul_add(Half::from_bits(b), Half::from_bits(c))
-                        .to_bits();
-                    assert_eq!(got, want, "a={a:#06x} b={b:#06x} c={c:#06x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fma_lane_nan_and_zero_sign_cases() {
-        let nan = Half::NAN.to_bits();
-        let inf = Half::INFINITY.to_bits();
-        let zero = Half::ZERO.to_bits();
-        let neg_zero = Half::NEG_ZERO.to_bits();
-        let one = Half::ONE.to_bits();
-        let neg_one = Half::NEG_ONE.to_bits();
-        // NaN cases all canonicalize to the positive quiet NaN.
-        assert_eq!(fma_lane(nan, one, one), 0x7E00);
-        assert_eq!(fma_lane(zero, inf, one), 0x7E00);
-        assert_eq!(fma_lane(inf, one, inf | 0x8000), 0x7E00);
-        // Zero-sign rules match the scalar FMA.
-        for (a, b, c) in [
-            (zero, one, zero),
-            (neg_zero, one, zero),
-            (neg_zero, one, neg_zero),
-            (one, one, neg_one),
-            (zero, neg_zero, zero),
-            (zero, neg_zero, neg_zero),
-        ] {
-            assert_eq!(
-                fma_lane(a, b, c),
-                Half::from_bits(a)
-                    .mul_add(Half::from_bits(b), Half::from_bits(c))
-                    .to_bits(),
-                "a={a:#06x} b={b:#06x} c={c:#06x}"
-            );
-        }
-    }
-
-    #[test]
-    fn slice_forms_agree_with_scalar_ops() {
-        let vals: Vec<u16> = (0..=u16::MAX).step_by(97).collect();
-        let n = vals.len();
-        let a = &vals[..];
-        let b: Vec<u16> = (0..n).map(|i| vals[(i * 31 + 7) % n]).collect();
-        let mut sum = vec![0u16; n];
-        let mut prod = vec![0u16; n];
-        let mut acc: Vec<u16> = (0..n).map(|i| vals[(i * 17 + 3) % n]).collect();
-        let acc0 = acc.clone();
-        add(a, &b, &mut sum);
-        mul(a, &b, &mut prod);
-        fma(a, &b, &mut acc);
-        for i in 0..n {
-            let (x, y) = (Half::from_bits(a[i]), Half::from_bits(b[i]));
-            assert_eq!(sum[i], (x + y).to_bits(), "add lane {i}");
-            assert_eq!(prod[i], (x * y).to_bits(), "mul lane {i}");
-            assert_eq!(
-                acc[i],
-                x.mul_add(y, Half::from_bits(acc0[i])).to_bits(),
-                "fma lane {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn broadcast_form_agrees_with_elementwise() {
-        let b: Vec<u16> = (0..=u16::MAX).step_by(419).collect();
-        let coef = Half::from_f32(1.25).to_bits();
-        let mut acc: Vec<u16> = b.iter().rev().copied().collect();
-        let acc0 = acc.clone();
-        fma_broadcast(coef, &b, &mut acc);
-        for i in 0..b.len() {
-            assert_eq!(
-                acc[i],
-                Half::from_bits(coef)
-                    .mul_add(Half::from_bits(b[i]), Half::from_bits(acc0[i]))
-                    .to_bits(),
-                "lane {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn widened_forms_agree_with_u16_forms() {
-        for bits in 0u16..=u16::MAX {
-            let h = Half::from_bits(bits);
-            let want = if h.is_nan() {
-                f64::from(f32::NAN)
-            } else {
-                h.to_f64()
-            };
-            assert_eq!(
-                widen64(bits).to_bits(),
-                want.to_bits(),
-                "widen64 {bits:#06x}"
-            );
-        }
-        let a: Vec<u16> = (0..=u16::MAX).step_by(89).collect();
+    fn slice_forms_agree_with_scalar_mul_add() {
+        let a: Vec<u16> = (0..=u16::MAX).step_by(97).collect();
         let n = a.len();
-        let b: Vec<u16> = (0..n).map(|i| a[(i * 43 + 11) % n]).collect();
-        let aw: Vec<f64> = a.iter().map(|&h| widen64(h)).collect();
-        let bw: Vec<f64> = b.iter().map(|&h| widen64(h)).collect();
-        let mut acc: Vec<u16> = (0..n).map(|i| a[(i * 29 + 5) % n]).collect();
-        let mut acc_w = acc.clone();
+        let b: Vec<u16> = (0..n).map(|i| a[(i * 31 + 7) % n]).collect();
+        let acc0: Vec<u16> = (0..n).map(|i| a[(i * 17 + 3) % n]).collect();
+        let mut acc = acc0.clone();
         fma(&a, &b, &mut acc);
-        fma_widened(&aw, &bw, &mut acc_w);
-        assert_eq!(acc, acc_w, "fma_widened diverged from fma");
-        let coef = a[n / 3];
-        let mut acc_b: Vec<u16> = b.iter().rev().copied().collect();
-        let mut acc_bw = acc_b.clone();
-        fma_broadcast(coef, &b, &mut acc_b);
-        fma_broadcast_widened(widen64(coef), &bw, &mut acc_bw);
-        assert_eq!(acc_b, acc_bw, "fma_broadcast_widened diverged");
-    }
-
-    #[test]
-    fn fixed_width_forms_match_slice_forms() {
-        let a8 = [
-            0x3C00u16, 0x8001, 0x7BFF, 0x0400, 0xC000, 0x0001, 0x7C00, 0x3555,
-        ];
-        let b8 = [
-            0x4000u16, 0x3C00, 0x3C00, 0x3800, 0x4200, 0x0002, 0x0000, 0xB555,
-        ];
-        let mut want = [0u16; 8];
-        add(&a8, &b8, &mut want);
-        assert_eq!(add8(&a8, &b8), want);
-        mul(&a8, &b8, &mut want);
-        assert_eq!(mul8(&a8, &b8), want);
-        let c8 = [
-            0x0000u16, 0x3C00, 0xFBFF, 0x0001, 0x8000, 0x8002, 0x7C00, 0x3555,
-        ];
-        fma_into(&a8, &b8, &c8, &mut want);
-        assert_eq!(fma8(&a8, &b8, &c8), want);
-
-        let a16: [u16; 16] = core::array::from_fn(|i| a8[i % 8] ^ (i as u16) << 8);
-        let b16: [u16; 16] = core::array::from_fn(|i| b8[(i + 3) % 8]);
-        let c16: [u16; 16] = core::array::from_fn(|i| c8[(i + 5) % 8]);
-        let mut want16 = [0u16; 16];
-        add(&a16, &b16, &mut want16);
-        assert_eq!(add16(&a16, &b16), want16);
-        mul(&a16, &b16, &mut want16);
-        assert_eq!(mul16(&a16, &b16), want16);
-        fma_into(&a16, &b16, &c16, &mut want16);
-        assert_eq!(fma16(&a16, &b16, &c16), want16);
+        let coef = Half::from_f32(1.25).to_bits();
+        let mut bacc = acc0.clone();
+        fma_broadcast(coef, &b, &mut bacc);
+        for i in 0..n {
+            let (x, y, z) = (
+                Half::from_bits(a[i]),
+                Half::from_bits(b[i]),
+                Half::from_bits(acc0[i]),
+            );
+            assert_eq!(acc[i], x.mul_add(y, z).to_bits(), "fma lane {i}");
+            assert_eq!(
+                bacc[i],
+                Half::from_bits(coef).mul_add(y, z).to_bits(),
+                "fma_broadcast lane {i}"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "equal lengths")]
     fn mismatched_lengths_rejected() {
-        let mut out = [0u16; 2];
-        add(&[0; 3], &[0; 3], &mut out);
+        let mut acc = [0u16; 2];
+        fma(&[0; 3], &[0; 3], &mut acc);
     }
 }
