@@ -30,8 +30,9 @@ pub enum StudyScale {
 /// Construct with [`Study::quick`] or [`Study::paper`], then call the
 /// per-table/figure runners. Every figure obtains its campaigns
 /// through the study's [`Engine`]: identical experiment cells are
-/// executed once and shared across figures, campaigns run in parallel
-/// across cells, and an optional disk cache
+/// executed once and shared across figures, cells run one at a time
+/// with each campaign's strikes spread over every worker thread, and
+/// an optional disk cache
 /// ([`Study::with_cache_dir`]) makes repeated reports incremental.
 /// All results are deterministic in the seed, independent of thread
 /// count and cache temperature.

@@ -1,6 +1,7 @@
-//! The experiment engine: plans, deduplication, the cross-cell work
-//! pool, and the fault-tolerance harness (per-cell isolation, watchdog
-//! timeouts, deterministic retry, and the resume manifest).
+//! The experiment engine: plans, deduplication, cell execution (one
+//! cell at a time, its strikes spread over every worker thread), and
+//! the fault-tolerance harness (per-cell isolation, watchdog timeouts,
+//! deterministic retry, and the resume manifest).
 
 use crate::cell::{CellKey, CellKind};
 use crate::failure::{failure_table, CellFailure, FailureKind};
@@ -16,8 +17,8 @@ use mpr_obs::{
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// An ordered list of requested cells.
@@ -73,10 +74,13 @@ type CellOutcome = (Result<CellResult, CellFailure>, u32);
 
 /// Executes experiment plans against a [`ResultStore`].
 ///
-/// The engine owns the study's base seed and thread budget. Every cell
-/// derives its RNG stream from `(base seed, cell key)` alone, and the
-/// campaign layers are thread-count invariant, so results are
-/// bit-identical for any thread count and any request order.
+/// The engine owns the study's base seed and thread budget. There is
+/// one level of parallelism: cells execute one after another, and each
+/// campaign's [`StrikeRunner`](mpr_fault::StrikeRunner) spreads its
+/// strikes over the whole budget. Every cell derives its RNG stream
+/// from `(base seed, cell key)` alone, and the campaign layers are
+/// thread-count invariant, so results are bit-identical for any thread
+/// count and any request order.
 ///
 /// # Fault tolerance
 ///
@@ -128,7 +132,8 @@ impl Engine {
         }
     }
 
-    /// Overrides the worker-thread budget (0 = available parallelism).
+    /// Overrides the worker-thread budget every campaign spreads its
+    /// strikes over (0 = available parallelism).
     pub fn with_threads(mut self, threads: usize) -> Engine {
         self.threads = threads;
         self
@@ -153,9 +158,9 @@ impl Engine {
     }
 
     /// Attaches a plan-level shutdown token: firing it (from a signal
-    /// thread, another worker, or a deadline) makes the engine stop
-    /// claiming new cells, lets in-flight cells cancel cooperatively at
-    /// their next batch boundary, and still flushes the campaign
+    /// thread, a strike worker, or a deadline) makes the engine stop
+    /// starting new cells, lets the in-flight cell cancel cooperatively
+    /// at its next batch boundary, and still flushes the campaign
     /// manifest — so an interrupted run is always resumable. This is
     /// the process's SIGINT analogue: the workspace is `unsafe`-free,
     /// so an actual signal handler cannot be installed; a front end
@@ -218,8 +223,8 @@ impl Engine {
     }
 
     /// Runs a plan: dedups the requested cells, executes the unique
-    /// misses in parallel across cells, and returns one result per
-    /// request, in request order.
+    /// misses one after another (each on every worker thread), and
+    /// returns one result per request, in request order.
     ///
     /// # Panics
     ///
@@ -256,6 +261,10 @@ impl Engine {
     /// request order (duplicate requests of a failed cell share the
     /// failure). When the store has a cache directory, the campaign
     /// manifest is updated with every cell's status.
+    ///
+    /// Unique cells resolve one at a time, in request order: a store hit
+    /// is served as is, and a miss runs its campaign with
+    /// [`Engine::threads`] strike workers before the next cell starts.
     pub fn try_run(&self, plan: &ExperimentPlan) -> Vec<Result<CellResult, CellFailure>> {
         let rec = &*self.recorder;
         let wall = Timer::start(rec, "plan.wall", "");
@@ -285,97 +294,15 @@ impl Engine {
             Counter::new(rec, "engine.cache_tmp_swept", "").add(swept);
         }
 
-        // Resolve what the store already knows.
-        let mut slots: Vec<Option<CellOutcome>> = store_keys
-            .iter()
-            .enumerate()
-            .map(|(i, store_key)| {
-                let (hit, source) = self.store.lookup_traced(store_key);
-                let counter = match source {
-                    LookupSource::Memory => "cache.mem_hit",
-                    LookupSource::Disk => "cache.disk_hit",
-                    LookupSource::Miss => "cache.miss",
-                    LookupSource::CorruptQuarantined => {
-                        Counter::new(rec, "engine.cache_quarantined", &canonicals[i]).incr();
-                        "cache.miss"
-                    }
-                };
-                Counter::new(rec, counter, &canonicals[i]).incr();
-                hit.map(|result| (Ok(result), 0))
-            })
-            .collect();
-        let pending: Vec<usize> = (0..unique.len()).filter(|&i| slots[i].is_none()).collect();
-
-        if !pending.is_empty() {
-            let threads = self.threads();
-            let outer = threads.min(pending.len());
-            // Campaigns are thread-count invariant, so leftover budget
-            // can safely parallelize *inside* the cells.
-            let inner = (threads / outer).max(1);
-            let next = AtomicUsize::new(0);
-            let fresh: Vec<Mutex<Option<CellOutcome>>> =
-                pending.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..outer {
-                    scope.spawn(|| loop {
-                        // Graceful shutdown: stop claiming new cells
-                        // once the plan token fires; already-claimed
-                        // cells cancel themselves at their next batch
-                        // boundary via their child token.
-                        if self.cancel.is_cancelled() {
-                            break;
-                        }
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= pending.len() {
-                            break;
-                        }
-                        let key = unique[pending[j]];
-                        let canonical = canonicals[pending[j]].as_str();
-                        // Queue time: how long the cell waited from plan
-                        // start until a worker picked it up.
-                        let queued_s = wall.elapsed_s();
-                        if rec.enabled() {
-                            rec.record("cell.queue", canonical, Metric::Time(queued_s));
-                        }
-                        let exec = Timer::start(rec, "cell.exec", canonical);
-                        let outcome = self.execute_with_recovery(key, inner, canonical);
-                        let exec_s = exec.stop();
-                        if rec.enabled() {
-                            rec.record("cell.total", canonical, Metric::Time(queued_s + exec_s));
-                        }
-                        if let (Ok(result), _) = &outcome {
-                            if let Err(e) =
-                                self.store.insert(&store_keys[pending[j]], result.clone())
-                            {
-                                Counter::new(rec, "engine.cache_write_failed", canonical).incr();
-                                eprintln!(
-                                    "mpr-exp: failed to write cache entry for {canonical}: {e}"
-                                );
-                            }
-                        }
-                        // mpr-allow: panic-hygiene -- a poisoned slot lock means a sibling worker already panicked
-                        *fresh[j].lock().expect("result slot") = Some(outcome);
-                    });
-                }
+        // One level of parallelism: cells resolve one after another, in
+        // request order, and each miss spreads its campaign's strikes
+        // over every worker thread. The engine itself spawns nothing.
+        let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(unique.len());
+        for (i, key) in unique.iter().enumerate() {
+            outcomes.push(match self.lookup(&store_keys[i], &canonicals[i]) {
+                Some(result) => (Ok(result), 0),
+                None => self.execute_and_insert(key, &store_keys[i], &canonicals[i], &wall),
             });
-            for (j, cell) in fresh.into_iter().enumerate() {
-                // mpr-allow: panic-hygiene -- the scope joined every worker; a poisoned slot means one panicked
-                let filled = cell.into_inner().expect("result slot");
-                // A slot no worker claimed means the shutdown token
-                // fired first: the cell consumed no attempts and is
-                // recorded cancelled, fully resumable.
-                slots[pending[j]] = Some(filled.unwrap_or_else(|| {
-                    Counter::new(rec, "engine.cell_cancelled", &canonicals[pending[j]]).incr();
-                    (
-                        Err(CellFailure {
-                            cell: canonicals[pending[j]].clone(),
-                            attempts: 0,
-                            kind: FailureKind::Cancelled,
-                        }),
-                        0,
-                    )
-                }));
-            }
         }
 
         // Cross-cell budget reallocation (adaptive cells only): strikes
@@ -385,17 +312,76 @@ impl Engine {
         // it caches separately). The grant schedule is a pure function
         // of the phase-1 results, so the two-phase run inherits their
         // determinism across thread counts and cache temperatures.
-        self.reallocate_spare_budget(&unique, &mut slots);
+        self.reallocate_spare_budget(&unique, &mut outcomes, &wall);
 
         if let Some(dir) = self.store.cache_dir() {
-            self.write_manifest(dir, &store_keys, &slots);
+            self.write_manifest(dir, &store_keys, &outcomes);
         }
 
         request_to_unique
             .into_iter()
-            // mpr-allow: panic-hygiene -- every unique slot is Some by construction after execution
-            .map(|i| slots[i].clone().expect("resolved cell").0)
+            .map(|i| outcomes[i].0.clone())
             .collect()
+    }
+
+    /// Looks a cell up in the store and counts where the answer came
+    /// from under the cell's canonical key. A corrupt entry is
+    /// quarantined and counted as a miss.
+    fn lookup(&self, store_key: &str, canonical: &str) -> Option<CellResult> {
+        let rec = &*self.recorder;
+        let (hit, source) = self.store.lookup_traced(store_key);
+        let counter = match source {
+            LookupSource::Memory => "cache.mem_hit",
+            LookupSource::Disk => "cache.disk_hit",
+            LookupSource::Miss => "cache.miss",
+            LookupSource::CorruptQuarantined => {
+                Counter::new(rec, "engine.cache_quarantined", canonical).incr();
+                "cache.miss"
+            }
+        };
+        Counter::new(rec, counter, canonical).incr();
+        hit
+    }
+
+    /// Executes a cache miss, records its `cell.queue` (plan start until
+    /// execution began), `cell.exec` and `cell.total` timers, and writes
+    /// a success through to the store. A cell reached after the plan
+    /// token fired is not started: it is recorded cancelled with zero
+    /// attempts, fully resumable.
+    fn execute_and_insert(
+        &self,
+        key: &CellKey,
+        store_key: &str,
+        canonical: &str,
+        wall: &Timer,
+    ) -> CellOutcome {
+        let rec = &*self.recorder;
+        if self.cancel.is_cancelled() {
+            Counter::new(rec, "engine.cell_cancelled", canonical).incr();
+            let cancelled = CellFailure {
+                cell: canonical.to_string(),
+                attempts: 0,
+                kind: FailureKind::Cancelled,
+            };
+            return (Err(cancelled), 0);
+        }
+        let queued_s = wall.elapsed_s();
+        if rec.enabled() {
+            rec.record("cell.queue", canonical, Metric::Time(queued_s));
+        }
+        let exec = Timer::start(rec, "cell.exec", canonical);
+        let outcome = self.execute_with_recovery(key, canonical);
+        let exec_s = exec.stop();
+        if rec.enabled() {
+            rec.record("cell.total", canonical, Metric::Time(queued_s + exec_s));
+        }
+        if let (Ok(result), _) = &outcome {
+            if let Err(e) = self.store.insert(store_key, result.clone()) {
+                Counter::new(rec, "engine.cache_write_failed", canonical).incr();
+                eprintln!("mpr-exp: failed to write cache entry for {canonical}: {e}");
+            }
+        }
+        outcome
     }
 
     /// Convenience: runs a single cell through the store.
@@ -425,8 +411,13 @@ impl Engine {
     /// rounding on their CI widths (noisier cells draw more), and each
     /// granted cell reruns with its budget raised by the grant. A
     /// failed boost never degrades the plan — the phase-1 result stays
-    /// in its slot.
-    fn reallocate_spare_budget(&self, unique: &[&CellKey], slots: &mut [Option<CellOutcome>]) {
+    /// in place.
+    fn reallocate_spare_budget(
+        &self,
+        unique: &[&CellKey],
+        outcomes: &mut [CellOutcome],
+        wall: &Timer,
+    ) {
         let rec = &*self.recorder;
         if self.cancel.is_cancelled() {
             return;
@@ -438,7 +429,7 @@ impl Engine {
             let SamplingPlan::Adaptive(config) = key.kind.sampling() else {
                 continue;
             };
-            let Some((Ok(result), _)) = slots[i].as_ref() else {
+            let (Ok(result), _) = &outcomes[i] else {
                 continue;
             };
             let (budget, executed, width) = match result {
@@ -475,7 +466,6 @@ impl Engine {
         let weights: Vec<f64> = needy.iter().map(|&(_, _, w)| w).collect();
         let grants = largest_remainder(&weights, pool);
         Counter::new(rec, "plan.realloc_pool", "").add(pool);
-        let inner = self.threads();
         for (&(i, budget, _), &extra) in needy.iter().zip(&grants) {
             if extra == 0 || self.cancel.is_cancelled() {
                 continue;
@@ -488,37 +478,19 @@ impl Engine {
             let canonical = boosted.canonical();
             Counter::new(rec, "plan.realloc_granted", &canonical).add(extra);
             let store_key = ResultStore::store_key(self.seed, &boosted);
-            let (hit, source) = self.store.lookup_traced(&store_key);
-            let counter = match source {
-                LookupSource::Memory => "cache.mem_hit",
-                LookupSource::Disk => "cache.disk_hit",
-                LookupSource::Miss | LookupSource::CorruptQuarantined => "cache.miss",
-            };
-            Counter::new(rec, counter, &canonical).incr();
-            let outcome = match hit {
+            let outcome = match self.lookup(&store_key, &canonical) {
                 Some(result) => (Ok(result), 0),
-                None => {
-                    let exec = Timer::start(rec, "cell.exec", &canonical);
-                    let outcome = self.execute_with_recovery(&boosted, inner, &canonical);
-                    exec.stop();
-                    if let (Ok(result), _) = &outcome {
-                        if let Err(e) = self.store.insert(&store_key, result.clone()) {
-                            Counter::new(rec, "engine.cache_write_failed", &canonical).incr();
-                            eprintln!("mpr-exp: failed to write cache entry for {canonical}: {e}");
-                        }
-                    }
-                    outcome
-                }
+                None => self.execute_and_insert(&boosted, &store_key, &canonical, wall),
             };
             if outcome.0.is_ok() {
-                slots[i] = Some(outcome);
+                outcomes[i] = outcome;
             }
         }
     }
 
     /// Merges this run's per-cell statuses into the cache directory's
     /// campaign manifest (cells recorded by other plans survive).
-    fn write_manifest(&self, dir: &Path, store_keys: &[String], slots: &[Option<CellOutcome>]) {
+    fn write_manifest(&self, dir: &Path, store_keys: &[String], outcomes: &[CellOutcome]) {
         // Plan hash: order-independent over the unique store keys, so
         // figure reordering does not read as a different campaign.
         let mut sorted: Vec<&str> = store_keys.iter().map(String::as_str).collect();
@@ -536,10 +508,7 @@ impl Engine {
         }
         let mut manifest = prior.unwrap_or_else(|| Manifest::new(plan_hash));
         manifest.plan_hash = plan_hash;
-        for (store_key, slot) in store_keys.iter().zip(slots) {
-            let Some((result, attempts)) = slot else {
-                continue;
-            };
+        for (store_key, (result, attempts)) in store_keys.iter().zip(outcomes) {
             let status = match result {
                 Ok(_) => CellStatus {
                     state: CellState::Ok,
@@ -569,7 +538,7 @@ impl Engine {
     /// Executes one cell under the isolation harness: `catch_unwind`
     /// per attempt, a fresh watchdog token per attempt, and up to
     /// `retries` re-attempts with the unchanged per-cell seed.
-    fn execute_with_recovery(&self, key: &CellKey, inner: usize, canonical: &str) -> CellOutcome {
+    fn execute_with_recovery(&self, key: &CellKey, canonical: &str) -> CellOutcome {
         let rec = &*self.recorder;
         let mut attempt = 0u32;
         loop {
@@ -595,9 +564,8 @@ impl Engine {
             //   — cell bodies run lock-free;
             // * the recorder is append-only telemetry; a lost or
             //   duplicated event never feeds back into results.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.execute(key, inner, canonical, &token)
-            }));
+            let outcome =
+                std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(key, canonical, &token)));
             let kind = match outcome {
                 Ok(Ok(result)) => return (Ok(result), attempt),
                 Ok(Err(CampaignError::Cancelled)) => {
@@ -645,13 +613,12 @@ impl Engine {
         }
     }
 
-    /// Executes one cell with `inner` worker threads inside the
-    /// campaign. This is the only place campaigns are constructed; the
-    /// watchdog token is threaded into every campaign driver.
+    /// Executes one cell, its campaign's strikes spread over every
+    /// worker thread. This is the only place campaigns are constructed;
+    /// the watchdog token is threaded into every campaign driver.
     fn execute(
         &self,
         key: &CellKey,
-        inner: usize,
         canonical: &str,
         token: &CancelToken,
     ) -> Result<CellResult, CampaignError> {
@@ -687,7 +654,7 @@ impl Engine {
                     hours,
                     target_candidates,
                     seed,
-                    threads: inner,
+                    threads: self.threads(),
                 };
                 let mut campaign =
                     BeamCampaign::new(device.as_ref(), workload.as_ref(), &profile, key.precision)
@@ -714,7 +681,7 @@ impl Engine {
                     .model(model)
                     .live_fraction(live_fraction)
                     .sampling(sampling)
-                    .threads(inner)
+                    .threads(self.threads())
                     .golden(&golden)
                     .telemetry(rec, canonical)
                     .cancel_token(token.clone())
@@ -816,6 +783,28 @@ mod tests {
             results[0].beam().sdc.events(),
             results[1].beam().sdc.events()
         );
+    }
+
+    #[test]
+    fn every_cell_gets_the_whole_thread_budget() {
+        // One level of parallelism: each cell's campaign runs its one
+        // fixed round on all three workers, so every cell scope records
+        // three busy timers.
+        let rec = Arc::new(mpr_obs::JsonlRecorder::new());
+        let engine = Engine::new(3).with_threads(3).with_recorder(rec.clone());
+        let mut plan = ExperimentPlan::new();
+        plan.push(micro_cell(Precision::Single));
+        plan.push(micro_cell(Precision::Double));
+        engine.run(&plan);
+        for key in plan.cells() {
+            let scope = key.canonical();
+            let busy = rec
+                .events()
+                .iter()
+                .filter(|e| e.name == "beam.worker_busy" && e.scope == scope)
+                .count();
+            assert_eq!(busy, 3, "{scope}");
+        }
     }
 
     #[test]

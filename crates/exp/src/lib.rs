@@ -5,7 +5,8 @@
 //! campaigns that many figures project in different ways. This crate
 //! names each point of that grid with a [`CellKey`], collects requests
 //! into an [`ExperimentPlan`], and lets an [`Engine`] execute the
-//! *unique* cells exactly once — in parallel across cells, memoized in
+//! *unique* cells exactly once — one after another, each campaign
+//! spreading its strikes over every worker thread — memoized in
 //! a [`ResultStore`], and optionally persisted to an on-disk JSON
 //! cache so repeated reports are incremental. Figures become pure
 //! views over plan results.

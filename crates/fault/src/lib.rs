@@ -77,5 +77,8 @@ mod workload;
 
 pub use campaign::{CampaignError, InjectionCampaign, InjectionReport};
 pub use model::{FaultModel, ValueFault};
+/// The workspace's one splitmix64 mixer, for workload crates that
+/// synthesize deterministic inputs with it.
+pub use mpr_obs::splitmix64;
 pub use runner::{StrikeRunner, Strikes};
 pub use workload::Workload;

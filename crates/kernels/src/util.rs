@@ -1,7 +1,7 @@
 //! Deterministic input generation, per-precision caching, and the
 //! strike loop shared by the kernels.
 
-use mpr_fault::ValueFault;
+use mpr_fault::{splitmix64, ValueFault};
 use mpr_softfloat::Precision;
 use std::sync::OnceLock;
 
@@ -88,16 +88,6 @@ impl<T> std::fmt::Debug for PrecisionCache<T> {
         let filled = self.slots.iter().filter(|s| s.get().is_some()).count();
         write!(f, "PrecisionCache({filled}/3 filled)")
     }
-}
-
-/// SplitMix64: a tiny, high-quality deterministic generator used to
-/// synthesize benchmark inputs reproducibly without a `rand` dependency.
-#[inline]
-pub(crate) fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic value in `[lo, hi)` derived from `(seed, index)`.

@@ -12,16 +12,8 @@
 //! mpr-allow-file: precision-leak -- generators run in the f64 master domain by design; every value crosses into F exactly once at a from_f64 boundary so all precisions see the same inputs
 
 use crate::Tensor;
+use mpr_fault::splitmix64;
 use mpr_softfloat::FloatExt;
-
-/// SplitMix64, the same deterministic generator the kernels use.
-#[inline]
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Deterministic value in `[lo, hi)` on a 2^-20 grid (exact in single
 /// and double; rounds once into half).

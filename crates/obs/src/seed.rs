@@ -15,6 +15,7 @@
 /// Every output bit depends on every input bit, so `mix(s) ^ mix(s+1)`
 /// behaves like an unrelated random pair — unlike the previous
 /// `seed ^ salt` scheme.
+#[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

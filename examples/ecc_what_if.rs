@@ -35,7 +35,8 @@ fn main() {
     ];
 
     // Both GPU variants of every benchmark go into one plan: the engine
-    // executes all 18 unique cells in parallel.
+    // executes the 18 unique cells one after another, each campaign on
+    // every worker thread.
     let mut plan = ExperimentPlan::new();
     for device in [DeviceId::TitanV, DeviceId::TeslaV100] {
         for (_, workload) in &cases {

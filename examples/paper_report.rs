@@ -8,9 +8,9 @@
 //! ```
 //!
 //! Every figure pulls its campaigns from the study's experiment engine:
-//! cells shared between figures run once, unique cells run in parallel,
-//! and `--cache-dir` persists results so a rerun at the same seed and
-//! scale executes nothing at all.
+//! cells shared between figures run once, each unique cell's strikes
+//! run in parallel, and `--cache-dir` persists results so a rerun at
+//! the same seed and scale executes nothing at all.
 
 use mixed_precision_reliability::core::Study;
 

@@ -60,8 +60,9 @@ fn main() {
     ];
 
     // Every supported cell of the survey goes into one plan, so the
-    // whole sweep runs in parallel (note the KNC and FPGA rows reuse
-    // the same MxM workload — only the device column differs).
+    // engine runs the whole sweep in one pass, each campaign on every
+    // worker thread (note the KNC and FPGA rows reuse the same MxM
+    // workload — only the device column differs).
     let mut plan = ExperimentPlan::new();
     let mut requested = Vec::new();
     for (device, _, workload) in &configs {

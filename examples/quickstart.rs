@@ -27,7 +27,8 @@ fn main() {
     );
 
     // One experiment cell per precision; the engine runs the three
-    // campaigns in parallel and memoizes them under their cell keys.
+    // campaigns, each spread over every worker thread, and memoizes
+    // them under their cell keys.
     let mut plan = ExperimentPlan::new();
     for precision in Precision::ALL {
         plan.push(CellKey {

@@ -17,7 +17,7 @@
 //!    strikes;
 //! 4. the engine's cross-cell reallocation observed end to end: a
 //!    converged cell's spare budget reruns an unconverged cell under a
-//!    boosted-budget key.
+//!    boosted-budget key, timed and counted like any other cache miss.
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
 use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
@@ -28,7 +28,7 @@ use mixed_precision_reliability::exp::{
 };
 use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign};
 use mixed_precision_reliability::kernels::{profiles, Gemm};
-use mixed_precision_reliability::obs::fnv1a64;
+use mixed_precision_reliability::obs::{fnv1a64, JsonlRecorder, Metric};
 use mixed_precision_reliability::softfloat::Precision;
 use std::sync::Arc;
 
@@ -277,7 +277,11 @@ fn engine_reallocates_spare_budget_into_boosted_reruns() {
         },
     };
     let store = Arc::new(ResultStore::in_memory());
-    let engine = Engine::new(99).with_threads(2).with_store(store.clone());
+    let rec = Arc::new(JsonlRecorder::new());
+    let engine = Engine::new(99)
+        .with_threads(2)
+        .with_store(store.clone())
+        .with_recorder(rec.clone());
     let mut plan = ExperimentPlan::new();
     plan.push(rich.clone());
     plan.push(noisy.clone());
@@ -300,6 +304,34 @@ fn engine_reallocates_spare_budget_into_boosted_reruns() {
         "the beam cell was the unconverged one: {}",
         boosted[0]
     );
+
+    // The boosted rerun is timed like any other executed cell: every
+    // cache miss, phase 1 or phase 2, leaves exactly one `cell.total`.
+    let events = rec.events();
+    let scopes_of = |name: &str| -> Vec<&str> {
+        events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.scope.as_str())
+            .collect()
+    };
+    let granted = scopes_of("plan.realloc_granted");
+    assert_eq!(granted.len(), 1, "one boosted cell: {granted:?}");
+    let totals = scopes_of("cell.total");
+    assert!(
+        totals.contains(&granted[0]),
+        "the boosted cell {} records a cell.total, got {totals:?}",
+        granted[0]
+    );
+    let misses: u64 = events
+        .iter()
+        .filter(|e| e.name == "cache.miss")
+        .map(|e| match e.metric {
+            Metric::Count(n) => n,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(totals.len() as u64, misses, "one cell.total per cache miss");
 
     // The returned plan slot carries the boosted rerun: it pushed past
     // the original budget the phase-1 attempt exhausted.
