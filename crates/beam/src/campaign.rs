@@ -6,7 +6,6 @@ use mpr_fault::{CampaignError, FaultModel, StrikeRunner, Workload};
 use mpr_metrics::sampling::{rel_ci_width, SamplingPlan};
 use mpr_metrics::{CrossSection, FitRate, Mebf, TreCurve};
 use mpr_obs::{mix_seed, CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER};
-use mpr_softfloat::ulp::max_relative_error;
 use mpr_softfloat::Precision;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -241,9 +240,9 @@ impl<'a> BeamCampaign<'a> {
                     model.sample(width, rng)
                 })
             },
-            |out| {
+            |out, severity| {
                 let label = self.classifier.map(|classify| classify(golden, out));
-                (max_relative_error(out, golden), label)
+                (severity, label)
             },
         );
         let strikes = match strikes {
@@ -451,6 +450,7 @@ mod tests {
     use super::*;
     use mpr_arch::{Fpga, VoltaGpu, XeonPhiKnc};
     use mpr_kernels::{profiles, Gemm, Lud, Micro, MicroKernelOp};
+    use mpr_softfloat::ulp::max_relative_error;
 
     #[test]
     fn poisson_small_and_large_means() {

@@ -4,7 +4,6 @@ use crate::{FaultModel, StrikeRunner, ValueFault, Workload};
 use mpr_metrics::sampling::{rel_ci_width, SamplingPlan};
 use mpr_metrics::{OutcomeCounts, TreCurve, Vulnerability};
 use mpr_obs::{CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER};
-use mpr_softfloat::ulp::max_relative_error;
 use mpr_softfloat::Precision;
 use rand::Rng;
 
@@ -298,7 +297,7 @@ impl<'a> InjectionCampaign<'a> {
                     && !rng.gen_bool(self.live_fraction);
                 (!dead).then_some(fault)
             },
-            |out| max_relative_error(out, golden),
+            |_, severity| severity,
         );
         let strikes = match strikes {
             Ok(s) => s,

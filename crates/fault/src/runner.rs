@@ -10,6 +10,7 @@
 use crate::{CampaignError, ValueFault, Workload};
 use mpr_metrics::sampling::{Planner, SamplingPlan};
 use mpr_obs::{mix_seed, panic_message, CancelToken, Recorder, Timer};
+use mpr_softfloat::ulp::sdc_severity;
 use mpr_softfloat::Precision;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,9 +21,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Strike `i` draws from its own `StdRng::seed_from_u64(mix_seed(seed,
 /// i))` stream: first the site (uniform over its slot's stratum), then
 /// the driver's fault. Workers stride over a round's slots, hand the
-/// gathered strikes to [`Workload::run_strike_batch`], and tag every
-/// corrupted output with its strike index; the merge sorts on that
-/// index. Results are therefore byte-identical for every `threads` and
+/// gathered strikes to [`Workload::run_strike_batch`], score each output
+/// against the golden run in one [`sdc_severity`] pass, and tag every
+/// corrupted one with its strike index; the merge sorts on that index.
+/// Results are therefore byte-identical for every `threads` and
 /// `strike_batch` (DT001).
 ///
 /// [`SamplingPlan::Fixed`] is one round of `budget` slots over the
@@ -90,7 +92,10 @@ pub struct Strikes<T> {
 impl StrikeRunner<'_> {
     /// Runs every strike the plan schedules. `fault` draws a strike's
     /// fault after its site; `None` marks a dead strike, which counts as
-    /// executed but never runs. `observe` runs on corrupted outputs only.
+    /// executed but never runs. Each output is compared with the golden
+    /// run and scored in the same pass ([`sdc_severity`]); `observe` runs
+    /// on corrupted outputs only and receives the output together with
+    /// its severity, `max_relative_error(out, golden)`.
     ///
     /// # Panics
     ///
@@ -101,13 +106,15 @@ impl StrikeRunner<'_> {
     ///
     /// [`CampaignError::Cancelled`] if the token fires before the last
     /// strike completes, [`CampaignError::WorkerPanic`] if a worker
-    /// panics. Partial work is discarded either way, so a retry with the
-    /// same seed is byte-identical to an untroubled run.
+    /// panics (a workload returning an output whose length differs from
+    /// the golden run's is one such panic). Partial work is discarded
+    /// either way, so a retry with the same seed is byte-identical to an
+    /// untroubled run.
     pub fn run<T, F, O>(&self, fault: F, observe: O) -> Result<Strikes<T>, CampaignError>
     where
         T: Send,
         F: Fn(&mut StdRng) -> Option<ValueFault> + Sync,
-        O: Fn(&[f64]) -> T + Sync,
+        O: Fn(&[f64], f64) -> T + Sync,
     {
         let sites = self.workload.site_count(self.precision);
         assert!(sites > 0, "workload exposes no fault sites");
@@ -179,7 +186,7 @@ impl StrikeRunner<'_> {
         T: Send,
         R: Fn(usize) -> (u64, u64) + Sync,
         F: Fn(&mut StdRng) -> Option<ValueFault> + Sync,
-        O: Fn(&[f64]) -> T + Sync,
+        O: Fn(&[f64], f64) -> T + Sync,
     {
         let stride = nthreads.min(slots).max(1);
         // Set by a worker only when it actually bailed out early, so a
@@ -241,14 +248,9 @@ impl StrikeRunner<'_> {
                                 &batch,
                                 self.golden,
                                 &mut |b, out| {
-                                    let corrupted = out.len() != self.golden.len()
-                                        || out
-                                            .iter()
-                                            .zip(self.golden)
-                                            .any(|(v, g)| v.to_bits() != g.to_bits());
-                                    if corrupted {
+                                    if let Some(severity) = sdc_severity(out, self.golden) {
                                         // mpr-allow: panic-reachability -- the batch contract keys callbacks by batch position (`b < batch.len() == indices.len()`); an out-of-range `b` is a workload-override bug the differential tests pin, not a recoverable strike failure
-                                        observed.push((indices[b], observe(out)));
+                                        observed.push((indices[b], observe(out, severity)));
                                     }
                                     if self.cancel.is_cancelled() {
                                         bailed = true;
@@ -296,6 +298,7 @@ mod tests {
     use crate::FaultModel;
     use mpr_metrics::sampling::SamplingConfig;
     use mpr_obs::NULL_RECORDER;
+    use mpr_softfloat::ulp::max_relative_error;
     use std::sync::atomic::AtomicUsize;
 
     /// Every failure-path test covers both plans.
@@ -313,7 +316,7 @@ mod tests {
         sampling: SamplingPlan,
         budget: u64,
         cancel: &CancelToken,
-        observe: &(dyn Fn(&[f64]) -> f64 + Sync),
+        observe: &(dyn Fn(&[f64], f64) -> f64 + Sync),
     ) -> Result<Strikes<f64>, CampaignError> {
         let golden = workload.run_golden(Precision::Single);
         StrikeRunner {
@@ -338,11 +341,26 @@ mod tests {
     }
 
     #[test]
+    fn observe_receives_each_corrupted_outputs_severity() {
+        let golden = Dot(16).run_golden(Precision::Single);
+        for plan in plans() {
+            let observe = |out: &[f64], severity: f64| {
+                let want = max_relative_error(out, &golden);
+                assert_eq!(severity.to_bits(), want.to_bits(), "{plan:?}");
+                severity
+            };
+            let strikes =
+                run(&Dot(16), plan, 64, &CancelToken::unlimited(), &observe).expect("clean run");
+            assert!(!strikes.observed.is_empty(), "{plan:?}");
+        }
+    }
+
+    #[test]
     fn pre_fired_token_cancels_without_panicking() {
         for plan in plans() {
             let token = CancelToken::unlimited();
             token.cancel();
-            let err = run(&Dot(16), plan, 64, &token, &|out| out[0])
+            let err = run(&Dot(16), plan, 64, &token, &|out, _| out[0])
                 .expect_err("runner must report cancellation");
             assert_eq!(err, CampaignError::Cancelled, "{plan:?}");
         }
@@ -367,7 +385,7 @@ mod tests {
             }
         }
         for plan in plans() {
-            let err = run(&Exploding, plan, 4, &CancelToken::unlimited(), &|out| {
+            let err = run(&Exploding, plan, 4, &CancelToken::unlimited(), &|out, _| {
                 out[0]
             })
             .expect_err("runner must report the panic");
@@ -383,14 +401,14 @@ mod tests {
     fn retry_after_cancellation_is_byte_identical_to_clean_run() {
         let unlimited = CancelToken::unlimited();
         for plan in plans() {
-            let clean = run(&Dot(16), plan, 64, &unlimited, &|out| out[0]).expect("clean run");
+            let clean = run(&Dot(16), plan, 64, &unlimited, &|out, _| out[0]).expect("clean run");
             assert!(!clean.observed.is_empty(), "{plan:?}");
             // A cancelled attempt leaves no residue: re-running with the
             // same seed reproduces the clean run bit for bit (DT001).
             let token = CancelToken::unlimited();
             token.cancel();
-            let _ = run(&Dot(16), plan, 64, &token, &|out| out[0]);
-            let retried = run(&Dot(16), plan, 64, &unlimited, &|out| out[0]).expect("retry");
+            let _ = run(&Dot(16), plan, 64, &token, &|out, _| out[0]);
+            let retried = run(&Dot(16), plan, 64, &unlimited, &|out, _| out[0]).expect("retry");
             assert_eq!(bits(&clean), bits(&retried), "{plan:?}");
         }
     }
@@ -405,7 +423,7 @@ mod tests {
         for plan in plans() {
             let token = CancelToken::unlimited();
             let seen = AtomicUsize::new(0);
-            let observe = |out: &[f64]| {
+            let observe = |out: &[f64], _: f64| {
                 if seen.fetch_add(1, Ordering::Relaxed) + 1 >= 3 {
                     token.cancel();
                 }
@@ -426,7 +444,7 @@ mod tests {
             SamplingPlan::Fixed,
             8,
             &CancelToken::unlimited(),
-            &|out| out[0],
+            &|out, _| out[0],
         );
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::monomorphic_workload;
 use crate::util::{gen_value, strike_each, to_u64, PrecisionCache};
-use mpr_fault::hook::{FaultHook, HookExt, NullHook};
+use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
 use mpr_fault::{ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
@@ -177,9 +177,8 @@ impl Lud {
         }
     }
 
-    /// One Doolittle elimination step — shared by the full run, the
-    /// checkpoint builder, and the replay, so all three touch identical
-    /// values in identical order.
+    /// One Doolittle elimination step over the whole matrix: every row
+    /// below the pivot row `k`, top to bottom, through [`eliminate_row`].
     #[inline]
     fn eliminate_step<F: FloatExt, H: FaultHook + ?Sized>(
         a: &mut [F],
@@ -187,13 +186,10 @@ impl Lud {
         k: usize,
         hook: &mut H,
     ) {
-        let pivot = a[k * n + k];
-        for i in k + 1..n {
-            let factor = hook.touch(a[i * n + k] / pivot);
-            a[i * n + k] = factor;
-            for j in k + 1..n {
-                a[i * n + j] = hook.touch((-factor).mul_add(a[k * n + j], a[i * n + j]));
-            }
+        let (top, below) = a.split_at_mut((k + 1) * n);
+        let pivot = &top[k * n..];
+        for row in below.chunks_exact_mut(n) {
+            eliminate_row(row, pivot, k, hook);
         }
     }
 
@@ -221,6 +217,31 @@ impl Lud {
     }
 }
 
+/// Elimination step `k` on one row below the pivot row: the factor
+/// `row[k] / pivot[k]` replaces `row[k]`, then every column `j > k`
+/// takes the Schur update `row[j] - factor * pivot[j]` (one FMA), each
+/// value touched in that order. The full run, the checkpoint builder and
+/// every replay go through this one loop, so they all touch identical
+/// values in identical order; under [`NullHook`] it is a plain slice
+/// loop the compiler vectorizes.
+#[inline]
+fn eliminate_row<F: FloatExt, H: FaultHook + ?Sized>(
+    row: &mut [F],
+    pivot: &[F],
+    k: usize,
+    hook: &mut H,
+) {
+    let factor = hook.touch(row[k] / pivot[k]);
+    row[k] = factor;
+    // Indices over two equal-length slices: the bounds checks fold away,
+    // so the `NullHook` loop vectorizes. A `zip` form vectorizes too but
+    // measured about 1.7x slower under `InjectHook` (AVX-512 host).
+    let pivot = &pivot[..row.len()];
+    for j in k + 1..row.len() {
+        row[j] = hook.touch((-factor).mul_add(pivot[j], row[j]));
+    }
+}
+
 /// Scratch state for row-confined strike replay, reusable across every
 /// strike in a batch (the golden decode and the tail reconstruction are
 /// the amortizable parts; see DESIGN.md §4i).
@@ -233,8 +254,8 @@ impl Lud {
 /// final after step `m - 1`). So a strike replays as: track row `i`
 /// alone against golden pivot rows (O(n) per step), rebuild rows below
 /// `i` from the nearest strided checkpoint (a short replay of at most
-/// `stride` steps), and only then fall back to full trailing
-/// elimination from step `i`.
+/// `stride` steps) or by advancing the previous strike's tail, and only
+/// then fall back to full trailing elimination from step `i`.
 struct LudReplayer<'a, F: FloatExt> {
     n: usize,
     cache: &'a LudCache,
@@ -250,7 +271,8 @@ struct LudReplayer<'a, F: FloatExt> {
     mat: Vec<F>,
     /// Fault row the cached tail was reconstructed for (`usize::MAX`
     /// when empty): rows `tail_row + 1 .. n` just before step
-    /// `tail_row`. Strikes sharing a fault row share the tail.
+    /// `tail_row`. Strikes sharing a fault row share the tail, and a
+    /// later fault row in the same checkpoint span advances it.
     tail_row: usize,
     tail: Vec<F>,
     /// First row of the caller's `out` buffer that may hold computed
@@ -291,58 +313,44 @@ impl<'a, F: FloatExt> LudReplayer<'a, F> {
     fn forward_row(&mut self, from: usize, to: usize) {
         let n = self.n;
         for m in from..to {
-            let factor = self.row[m] / self.golden[m * n + m];
-            self.row[m] = factor;
-            for j in m + 1..n {
-                self.row[j] = (-factor).mul_add(self.golden[m * n + j], self.row[j]);
-            }
-        }
-    }
-
-    /// The faulted elimination step `k` on the tracked row: `pos` 0
-    /// corrupts the factor, `pos` q ≥ 1 the update of column `k + q` —
-    /// matching the touch order of [`Lud::eliminate_step`] under an
-    /// [`InjectHook`].
-    fn faulted_step(&mut self, k: usize, pos: usize, fault: ValueFault) {
-        let n = self.n;
-        let width = F::PRECISION.total_bits();
-        let mut factor = self.row[k] / self.golden[k * n + k];
-        if pos == 0 {
-            factor = F::from_bits_u64(fault.apply(factor.to_bits_u64(), width));
-        }
-        self.row[k] = factor;
-        for j in k + 1..n {
-            let mut v = (-factor).mul_add(self.golden[k * n + j], self.row[j]);
-            if pos == j - k {
-                v = F::from_bits_u64(fault.apply(v.to_bits_u64(), width));
-            }
-            self.row[j] = v;
+            eliminate_row(
+                &mut self.row,
+                &self.golden[m * n..(m + 1) * n],
+                m,
+                &mut NullHook,
+            );
         }
     }
 
     /// Reconstructs rows `i + 1 .. n` as they stand just before step
-    /// `i`: nearest strided checkpoint plus a short clean replay against
-    /// golden pivot rows. Cached — consecutive strikes with the same
-    /// fault row reuse it.
+    /// `i`, with a short clean replay against golden pivot rows. The
+    /// replay starts from the cached tail of an earlier fault row in the
+    /// same checkpoint span when there is one (batches arrive sorted by
+    /// fault row, so there usually is), else from the nearest strided
+    /// checkpoint. Cached — consecutive strikes with the same fault row
+    /// reuse it.
     fn build_tail(&mut self, i: usize) {
         if self.tail_row == i {
             return;
         }
         let n = self.n;
         let (t0, rows) = self.checkpoint_at_or_before(i);
-        let skip = (i - t0) * n; // checkpoint starts at row t0 + 1
-        self.tail.clear();
-        self.tail
-            .extend(rows[skip..].iter().map(|&w| F::from_bits_u64(w)));
-        for m in *t0..i {
-            for r in 0..n - 1 - i {
-                let row = &mut self.tail[r * n..(r + 1) * n];
-                let factor = row[m] / self.golden[m * n + m];
-                row[m] = factor;
-                let pivot = &self.golden[m * n..(m + 1) * n];
-                for (v, &p) in row[m + 1..].iter_mut().zip(&pivot[m + 1..]) {
-                    *v = (-factor).mul_add(p, *v);
-                }
+        let from = if (*t0..i).contains(&self.tail_row) {
+            // Rows `tail_row + 1 ..= i` leave the tail; the rest already
+            // stand before step `tail_row`.
+            self.tail.drain(..(i - self.tail_row) * n);
+            self.tail_row
+        } else {
+            let skip = (i - t0) * n; // checkpoint starts at row t0 + 1
+            self.tail.clear();
+            self.tail
+                .extend(rows[skip..].iter().map(|&w| F::from_bits_u64(w)));
+            *t0
+        };
+        for m in from..i {
+            let pivot = &self.golden[m * n..(m + 1) * n];
+            for row in self.tail.chunks_exact_mut(n) {
+                eliminate_row(row, pivot, m, &mut NullHook);
             }
         }
         self.tail_row = i;
@@ -364,16 +372,12 @@ impl<'a, F: FloatExt> LudReplayer<'a, F> {
         self.build_tail(i);
         self.mat[i * n..(i + 1) * n].copy_from_slice(&self.row);
         self.mat[(i + 1) * n..].copy_from_slice(&self.tail);
-        Self::eliminate_tail(&mut self.mat, n, i);
-        for (idx, v) in self.mat[i * n..].iter().enumerate() {
-            out[i * n + idx] = v.to_f64();
+        // Trailing elimination from step `i`, hook-free so the Schur
+        // updates vectorize.
+        Lud::eliminate_from(&mut self.mat, n, i, &mut NullHook);
+        for (o, v) in out[i * n..].iter_mut().zip(&self.mat[i * n..]) {
+            *o = v.to_f64();
         }
-    }
-
-    /// Trailing elimination from step `i` with no hook in the loop, so
-    /// the compiler is free to vectorize the Schur updates.
-    fn eliminate_tail(a: &mut [F], n: usize, i: usize) {
-        Lud::eliminate_from(a, n, i, &mut NullHook);
     }
 
     /// Runs one strike, byte-identical to the naive injected run.
@@ -427,7 +431,14 @@ impl<'a, F: FloatExt> LudReplayer<'a, F> {
                     .extend(rows[off..off + n].iter().map(|&w| F::from_bits_u64(w)));
                 let t0 = *t0;
                 self.forward_row(t0, k);
-                self.faulted_step(k, pos, fault);
+                // The faulted step: touch 0 is the factor, touch q >= 1
+                // the update of column `k + q`.
+                eliminate_row(
+                    &mut self.row,
+                    &self.golden[k * n..(k + 1) * n],
+                    k,
+                    &mut InjectHook::new(to_u64(pos), fault),
+                );
                 self.finish(i, k + 1, out);
             }
         }
@@ -600,21 +611,48 @@ mod tests {
     #[test]
     fn batch_matches_naive_bit_for_bit_at_every_site() {
         // Every dynamic site — inputs, factors, updates, and the
-        // masked region past the end — in one batch.
-        let lud = Lud::new(9);
+        // masked region past the end — in one batch. At n = 9 the
+        // checkpoint stride is 1; at n = 24 it is 3, so tails are
+        // replayed from a checkpoint and advanced from an earlier row.
+        for n in [9, 24] {
+            let lud = Lud::new(n);
+            for p in [Precision::Double, Precision::Single] {
+                let sites = lud.site_count(p);
+                let strikes: Vec<(u64, ValueFault)> = (0..sites + 3)
+                    .map(|site| {
+                        let fault = match site % 3 {
+                            0 => ValueFault::BitFlip((site % 31) as u32),
+                            1 if site % 2 == 0 => ValueFault::StuckHigh((site % 23) as u32),
+                            1 => ValueFault::StuckLow((site % 23) as u32),
+                            _ => ValueFault::XorMask(0x8000_0401 ^ site),
+                        };
+                        (site, fault)
+                    })
+                    .collect();
+                assert_batch_matches_naive(&lud, p, &strikes);
+            }
+        }
+    }
+
+    #[test]
+    fn tail_advances_across_checkpoint_boundaries() {
+        // n = 24 keeps checkpoints before steps 0, 3, 6, ..., 21. Fault
+        // rows ascend with gaps of one and two, so some tails advance
+        // within a span, some restart from the next checkpoint, and a
+        // row struck twice reuses its tail.
+        let n = 24;
+        let lud = Lud::new(n);
+        assert_eq!(lud.cache::<f64>().stride, 3);
+        let elim = |k: usize, row: usize, pos: usize| {
+            Lud::step_base(to_u64(n), to_u64(k)) + to_u64((row - k - 1) * (n - k) + pos)
+        };
+        let mut strikes = Vec::new();
+        for row in [1, 2, 4, 5, 6, 8, 9, 11, 14, 15, 17, 20, 21, 22] {
+            strikes.push((elim(row - 1, row, 0), ValueFault::BitFlip(52)));
+            strikes.push((elim(row / 2, row, 1), ValueFault::XorMask(0x40_0000)));
+            strikes.push((to_u64(row * n + row % 7), ValueFault::BitFlip(20)));
+        }
         for p in [Precision::Double, Precision::Single] {
-            let sites = lud.site_count(p);
-            let strikes: Vec<(u64, ValueFault)> = (0..sites + 3)
-                .map(|site| {
-                    let fault = match site % 3 {
-                        0 => ValueFault::BitFlip((site % 31) as u32),
-                        1 if site % 2 == 0 => ValueFault::StuckHigh((site % 23) as u32),
-                        1 => ValueFault::StuckLow((site % 23) as u32),
-                        _ => ValueFault::XorMask(0x8000_0401 ^ site),
-                    };
-                    (site, fault)
-                })
-                .collect();
             assert_batch_matches_naive(&lud, p, &strikes);
         }
     }
