@@ -20,7 +20,8 @@
 //! - GEMM half must run within 2x of GEMM single on the batched path —
 //!   `wide::fma` lanes over the branch-free binary16 kernels (the same
 //!   ones every scalar `Half` op runs on) close the softfloat gap, and
-//!   this ratio is the regression tripwire for them.
+//!   this ratio is the regression tripwire for them. The LavaMD and
+//!   Micro half-vs-single ratios are recorded beside it, ungated.
 //!
 //! Modes (args after `cargo bench --bench strike_throughput -- ...`):
 //! - `--test`:  tiny sizes, byte-identity check only, no file written
@@ -274,20 +275,32 @@ fn measure(config: &Config, precision: Precision, strikes: u64, seed: u64) -> Me
     }
 }
 
-/// GEMM half-vs-single throughput ratio on the batched path:
-/// `single strikes/s / half strikes/s`, 1.0 = parity, gated at <= 2.0
-/// in full mode. Only the headline (GEMM) config contributes.
-fn half_vs_single_ratio(results: &[Measurement]) -> Option<f64> {
+/// Half-vs-single throughput ratio of one workload on the batched path:
+/// `single strikes/s / half strikes/s`, 1.0 = parity. GEMM's is gated at
+/// <= 2.0 in full mode; LavaMD's and Micro's are recorded only.
+fn half_vs_single_ratio(results: &[Measurement], workload: &str) -> Option<f64> {
     let per_s = |p: Precision| {
         results
             .iter()
-            .find(|m| m.headline && m.precision == p)
+            .find(|m| m.name == workload && m.precision == p)
             .map(|m| m.batched_per_s)
     };
     Some(per_s(Precision::Single)? / per_s(Precision::Half)?)
 }
 
-fn report_json(mode: Mode, results: &[Measurement], headline: f64, ratio: Option<f64>) -> String {
+/// The recorded half-vs-single ratios: `(JSON key, workload name)`.
+const RATIOS: [(&str, &str); 3] = [
+    ("gemm_half_vs_single_ratio", "MxM"),
+    ("lavamd_half_vs_single_ratio", "LavaMD"),
+    ("micro_half_vs_single_ratio", "Micro-FMA"),
+];
+
+fn report_json(
+    mode: Mode,
+    results: &[Measurement],
+    headline: f64,
+    ratios: &[(&str, f64)],
+) -> String {
     let configs: Vec<Value> = results
         .iter()
         .map(|m| {
@@ -322,8 +335,8 @@ fn report_json(mode: Mode, results: &[Measurement], headline: f64, ratio: Option
     );
     root.insert("strike_batch".to_string(), Value::Num(BATCH.to_string()));
     root.insert("gemm_beam_proxy_min_speedup".to_string(), round2(headline));
-    if let Some(r) = ratio {
-        root.insert("gemm_half_vs_single_ratio".to_string(), round2(r));
+    for &(key, r) in ratios {
+        root.insert(key.to_string(), round2(r));
     }
     root.insert("configs".to_string(), Value::Arr(configs));
     Value::Obj(root).to_string()
@@ -374,9 +387,12 @@ fn main() {
         .map(Measurement::speedup)
         .fold(f64::INFINITY, f64::min);
     println!("gemm beam proxy min speedup: {headline:.1}x over {strikes} strikes");
-    let ratio = half_vs_single_ratio(&results);
-    if let Some(r) = ratio {
-        println!("gemm half-vs-single batched ratio: {r:.2}x (1.0 = parity)");
+    let ratios: Vec<(&str, f64)> = RATIOS
+        .iter()
+        .filter_map(|&(key, workload)| Some((key, half_vs_single_ratio(&results, workload)?)))
+        .collect();
+    for (key, r) in &ratios {
+        println!("{key}: {r:.2}x (1.0 = parity)");
     }
 
     match mode {
@@ -393,7 +409,8 @@ fn main() {
                 );
             }
             if mode == Mode::Full {
-                let r = ratio.expect("full mode measures GEMM half and single");
+                let r = half_vs_single_ratio(&results, "MxM")
+                    .expect("full mode measures GEMM half and single");
                 assert!(
                     r <= 2.0,
                     "GEMM half runs {r:.2}x slower than single — wide binary16 lanes regressed \
@@ -403,7 +420,7 @@ fn main() {
         }
     }
 
-    let text = report_json(mode, &results, headline, ratio);
+    let text = report_json(mode, &results, headline, &ratios);
     // The report must round-trip through the workspace JSON parser so
     // downstream tooling can consume it.
     let parsed = json::parse(&text).expect("report is valid JSON");

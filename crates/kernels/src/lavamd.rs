@@ -7,15 +7,31 @@ use mpr_fault::{ValueFault, Workload};
 use mpr_softfloat::math::exp_terms;
 use mpr_softfloat::{FloatExt, Precision};
 
-/// Per-precision replay state: the exact input bits (interleaved
-/// `px, py, pz, q` per particle, matching dynamic-site order) plus each
-/// particle's first interaction-region site.
-struct LavaCache {
-    input_bits: Vec<u64>,
-    /// `base[pi]` is the first dynamic site of particle `pi`'s
-    /// interaction region; `base[particle_count]` is the total site
-    /// count.
-    base: Vec<u64>,
+/// One particle as the kernel reads it: position `x, y, z`, then charge
+/// `q` — also the order the run loads (and touches) the four inputs.
+type Particle<F> = [F; 4];
+
+/// One golden interaction, as a replay suffix needs it: the partner's
+/// charge `q`, the interaction's `exp` value `e`, and the running
+/// potential `v` after its accumulating FMA (bits at the cache's
+/// precision).
+#[derive(Clone, Copy)]
+struct Term {
+    q: u64,
+    e: u64,
+    v: u64,
+}
+
+/// Per-precision golden interaction state for [`LavaMd::replay`].
+struct GoldenTerms {
+    /// Every interaction, particle-major in partner-walk order.
+    terms: Vec<Term>,
+    /// `first[pi]` indexes particle `pi`'s first interaction in `terms`;
+    /// `first[particle_count]` is `terms.len()`.
+    first: Vec<usize>,
+    /// Hook touches per interaction: `r²`, `u²`, the `exp` evaluation
+    /// and the accumulating FMA.
+    per_interaction: u64,
 }
 
 /// LavaMD: particle potentials in a 3D grid of boxes under a cutoff
@@ -39,7 +55,11 @@ pub struct LavaMd {
     particles_per_box: usize,
     seed: u64,
     transcendental_unit: bool,
-    cache: PrecisionCache<LavaCache>,
+    /// Per precision: the input bits, interleaved `x, y, z, q` per
+    /// particle (dynamic-site order).
+    inputs: PrecisionCache<Vec<u64>>,
+    /// Per precision: the golden interaction terms.
+    golden: PrecisionCache<GoldenTerms>,
 }
 
 impl LavaMd {
@@ -57,14 +77,16 @@ impl LavaMd {
             particles_per_box,
             seed: 0x1ABA,
             transcendental_unit: false,
-            cache: PrecisionCache::new(),
+            inputs: PrecisionCache::new(),
+            golden: PrecisionCache::new(),
         }
     }
 
     /// Overrides the deterministic input seed.
     pub fn with_seed(mut self, seed: u64) -> LavaMd {
         self.seed = seed;
-        self.cache = PrecisionCache::new();
+        self.inputs = PrecisionCache::new();
+        self.golden = PrecisionCache::new();
         self
     }
 
@@ -80,7 +102,7 @@ impl LavaMd {
     /// than single on the KNC (paper Section 5.3, Figure 8).
     pub fn for_knc(mut self) -> LavaMd {
         self.transcendental_unit = true;
-        self.cache = PrecisionCache::new();
+        self.golden = PrecisionCache::new();
         self
     }
 
@@ -138,145 +160,164 @@ impl LavaMd {
         hook.touch(acc.mul_add(x, F::one()))
     }
 
-    /// Input bits and per-particle region bases at `F`'s precision,
-    /// computed once and reused across a campaign's strike batch.
-    fn cache<F: FloatExt>(&self) -> &LavaCache {
-        self.cache.get_or_init(F::PRECISION, || {
-            let nb = self.boxes_per_dim;
-            let par = self.particles_per_box;
-            let total = self.particle_count();
-            let mut input_bits = Vec::with_capacity(4 * total);
-            for i in index_range(total) {
+    /// Input bits at `F`'s precision, generated once and reused by every
+    /// run and strike.
+    fn inputs<F: FloatExt>(&self) -> &[u64] {
+        self.inputs.get_or_init(F::PRECISION, || {
+            let mut bits = Vec::with_capacity(4 * self.particle_count());
+            for i in index_range(self.particle_count()) {
                 // mpr-allow: precision-leak -- component ranges are f64 master-domain input synthesis; each value crosses into `F` through from_f64 below
                 for (c, (lo, hi)) in [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.25, 1.0)]
                     .into_iter()
                     .enumerate()
                 {
                     let v = gen_value(self.seed, 4 * i + to_u64(c), lo, hi);
-                    input_bits.push(F::from_f64(v).to_bits_u64());
+                    bits.push(F::from_f64(v).to_bits_u64());
                 }
             }
-            // Touches per interaction: r2 + u2 + the exp evaluation + the
-            // accumulating FMA.
+            bits
+        })
+    }
+
+    /// Every interaction's golden `(q, e, v)` at `F`'s precision,
+    /// recorded by one hook-free pass of the same partner walk the run
+    /// executes.
+    fn golden_terms<F: FloatExt>(&self) -> &GoldenTerms {
+        self.golden.get_or_init(F::PRECISION, || {
+            let inputs = self.inputs::<F>();
+            let total = self.particle_count();
+            let mut terms = Vec::new();
+            let mut first = Vec::with_capacity(total + 1);
+            for pi in 0..total {
+                first.push(terms.len());
+                let record = |q: F, e: F, v: F| {
+                    terms.push(Term {
+                        q: q.to_bits_u64(),
+                        e: e.to_bits_u64(),
+                        v: v.to_bits_u64(),
+                    });
+                };
+                self.potential(pi, |j| particle(inputs, j), &mut NullHook, record);
+            }
+            first.push(terms.len());
             let exp_touches = if self.transcendental_unit {
                 Self::unit_cycles(F::PRECISION)
             } else {
                 exp_terms(F::PRECISION) + 1
             };
-            let per_interaction = to_u64(3 + exp_touches);
-            let mut base = Vec::with_capacity(total + 1);
-            let mut acc = 4 * to_u64(total);
-            for pi in 0..total {
-                base.push(acc);
-                let hb = pi / par;
-                let (hx, hy, hz) = (hb % nb, (hb / nb) % nb, hb / (nb * nb));
-                let nbrs = neighbor_range(hx, nb).count()
-                    * neighbor_range(hy, nb).count()
-                    * neighbor_range(hz, nb).count();
-                // mpr-allow: fault-site -- u64 site-count bookkeeping, not in-precision arithmetic
-                acc += to_u64(nbrs * par - 1) * per_interaction;
+            GoldenTerms {
+                terms,
+                first,
+                per_interaction: to_u64(3 + exp_touches),
             }
-            base.push(acc);
-            LavaCache { input_bits, base }
         })
     }
 
-    /// One particle's potential — shared by the full run and the replay
-    /// so both touch identical values in identical order.
-    fn potential<F: FloatExt, H: FaultHook + ?Sized>(
-        &self,
-        pi: usize,
-        px: &[F],
-        py: &[F],
-        pz: &[F],
-        q: &[F],
-        hook: &mut H,
-    ) -> F {
+    /// The partner walk of particle `pi`: every particle of the
+    /// neighboring boxes except `pi` itself, in the kernel's order.
+    /// Rodinia visits the 27-neighborhood; boxes at the grid edge clamp
+    /// it, and the clamped ranges are symmetric — `pj` is a partner of
+    /// `pi` iff `pi` is a partner of `pj`.
+    fn partners(&self, pi: usize) -> impl Iterator<Item = usize> {
         let nb = self.boxes_per_dim;
         let par = self.particles_per_box;
         let hb = pi / par;
         let (hx, hy, hz) = (hb % nb, (hb / nb) % nb, hb / (nb * nb));
+        neighbor_range(hx, nb)
+            .flat_map(move |nbx| neighbor_range(hy, nb).map(move |nby| (nbx, nby)))
+            .flat_map(move |(nbx, nby)| {
+                neighbor_range(hz, nb).flat_map(move |nbz| {
+                    let nbox = nbz * nb * nb + nby * nb + nbx;
+                    nbox * par..(nbox + 1) * par
+                })
+            })
+            .filter(move |&pj| pj != pi)
+    }
+
+    /// One interaction of particle `i` with partner `j`, every
+    /// intermediate hooked: `r²`, `u² = −a²·r²`, the `exp(u²)`
+    /// evaluation, then the accumulating FMA `v' = q_j·e + v`. Returns
+    /// `(e, v')`. The one interaction body of the full run, the golden
+    /// cache builder and every replay.
+    #[inline(always)]
+    fn interact<F: FloatExt, H: FaultHook + ?Sized>(
+        &self,
+        i: Particle<F>,
+        j: Particle<F>,
+        v: F,
+        hook: &mut H,
+    ) -> (F, F) {
         // Cutoff constant chosen so u2 stays in [-0.75, 0], inside the
         // unreduced polynomial's accurate range at every precision.
         let a2 = F::from_f64(0.25);
+        let dx = i[0] - j[0];
+        let dy = i[1] - j[1];
+        let dz = i[2] - j[2];
+        // r^2 via two FMAs and one MUL: the MUL-dominated inner loop of
+        // the paper.
+        let r2 = hook.touch(dx.mul_add(dx, dy.mul_add(dy, dz * dz)));
+        let u2 = hook.touch(-(a2 * r2));
+        let e = if self.transcendental_unit {
+            Self::exp_unit(u2, hook)
+        } else {
+            Self::exp_hooked(u2, hook)
+        };
+        (e, hook.touch(j[3].mul_add(e, v)))
+    }
+
+    /// Particle `pi`'s potential: [`Self::interact`] over the partner
+    /// walk, reading particle state through `particle` and reporting
+    /// each interaction's `(q_j, e, v)` to `each`.
+    fn potential<F: FloatExt, H: FaultHook + ?Sized>(
+        &self,
+        pi: usize,
+        particle: impl Fn(usize) -> Particle<F>,
+        hook: &mut H,
+        mut each: impl FnMut(F, F, F),
+    ) -> F {
+        let me = particle(pi);
         let mut v = F::zero();
-        // Neighbor boxes, clamped at the grid edge (Rodinia visits the
-        // 27-neighborhood; duplicates from clamping are skipped).
-        for nbx in neighbor_range(hx, nb) {
-            for nby in neighbor_range(hy, nb) {
-                for nbz in neighbor_range(hz, nb) {
-                    let nbox = nbz * nb * nb + nby * nb + nbx;
-                    for j in 0..par {
-                        let pj = nbox * par + j;
-                        if pj == pi {
-                            continue;
-                        }
-                        let dx = px[pi] - px[pj];
-                        let dy = py[pi] - py[pj];
-                        let dz = pz[pi] - pz[pj];
-                        // r^2 via two FMAs and one MUL: the
-                        // MUL-dominated inner loop of the paper.
-                        let r2 = hook.touch(dx.mul_add(dx, dy.mul_add(dy, dz * dz)));
-                        let u2 = hook.touch(-(a2 * r2));
-                        let e = if self.transcendental_unit {
-                            Self::exp_unit(u2, hook)
-                        } else {
-                            Self::exp_hooked(u2, hook)
-                        };
-                        v = hook.touch(q[pj].mul_add(e, v));
-                    }
-                }
-            }
+        for pj in self.partners(pi) {
+            let other = particle(pj);
+            let e;
+            (e, v) = self.interact(me, other, v, hook);
+            each(other[3], e, v);
         }
         v
     }
 
-    /// Materializes the particle state vectors from the cached bits,
-    /// without advancing any hook.
-    fn load_particles<F: FloatExt>(&self, bits: &[u64]) -> (Vec<F>, Vec<F>, Vec<F>, Vec<F>) {
-        let total = self.particle_count();
-        let mut px = Vec::with_capacity(total);
-        let mut py = Vec::with_capacity(total);
-        let mut pz = Vec::with_capacity(total);
-        let mut q = Vec::with_capacity(total);
-        for i in 0..total {
-            px.push(F::from_bits_u64(bits[4 * i]));
-            py.push(F::from_bits_u64(bits[4 * i + 1]));
-            pz.push(F::from_bits_u64(bits[4 * i + 2]));
-            q.push(F::from_bits_u64(bits[4 * i + 3]));
-        }
-        (px, py, pz, q)
-    }
-
     fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
-        let total = self.particle_count();
-        let cache = self.cache::<F>();
-
-        // Particle state: position within the unit box plus charge.
-        let mut px = Vec::with_capacity(total);
-        let mut py = Vec::with_capacity(total);
-        let mut pz = Vec::with_capacity(total);
-        let mut q = Vec::with_capacity(total);
-        for i in 0..total {
-            px.push(hook.touch(F::from_bits_u64(cache.input_bits[4 * i])));
-            py.push(hook.touch(F::from_bits_u64(cache.input_bits[4 * i + 1])));
-            pz.push(hook.touch(F::from_bits_u64(cache.input_bits[4 * i + 2])));
-            q.push(hook.touch(F::from_bits_u64(cache.input_bits[4 * i + 3])));
-        }
-
-        let mut out = Vec::with_capacity(total);
-        for pi in 0..total {
-            out.push(self.potential(pi, &px, &py, &pz, &q, hook).to_f64());
-        }
-        out
+        let particles: Vec<Particle<F>> = self
+            .inputs::<F>()
+            .chunks_exact(4)
+            .map(|c| {
+                let mut load = |bits: u64| hook.touch(F::from_bits_u64(bits));
+                [load(c[0]), load(c[1]), load(c[2]), load(c[3])]
+            })
+            .collect();
+        (0..particles.len())
+            .map(|pi| {
+                self.potential(pi, |j| particles[j], hook, |_, _, _| {})
+                    .to_f64()
+            })
+            .collect()
     }
 
-    /// Golden-prefix replay: an input strike on particle `p` dirties
-    /// only the potentials of particles whose neighborhood contains
-    /// `p`'s box (the clamped ranges are symmetric, so that is exactly
-    /// the boxes Chebyshev-adjacent to `p`'s); an interaction-region
-    /// strike dirties a single particle's potential, replayed with a
-    /// local inject hook.
+    /// Golden-prefix replay of one strike, resuming at the struck
+    /// interaction. Each interaction's `e` depends only on the two
+    /// particles' positions, so after the struck op a particle's
+    /// potential differs from the golden run only through its carried
+    /// `v`: the rest of its walk is a hook-free suffix of plain FMAs
+    /// `v = q_j·e_j + v` over the cached golden terms, and the golden
+    /// output stands as soon as `v` equals the golden running potential
+    /// at the same point (the fault was masked).
+    ///
+    /// * An interaction strike recomputes the struck interaction under
+    ///   an `InjectHook` rebased to it, from the golden partial sum.
+    /// * An input strike on particle `p` recomputes `p`'s own potential
+    ///   in full. By the walk's symmetry every other dirty particle is
+    ///   a partner of `p`, and it changes in exactly one interaction,
+    ///   `(pi, p)`, which it recomputes before the same suffix.
     fn replay<F: FloatExt>(
         &self,
         site: u64,
@@ -286,47 +327,86 @@ impl LavaMd {
     ) {
         out.clear();
         out.extend_from_slice(golden);
-        let cache = self.cache::<F>();
-        let total = self.particle_count();
-        // mpr-allow: panic-hygiene -- the cache builder unconditionally pushes the terminal base entry
-        if site >= *cache.base.last().expect("base is never empty") {
-            return; // past the last dynamic site: the fault never fires
-        }
-        let (mut px, mut py, mut pz, mut q) = self.load_particles::<F>(&cache.input_bits);
-        if site < 4 * to_u64(total) {
+        let inputs = self.inputs::<F>();
+        let g = self.golden_terms::<F>();
+        let input_sites = to_u64(inputs.len());
+        if site < input_sites {
             let idx = site as usize;
-            let (pp, component) = (idx / 4, idx % 4);
+            let p = idx / 4;
+            let mut faulty = particle::<F>(inputs, p);
             let width = F::PRECISION.total_bits();
-            let faulted = F::from_bits_u64(fault.apply(cache.input_bits[idx], width));
-            match component {
-                0 => px[pp] = faulted,
-                1 => py[pp] = faulted,
-                2 => pz[pp] = faulted,
-                _ => q[pp] = faulted,
-            }
-            let nb = self.boxes_per_dim;
-            let par = self.particles_per_box;
-            let pb = pp / par;
-            let (bx, by, bz) = (pb % nb, (pb / nb) % nb, pb / (nb * nb));
-            for nbx in neighbor_range(bx, nb) {
-                for nby in neighbor_range(by, nb) {
-                    for nbz in neighbor_range(bz, nb) {
-                        let bbox = nbz * nb * nb + nby * nb + nbx;
-                        for j in 0..par {
-                            let pi = bbox * par + j;
-                            out[pi] = self
-                                .potential(pi, &px, &py, &pz, &q, &mut NullHook)
-                                .to_f64();
-                        }
-                    }
-                }
+            faulty[idx % 4] = F::from_bits_u64(fault.apply(inputs[idx], width));
+            let read = |j| if j == p { faulty } else { particle(inputs, j) };
+            out[p] = self
+                .potential(p, read, &mut NullHook, |_, _, _| {})
+                .to_f64();
+            for pi in self.partners(p) {
+                // The walk is symmetric, so `p` is one of `pi`'s partners.
+                let k = g.first[pi] + self.partners(pi).take_while(|&j| j != p).count();
+                let (_, v) = self.interact(
+                    particle::<F>(inputs, pi),
+                    faulty,
+                    g.before(pi, k),
+                    &mut NullHook,
+                );
+                g.finish(pi, k, v, out);
             }
         } else {
-            let pi = cache.base.partition_point(|&b| b <= site) - 1;
-            let mut hook = InjectHook::new(site - cache.base[pi], fault);
-            out[pi] = self.potential(pi, &px, &py, &pz, &q, &mut hook).to_f64();
+            let offset = site - input_sites;
+            let k = (offset / g.per_interaction) as usize;
+            if k >= g.terms.len() {
+                return; // past the last dynamic site: the fault never fires
+            }
+            let pi = g.first.partition_point(|&f| f <= k) - 1;
+            let pj = self
+                .partners(pi)
+                .nth(k - g.first[pi])
+                // mpr-allow: panic-hygiene -- `first` was built from the same walk, so interaction `k` has a partner
+                .expect("interaction within the walk");
+            let mut hook = InjectHook::new(offset % g.per_interaction, fault);
+            let (_, v) = self.interact(
+                particle::<F>(inputs, pi),
+                particle(inputs, pj),
+                g.before(pi, k),
+                &mut hook,
+            );
+            g.finish(pi, k, v, out);
         }
     }
+}
+
+impl GoldenTerms {
+    /// Particle `pi`'s golden running potential before its interaction
+    /// `k`.
+    fn before<F: FloatExt>(&self, pi: usize, k: usize) -> F {
+        if k == self.first[pi] {
+            F::zero()
+        } else {
+            F::from_bits_u64(self.terms[k - 1].v)
+        }
+    }
+
+    /// Completes particle `pi`'s potential from `v`, its faulty running
+    /// value after interaction `k`: the hook-free suffix over the golden
+    /// terms, writing `out[pi]` unless `v` rejoins the golden value.
+    fn finish<F: FloatExt>(&self, pi: usize, k: usize, mut v: F, out: &mut [f64]) {
+        let suffix = &self.terms[k..self.first[pi + 1]];
+        for (n, t) in suffix.iter().enumerate() {
+            if n > 0 {
+                // mpr-allow: fault-site -- hook-free suffix: the full run counted these sites, and after the struck one only the carried `v` differs from golden
+                v = F::from_bits_u64(t.q).mul_add(F::from_bits_u64(t.e), v);
+            }
+            if v.to_bits_u64() == t.v {
+                return; // rejoined the golden path: out[pi] stays golden
+            }
+        }
+        out[pi] = v.to_f64();
+    }
+}
+
+/// Particle `j`'s state from the cached input bits.
+fn particle<F: FloatExt>(inputs: &[u64], j: usize) -> Particle<F> {
+    std::array::from_fn(|c| F::from_bits_u64(inputs[4 * j + c]))
 }
 
 fn factorial(k: u32) -> f64 {
@@ -412,6 +492,27 @@ mod tests {
         let h = lava.run_golden(Precision::Half);
         for (a, b) in d.iter().zip(&h) {
             assert!(((a - b) / a).abs() < 0.05, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn replay_matches_naive_at_input_and_interaction_sites() {
+        // A 3x3x3 grid: the center box has the full 27-box neighborhood,
+        // edge and corner boxes clamp it.
+        for lava in [LavaMd::new(3, 1), LavaMd::new(3, 1).for_knc()] {
+            for p in Precision::ALL.into_iter().filter(|&p| lava.supports(p)) {
+                let width = p.total_bits();
+                let inputs = to_u64(4 * lava.particle_count());
+                let sites = lava.site_count(p);
+                let mut strikes = Vec::new();
+                for fault in [ValueFault::BitFlip(0), ValueFault::BitFlip(width - 3)] {
+                    let interaction = (inputs..sites + 2).step_by(7);
+                    strikes.extend((0..inputs).chain(interaction).map(|site| (site, fault)));
+                }
+                let masked = crate::util::assert_batch_matches_naive(&lava, p, &strikes);
+                assert!(masked > 2, "{p}: no strike rejoined");
+                assert!(masked < strikes.len(), "{p}: every strike masked");
+            }
         }
     }
 

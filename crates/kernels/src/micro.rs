@@ -1,10 +1,16 @@
 //! The Micro-ADD / Micro-MUL / Micro-FMA synthetic kernels.
 
 use crate::monomorphic_workload;
-use crate::util::{gen_value, strike_each, to_u64};
-use mpr_fault::hook::{FaultHook, HookExt, InjectHook};
+use crate::util::{gen_value, strike_each, to_u64, PrecisionCache};
+use mpr_fault::hook::{FaultHook, HookExt};
 use mpr_fault::{ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
+
+/// Steps between cached golden chain values: replay resumes fewer than
+/// this many steps before the struck one, and the faulty chain can only
+/// be seen to rejoin the golden one at these boundaries. One word per
+/// stride per thread keeps the cache an eighth of a per-step trace.
+const CHECKPOINT_STRIDE: usize = 8;
 
 /// Which arithmetic operation a microbenchmark stresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,10 +42,20 @@ impl MicroKernelOp {
 /// thread — the paper's microbenchmarks, "designed to minimize the
 /// stress on GPU's components other than the thread's ALU" (Section 3.1).
 ///
-/// The chain constants alternate so the accumulator stays bounded at
-/// every precision (no overflow in binary16, no exponent drift that
-/// would asymmetrically absorb faults): ADD alternates `±0.25`, MUL
-/// alternates `x1.25 / x0.8`, FMA composes both.
+/// Each chain starts from a value in `[0.5, 1.5)` and alternates two
+/// binary16-exact constants per operation, slightly asymmetric so no
+/// step pair cancels exactly:
+///
+/// * ADD alternates `+0.25 / −0.125`, drifting by `+0.125` per pair
+///   (about `+32` over 512 steps);
+/// * MUL alternates `×1.25 / ×0.796875`, a factor of `0.99609375` per
+///   pair (about `×0.37` over 512 steps);
+/// * FMA alternates `x·1.25 + 0.25 / x·0.796875 − 0.125`, the affine
+///   map `x ↦ 0.99609375·x + 0.07421875` per pair, which contracts
+///   toward its fixed point `19`.
+///
+/// The accumulator stays finite and far from binary16 overflow at the
+/// sizes the study runs.
 ///
 /// # Example
 ///
@@ -58,6 +74,8 @@ pub struct Micro {
     op: MicroKernelOp,
     threads: usize,
     iters: usize,
+    /// Per precision: golden chain checkpoints (see [`Micro::replay`]).
+    cache: PrecisionCache<Vec<u64>>,
 }
 
 impl Micro {
@@ -69,7 +87,12 @@ impl Micro {
     /// Panics if `threads` or `iters` is zero.
     pub fn new(op: MicroKernelOp, threads: usize, iters: usize) -> Micro {
         assert!(threads > 0 && iters > 0, "need threads > 0 and iters > 0");
-        Micro { op, threads, iters }
+        Micro {
+            op,
+            threads,
+            iters,
+            cache: PrecisionCache::new(),
+        }
     }
 
     /// The stressed operation.
@@ -77,58 +100,82 @@ impl Micro {
         self.op
     }
 
-    /// One thread's dependent chain — shared by the full run and the
-    /// replay so both touch identical values in identical order.
+    /// Step `i` of a chain, before its hook touch — the one definition
+    /// the full run, the checkpoint builder and the replay all call, so
+    /// every path computes identical values in identical order.
     ///
-    /// Alternating constants with a slight asymmetry: the chain stays
-    /// bounded (the pair products/sums are near identity) but never
-    /// cancels exactly, so every step's value is distinct. All
-    /// constants are exactly representable in binary16.
-    fn chain<F: FloatExt, H: FaultHook + ?Sized>(&self, t: u64, hook: &mut H) -> F {
-        let mul_up = F::from_f64(1.25);
-        let mul_down = F::from_f64(0.796875);
-        let add_up = F::from_f64(0.25);
-        let add_down = F::from_f64(0.125);
-        let mut x = F::from_f64(gen_value(0x3C0, t, 0.5, 1.5));
-        for i in 0..self.iters {
-            let even = i % 2 == 0;
-            x = hook.touch(match self.op {
-                MicroKernelOp::Add => {
-                    if even {
-                        x + add_up
-                    } else {
-                        x - add_down
-                    }
+    /// All constants are exactly representable in binary16.
+    #[inline(always)]
+    fn step<F: FloatExt>(&self, i: usize, x: F) -> F {
+        let even = i.is_multiple_of(2);
+        match self.op {
+            MicroKernelOp::Add => {
+                if even {
+                    x + F::from_f64(0.25)
+                } else {
+                    x - F::from_f64(0.125)
                 }
-                MicroKernelOp::Mul => {
-                    if even {
-                        x * mul_up
-                    } else {
-                        x * mul_down
-                    }
+            }
+            MicroKernelOp::Mul => {
+                if even {
+                    x * F::from_f64(1.25)
+                } else {
+                    x * F::from_f64(0.796875)
                 }
-                MicroKernelOp::Fma => {
-                    if even {
-                        x.mul_add(mul_up, add_up)
-                    } else {
-                        x.mul_add(mul_down, -add_down)
-                    }
+            }
+            MicroKernelOp::Fma => {
+                if even {
+                    x.mul_add(F::from_f64(1.25), F::from_f64(0.25))
+                } else {
+                    x.mul_add(F::from_f64(0.796875), -F::from_f64(0.125))
                 }
-            });
+            }
         }
-        x
+    }
+
+    /// Thread `t`'s chain seed.
+    fn start<F: FloatExt>(t: u64) -> F {
+        F::from_f64(gen_value(0x3C0, t, 0.5, 1.5))
     }
 
     fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.threads);
         for t in crate::util::index_range(self.threads) {
-            out.push(self.chain::<F, H>(t, hook).to_f64());
+            let mut x = Self::start::<F>(t);
+            for i in 0..self.iters {
+                x = hook.touch(self.step(i, x));
+            }
+            out.push(x.to_f64());
         }
         out
     }
 
-    /// Golden-prefix replay: the chains are independent, so a strike in
-    /// thread `t`'s chain replays only that chain.
+    /// Golden chain bits before every [`CHECKPOINT_STRIDE`]-th step,
+    /// thread-major, computed once per precision.
+    fn checkpoints<F: FloatExt>(&self) -> &[u64] {
+        self.cache.get_or_init(F::PRECISION, || {
+            let per_thread = self.iters.div_ceil(CHECKPOINT_STRIDE);
+            let mut bits = Vec::with_capacity(self.threads * per_thread);
+            for t in crate::util::index_range(self.threads) {
+                let mut x = Self::start::<F>(t);
+                for i in 0..self.iters {
+                    if i.is_multiple_of(CHECKPOINT_STRIDE) {
+                        bits.push(x.to_bits_u64());
+                    }
+                    x = self.step(i, x);
+                }
+            }
+            bits
+        })
+    }
+
+    /// Golden-prefix replay of one strike. Chains are independent, so
+    /// only the struck thread `t` is recomputed: resume from the golden
+    /// checkpoint at or before the struck step, apply the fault there
+    /// (`InjectHook` semantics), then run the rest with no hook. At each
+    /// later checkpoint the faulty value is compared with the golden
+    /// one; once the bits match, the remainder of the chain is the
+    /// golden one, so the golden output stands (the fault was masked).
     fn replay<F: FloatExt>(
         &self,
         site: u64,
@@ -142,9 +189,26 @@ impl Micro {
         if site >= to_u64(self.threads) * iters {
             return; // past the last dynamic site: the fault never fires
         }
-        let t = site / iters;
-        let mut hook = InjectHook::new(site - t * iters, fault);
-        out[t as usize] = self.chain::<F, _>(t, &mut hook).to_f64();
+        let checkpoints = self.checkpoints::<F>();
+        let t = (site / iters) as usize;
+        let struck = (site % iters) as usize;
+        let chain = &checkpoints[t * self.iters.div_ceil(CHECKPOINT_STRIDE)..];
+        let resume = struck - struck % CHECKPOINT_STRIDE;
+        let mut x = F::from_bits_u64(chain[resume / CHECKPOINT_STRIDE]);
+        for i in resume..struck {
+            x = self.step(i, x);
+        }
+        let width = F::PRECISION.total_bits();
+        x = F::from_bits_u64(fault.apply(self.step(struck, x).to_bits_u64(), width));
+        for i in struck + 1..self.iters {
+            if i.is_multiple_of(CHECKPOINT_STRIDE)
+                && x.to_bits_u64() == chain[i / CHECKPOINT_STRIDE]
+            {
+                return; // rejoined the golden chain
+            }
+            x = self.step(i, x);
+        }
+        out[t] = x.to_f64();
     }
 }
 
@@ -213,6 +277,29 @@ mod tests {
             assert_ne!(golden[1], faulty[1], "{op:?}");
             assert_eq!(golden[0], faulty[0], "{op:?}: other threads untouched");
             assert_eq!(golden[2], faulty[2], "{op:?}");
+        }
+    }
+
+    #[test]
+    fn replay_matches_naive_at_every_site() {
+        // 20 steps: checkpoints before steps 0, 8 and 16, so strikes hit
+        // step 0, the last step before a checkpoint (7, 15), the first
+        // after one (8, 16) and a partial final stride.
+        for op in MicroKernelOp::ALL {
+            let m = Micro::new(op, 3, 20);
+            for p in Precision::ALL {
+                let width = p.total_bits();
+                let sites = m.site_count(p);
+                let mut strikes = Vec::new();
+                for fault in [ValueFault::BitFlip(0), ValueFault::BitFlip(width - 2)] {
+                    strikes.extend((0..sites + 2).map(|site| (site, fault)));
+                }
+                let masked = crate::util::assert_batch_matches_naive(&m, p, &strikes);
+                // Strikes past the end are masked by construction; beyond
+                // them, some must rejoin the golden chain and some not.
+                assert!(masked > 4, "{op:?} {p}: no strike rejoined");
+                assert!(masked < strikes.len(), "{op:?} {p}: every strike masked");
+            }
         }
     }
 

@@ -99,6 +99,39 @@ pub(crate) fn gen_value(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
     lo + unit * (hi - lo)
 }
 
+/// Runs `strikes` through `w`'s fast path as one batch and checks every
+/// result against the naive injected run, bit for bit (DT001). Returns
+/// how many strikes left the output bit-identical to golden.
+#[cfg(test)]
+pub(crate) fn assert_batch_matches_naive(
+    w: &dyn mpr_fault::Workload,
+    p: Precision,
+    strikes: &[(u64, ValueFault)],
+) -> usize {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let golden = w.run_golden(p);
+    let mut got = vec![None; strikes.len()];
+    w.run_strike_batch(p, strikes, &golden, &mut |idx, out| {
+        assert!(
+            got[idx].replace(bits(out)).is_none(),
+            "strike {idx} reported twice"
+        );
+        true
+    });
+    let mut masked = 0;
+    for (idx, &(site, fault)) in strikes.iter().enumerate() {
+        let got = got[idx].as_ref().expect("callback ran for every strike");
+        assert_eq!(
+            *got,
+            bits(&w.run_with_fault(p, site, fault)),
+            "{} {p}: strike {idx} site {site} fault {fault:?}",
+            w.name()
+        );
+        masked += usize::from(*got == bits(&golden));
+    }
+    masked
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

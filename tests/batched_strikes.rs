@@ -11,8 +11,8 @@
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
 use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
-use mixed_precision_reliability::fault::InjectionCampaign;
-use mixed_precision_reliability::kernels::{profiles, Gemm, Lud};
+use mixed_precision_reliability::fault::{InjectionCampaign, Workload};
+use mixed_precision_reliability::kernels::{profiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
 use mixed_precision_reliability::obs::fnv1a64;
 use mixed_precision_reliability::softfloat::Precision;
 
@@ -30,19 +30,28 @@ const THREADS: [usize; 2] = [1, 3];
 
 #[test]
 fn injection_results_are_invariant_to_batch_size_and_threads() {
-    let gemm = Gemm::new(8);
-    let lud = Lud::new(10);
-    let cases: [(
-        &str,
-        &dyn mixed_precision_reliability::fault::Workload,
-        Precision,
-    ); 3] = [
-        ("gemm half", &gemm, Precision::Half),
-        ("gemm single", &gemm, Precision::Single),
-        ("lud double", &lud, Precision::Double),
+    // Every campaign gets a freshly built workload, so its per-precision
+    // replay caches (Micro's chain checkpoints, LavaMD's golden terms,
+    // LUD's tail checkpoints) start empty and are filled lazily by
+    // whichever strike worker arrives first.
+    type Build = fn() -> Box<dyn Workload>;
+    let cases: [(&str, Build, Precision); 5] = [
+        ("gemm half", || Box::new(Gemm::new(8)), Precision::Half),
+        ("gemm single", || Box::new(Gemm::new(8)), Precision::Single),
+        ("lud double", || Box::new(Lud::new(10)), Precision::Double),
+        (
+            "micro-fma half",
+            || Box::new(Micro::new(MicroKernelOp::Fma, 8, 64)),
+            Precision::Half,
+        ),
+        (
+            "lavamd single",
+            || Box::new(LavaMd::new(3, 2)),
+            Precision::Single,
+        ),
     ];
-    for (name, w, precision) in cases {
-        let baseline = InjectionCampaign::new(w, precision)
+    for (name, build, precision) in cases {
+        let baseline = InjectionCampaign::new(build().as_ref(), precision)
             .injections(220)
             .seed(42)
             .threads(1)
@@ -54,7 +63,7 @@ fn injection_results_are_invariant_to_batch_size_and_threads() {
         );
         for threads in THREADS {
             for batch in BATCHES {
-                let r = InjectionCampaign::new(w, precision)
+                let r = InjectionCampaign::new(build().as_ref(), precision)
                     .injections(220)
                     .seed(42)
                     .threads(threads)

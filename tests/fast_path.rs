@@ -99,8 +99,15 @@ fn fast_path_is_bit_identical_to_naive_everywhere() {
     let lud = Lud::new(8);
     let lava = LavaMd::new(2, 2);
     let lava_knc = LavaMd::new(2, 2).for_knc();
-    let micro = Micro::new(MicroKernelOp::Fma, 4, 64);
-    let workloads: [&dyn Workload; 5] = [&gemm, &lud, &lava, &lava_knc, &micro];
+    // A 3x3x3 grid gives the center box the full 27-box neighborhood
+    // and two particles per box, so input strikes reach every shape of
+    // partner walk.
+    let lava3 = LavaMd::new(3, 2);
+    let lava3_knc = LavaMd::new(3, 2).for_knc();
+    let [micro_add, micro_mul, micro_fma] = MicroKernelOp::ALL.map(|op| Micro::new(op, 4, 64));
+    let workloads: [&dyn Workload; 9] = [
+        &gemm, &lud, &lava, &lava_knc, &lava3, &lava3_knc, &micro_add, &micro_mul, &micro_fma,
+    ];
 
     for w in workloads {
         let naive = ForceNaive(w);
