@@ -18,8 +18,8 @@
 //!
 //! * `unwrap`/`expect`/panic-macro sites are only reported when they
 //!   sit under a documented `# Panics` contract — undocumented sites
-//!   are already PH001–PH003 errors, and pragma-suppressed ones
-//!   already carry a written justification.
+//!   already fail clippy's `unwrap_used`/`expect_used`/`panic` lints
+//!   or carry an `#[expect(clippy::…)]` with a written justification.
 //! * Indexing sites (`buf[idx]` with a variable index) are reported
 //!   only outside `crates/kernels` — kernel inner loops *are* index
 //!   arithmetic, bounds-proved by construction and covered by the
@@ -28,7 +28,7 @@
 
 use crate::parse::{FnItem, PanicKind, ParsedFile};
 use crate::source::SourceFile;
-use crate::{Finding, Severity};
+use crate::Finding;
 use std::collections::BTreeMap;
 
 /// Fast-path entry points recognized anywhere in the workspace: the
@@ -126,9 +126,9 @@ pub fn panic_reachability(
                 .copied()
                 .unwrap_or(false);
             let report = match site.kind {
-                // Undocumented panic ops are PH001–PH003 errors (or
-                // carry a pragma justification already); PH004 adds
-                // the documented ones the hot path can still hit.
+                // Undocumented panic ops are clippy errors (or carry an
+                // `#[expect]` justification already); PH004 adds the
+                // documented ones the hot path can still hit.
                 PanicKind::Unwrap | PanicKind::Expect | PanicKind::Macro => documented,
                 // Kernel inner loops are index arithmetic by design.
                 PanicKind::Index => !n.file.rel_path.starts_with("crates/kernels"),
@@ -150,7 +150,6 @@ pub fn panic_reachability(
                 line: site.line,
                 lint: "PH004".to_string(),
                 name: "panic-reachability".to_string(),
-                severity: Severity::Error,
                 message: format!(
                     "{} in {}: {} — a panic here is retried, not fatal, so it silently burns strike budget; return a `Result` or hoist the check out of the hot path",
                     site.what, via_text,
@@ -246,9 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn undocumented_unwrap_is_left_to_ph001() {
-        // The same site is a PH001 error already; PH004 stays quiet so
-        // one problem is reported once.
+    fn undocumented_unwrap_is_left_to_clippy() {
+        // The same site fails clippy's `unwrap_used` already; PH004
+        // stays quiet so one problem is reported once.
         let f = run(&[(
             "crates/fault/src/campaign.rs",
             "fn run_x(v: &[u8]) {\n    let _ = v.first().unwrap();\n}\n",

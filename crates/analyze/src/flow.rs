@@ -32,7 +32,7 @@
 use crate::lexer::{TokKind, Token};
 use crate::parse::{FnItem, ParsedFile};
 use crate::source::SourceFile;
-use crate::{Finding, Severity};
+use crate::Finding;
 use std::collections::BTreeMap;
 
 /// A concrete floating-point precision a value can carry.
@@ -284,7 +284,6 @@ impl<'a> FnFlow<'a> {
             line,
             lint: lint.to_string(),
             name: name.to_string(),
-            severity: Severity::Error,
             message,
         });
     }

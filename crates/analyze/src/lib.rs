@@ -4,13 +4,12 @@
 //! The simulator's correctness rests on conventions a compiler cannot
 //! check: kernel arithmetic must stay generic over [`FloatExt`] so one
 //! code path serves double/single/half, every intermediate value must
-//! pass through the fault hook so injection campaigns see it, campaigns
-//! must be bit-reproducible from their seed, and library crates must
-//! not panic on recoverable conditions. This crate enforces those
-//! conventions in two tiers, wired into the CLI as `mpr analyze`:
-//! line/token pattern lints (PR 1), and flow-sensitive taint lints that
-//! run a hand-rolled lexer ([`lexer`]), an item-level parser
-//! ([`parse`]), a per-function dataflow pass ([`flow`]), and a
+//! pass through the fault hook so injection campaigns see it, and
+//! campaigns must be bit-reproducible from their seed. This crate
+//! enforces those conventions in two tiers, wired into the CLI as
+//! `mpr analyze`: line/token pattern lints, and flow-sensitive taint
+//! lints that run a hand-rolled lexer ([`lexer`]), an item-level
+//! parser ([`parse`]), a per-function dataflow pass ([`flow`]), and a
 //! workspace call graph ([`callgraph`]) — still no rustc plugin, no
 //! syn.
 //!
@@ -19,29 +18,34 @@
 //! | `precision-leak`      | PL001-PL004| `crates/kernels`, `crates/nn` (generic fn bodies) |
 //! | `precision-taint`     | PL005      | `crates/kernels`, `crates/nn` (flow-sensitive) |
 //! | `fault-site`          | FS001-FS002| FS001: `crates/kernels`, `crates/nn` (generic fn bodies); FS002 (`dyn FaultHook`): `crates/kernels` |
-//! | `determinism`         | DT001-DT003| `crates/beam`, `crates/fault`, `crates/core`, `crates/exp`, `crates/obs` |
-//! | `determinism-taint`   | DT004      | same crates as `determinism` (flow-sensitive) |
-//! | `panic-hygiene`       | PH001-PH003| every library crate          |
+//! | `determinism-taint`   | DT004      | `crates/beam`, `crates/fault`, `crates/core`, `crates/exp`, `crates/obs` (flow-sensitive) |
 //! | `panic-reachability`  | PH004      | `crates/kernels`, `crates/fault`, `crates/beam`, `crates/exp` (call-graph reachable from the strike fast path) |
 //! | `vfs-bypass`          | FS003      | `crates/exp` (direct `std::fs` traffic outside the `Vfs` layer) |
 //! | `allow-hygiene`       | AH001-AH003| pragma bookkeeping           |
 //!
+//! The bans stock tools can check are not here: `unwrap`/`expect`/
+//! panic macros and clock or hash-ordered collection types are
+//! workspace clippy lints (`[workspace.lints.clippy]` and
+//! `clippy.toml`), exempted with `#[expect(clippy::…, reason = "…")]`.
+//!
 //! Violations are suppressed line-by-line with a justified pragma:
 //!
 //! ```text
-//! // mpr-allow: panic-hygiene -- a poisoned lock is unrecoverable here
+//! // mpr-allow: fault-site -- weight synthesis precedes injection; campaigns count sites from the first conv2d
 //! ```
 //!
 //! or file-wide with `//! mpr-allow-file: <lint> -- <why>`. A pragma
 //! without a justification, naming an unknown lint, or suppressing
-//! nothing is itself reported, so the allowlist stays auditable.
+//! nothing is itself reported, so the allowlist stays auditable. Every
+//! finding fails the gate.
 //!
 //! [`FloatExt`]: https://docs.rs/mpr-softfloat
 
 pub mod callgraph;
 pub mod flow;
-// The workspace JSON module, compiled here by path: a dependency on
-// mpr-obs would rewrite the whole-study benchmark's lockfile.
+// The workspace JSON module, compiled here by path for the whole-study
+// benchmark, which imports `mpr_analyze::json`: a dependency on
+// mpr-obs would rewrite that benchmark's lockfile.
 #[path = "../../obs/src/json.rs"]
 pub mod json;
 pub mod lexer;
@@ -51,30 +55,11 @@ pub mod source;
 
 use parse::ParsedFile;
 use source::SourceFile;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// How severe a finding is; only errors fail the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Gate-failing violation.
-    Error,
-    /// Reported, but does not fail the gate.
-    Warning,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        })
-    }
-}
-
-/// One diagnostic produced by a lint.
+/// One diagnostic produced by a lint. Every finding fails the gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// Workspace-relative path.
@@ -85,8 +70,6 @@ pub struct Finding {
     pub lint: String,
     /// Lint family, e.g. `precision-leak` (the name pragmas use).
     pub name: String,
-    /// Error or warning.
-    pub severity: Severity,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
 }
@@ -95,8 +78,8 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {} [{}] {}",
-            self.file, self.line, self.severity, self.lint, self.message
+            "{}:{}: error [{}] {}",
+            self.file, self.line, self.lint, self.message
         )
     }
 }
@@ -111,17 +94,9 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// True when no error-severity findings remain.
+    /// True when nothing was found.
     pub fn clean(&self) -> bool {
-        self.errors() == 0
-    }
-
-    /// Number of error-severity findings.
-    pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
+        self.findings.is_empty()
     }
 
     /// Renders the human-readable report.
@@ -132,90 +107,11 @@ impl Analysis {
             out.push('\n');
         }
         out.push_str(&format!(
-            "{} file(s) scanned, {} error(s), {} warning(s)\n",
+            "{} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.errors(),
-            self.findings.len() - self.errors()
+            self.findings.len()
         ));
         out
-    }
-
-    /// Renders the report as a single JSON document.
-    pub fn to_json(&self) -> String {
-        let findings: Vec<json::Value> = self
-            .findings
-            .iter()
-            .map(|f| {
-                let mut m = BTreeMap::new();
-                m.insert("file".to_string(), json::Value::Str(f.file.clone()));
-                m.insert("line".to_string(), json::Value::Num(f.line.to_string()));
-                m.insert("lint".to_string(), json::Value::Str(f.lint.clone()));
-                m.insert("name".to_string(), json::Value::Str(f.name.clone()));
-                m.insert(
-                    "severity".to_string(),
-                    json::Value::Str(f.severity.to_string()),
-                );
-                m.insert("message".to_string(), json::Value::Str(f.message.clone()));
-                json::Value::Obj(m)
-            })
-            .collect();
-        let mut root = BTreeMap::new();
-        root.insert(
-            "files_scanned".to_string(),
-            json::Value::Num(self.files_scanned.to_string()),
-        );
-        root.insert(
-            "errors".to_string(),
-            json::Value::Num(self.errors().to_string()),
-        );
-        root.insert("findings".to_string(), json::Value::Arr(findings));
-        json::Value::Obj(root).to_string()
-    }
-
-    /// Parses a report previously rendered by [`Analysis::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not valid JSON or lacks the
-    /// report fields.
-    pub fn from_json(text: &str) -> Result<Analysis, String> {
-        let v = json::parse(text)?;
-        let files_scanned = v
-            .get("files_scanned")
-            .and_then(json::Value::as_num)
-            .ok_or("missing files_scanned")? as usize;
-        let mut findings = Vec::new();
-        for f in v
-            .get("findings")
-            .and_then(json::Value::as_arr)
-            .ok_or("missing findings")?
-        {
-            let field = |k: &str| -> Result<String, String> {
-                f.get(k)
-                    .and_then(json::Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("finding missing `{k}`"))
-            };
-            findings.push(Finding {
-                file: field("file")?,
-                line: f
-                    .get("line")
-                    .and_then(json::Value::as_num)
-                    .ok_or("finding missing `line`")? as usize,
-                lint: field("lint")?,
-                name: field("name")?,
-                severity: match field("severity")?.as_str() {
-                    "error" => Severity::Error,
-                    "warning" => Severity::Warning,
-                    other => return Err(format!("unknown severity `{other}`")),
-                },
-                message: field("message")?,
-            });
-        }
-        Ok(Analysis {
-            files_scanned,
-            findings,
-        })
     }
 }
 
@@ -241,14 +137,13 @@ pub fn lint_applies(lint: &str, rel_path: &str) -> bool {
         // `Vfs` seam so chaos injection and the durable-commit
         // protocol cover it; `vfs.rs` itself carries a file-wide allow.
         "vfs-bypass" => p.starts_with("crates/exp/src"),
-        "determinism" | "determinism-taint" => {
+        "determinism-taint" => {
             p.starts_with("crates/beam/src")
                 || p.starts_with("crates/fault/src")
                 || p.starts_with("crates/core/src")
                 || p.starts_with("crates/exp/src")
                 || p.starts_with("crates/obs/src")
         }
-        "panic-hygiene" => true,
         // PH004 reports where the strike fast path and the campaign
         // drivers live; reachability itself crosses every crate.
         "panic-reachability" => {
@@ -304,12 +199,6 @@ pub fn analyze_files(inputs: Vec<(String, String)>) -> Analysis {
             if lint_applies("vfs-bypass", &rel) {
                 out.extend(lints::vfs_bypass(sf));
             }
-            if lint_applies("determinism", &rel) {
-                out.extend(lints::determinism(sf));
-            }
-            if lint_applies("panic-hygiene", &rel) {
-                out.extend(lints::panic_hygiene(sf));
-            }
             let precision = lint_applies("precision-taint", &rel);
             let determinism = lint_applies("determinism-taint", &rel);
             if precision || determinism {
@@ -331,65 +220,18 @@ pub fn analyze_files(inputs: Vec<(String, String)>) -> Analysis {
     for ((sf, _), raw_file) in files.iter().zip(raw) {
         let mut used: Vec<usize> = Vec::new();
         for f in raw_file {
-            let suppressed = sf.pragmas.iter().find(|p| {
-                p.lint == f.name && (p.file_wide || p.line == f.line || p.line + 1 == f.line)
-            });
-            match suppressed {
+            match sf.suppressor(&f.name, f.line) {
                 Some(p) => used.push(p.line),
                 None => findings.push(f),
             }
         }
         findings.extend(lints::allow_hygiene(sf, &used));
     }
-    sort_findings(&mut findings);
+    findings.sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
     Analysis {
         files_scanned,
         findings,
     }
-}
-
-/// The one canonical finding order: (file, line, lint id). Applied
-/// before every text/JSON emission so CI diffs and baseline
-/// comparisons are stable regardless of directory walk order.
-pub fn sort_findings(findings: &mut [Finding]) {
-    findings.sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
-}
-
-/// Renders the difference between a baseline report and the current
-/// one as a human-readable added/removed listing, or `None` when the
-/// findings match. `files_scanned` is intentionally ignored — adding a
-/// clean file must not invalidate a baseline.
-pub fn diff_reports(baseline: &Analysis, current: &Analysis) -> Option<String> {
-    let in_other = |f: &Finding, other: &Analysis| other.findings.iter().any(|g| g == f);
-    let added: Vec<&Finding> = current
-        .findings
-        .iter()
-        .filter(|f| !in_other(f, baseline))
-        .collect();
-    let removed: Vec<&Finding> = baseline
-        .findings
-        .iter()
-        .filter(|f| !in_other(f, current))
-        .collect();
-    if added.is_empty() && removed.is_empty() {
-        return None;
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "analyze findings changed vs baseline: {} added, {} removed\n",
-        added.len(),
-        removed.len()
-    ));
-    for f in added {
-        out.push_str(&format!("  + {f}\n"));
-    }
-    for f in removed {
-        out.push_str(&format!("  - {f}\n"));
-    }
-    out.push_str(
-        "update the baseline intentionally: mpr analyze --json > ci/analyze-baseline.json\n",
-    );
-    Some(out)
 }
 
 /// Walks the workspace at `root` (the directory holding the top-level
@@ -474,11 +316,22 @@ mod tests {
         assert!(lint_applies("vfs-bypass", "crates/exp/src/store.rs"));
         assert!(!lint_applies("vfs-bypass", "crates/obs/src/jsonl.rs"));
         assert!(!lint_applies("vfs-bypass", "crates/cli/src/commands.rs"));
-        assert!(lint_applies("determinism", "crates/core/src/study.rs"));
-        assert!(lint_applies("determinism", "crates/exp/src/engine.rs"));
-        assert!(lint_applies("determinism", "crates/obs/src/record.rs"));
-        assert!(!lint_applies("determinism", "crates/metrics/src/fit.rs"));
-        assert!(lint_applies("panic-hygiene", "crates/metrics/src/fit.rs"));
+        assert!(lint_applies(
+            "determinism-taint",
+            "crates/core/src/study.rs"
+        ));
+        assert!(lint_applies(
+            "determinism-taint",
+            "crates/exp/src/engine.rs"
+        ));
+        assert!(lint_applies(
+            "determinism-taint",
+            "crates/obs/src/record.rs"
+        ));
+        assert!(!lint_applies(
+            "determinism-taint",
+            "crates/metrics/src/fit.rs"
+        ));
     }
 
     /// The full scoping matrix: every lint family against every crate
@@ -501,46 +354,33 @@ mod tests {
             "obs",
             "softfloat",
         ];
-        let families = [
-            "precision-leak",
-            "precision-taint",
-            "fault-site",
-            "dyn-hook",
-            "determinism",
-            "determinism-taint",
-            "panic-hygiene",
-            "panic-reachability",
-            "vfs-bypass",
+        let families: [(&str, &[&str]); 7] = [
+            ("precision-leak", &["kernels", "nn"]),
+            ("precision-taint", &["kernels", "nn"]),
+            ("fault-site", &["kernels", "nn"]),
+            ("dyn-hook", &["kernels"]),
+            (
+                "determinism-taint",
+                &["beam", "core", "exp", "fault", "obs"],
+            ),
+            ("panic-reachability", &["beam", "exp", "fault", "kernels"]),
+            ("vfs-bypass", &["exp"]),
         ];
-        let expected = |lint: &str, krate: &str| -> bool {
-            match lint {
-                "precision-leak" | "precision-taint" | "fault-site" => {
-                    matches!(krate, "kernels" | "nn")
-                }
-                "dyn-hook" => krate == "kernels",
-                "determinism" | "determinism-taint" => {
-                    matches!(krate, "beam" | "core" | "exp" | "fault" | "obs")
-                }
-                "panic-hygiene" => true,
-                "panic-reachability" => {
-                    matches!(krate, "beam" | "exp" | "fault" | "kernels")
-                }
-                "vfs-bypass" => krate == "exp",
-                _ => unreachable!("unknown family {lint}"),
-            }
-        };
-        for lint in families {
+        for (lint, scope) in families {
             for krate in crates {
                 let path = format!("crates/{krate}/src/lib.rs");
                 assert_eq!(
                     lint_applies(lint, &path),
-                    expected(lint, krate),
+                    scope.contains(&krate),
                     "scoping of `{lint}` for {path}"
                 );
             }
         }
-        // An unknown family applies nowhere rather than everywhere.
-        assert!(!lint_applies("no-such-family", "crates/kernels/src/lib.rs"));
+        // An unknown or retired family applies nowhere rather than
+        // everywhere.
+        for retired in ["no-such-family", "determinism", "panic-hygiene"] {
+            assert!(!lint_applies(retired, "crates/kernels/src/lib.rs"));
+        }
     }
 
     /// Walker-relative and Windows-style separators scope identically
@@ -570,52 +410,10 @@ mod tests {
         let f = Finding {
             file: "crates/x/src/lib.rs".to_string(),
             line: 7,
-            lint: "PH001".to_string(),
-            name: "panic-hygiene".to_string(),
-            severity: Severity::Error,
+            lint: "PL001".to_string(),
+            name: "precision-leak".to_string(),
             message: "no".to_string(),
         };
-        assert_eq!(f.to_string(), "crates/x/src/lib.rs:7: error [PH001] no");
-    }
-
-    #[test]
-    fn json_report_round_trips() {
-        let analysis = Analysis {
-            files_scanned: 3,
-            findings: vec![Finding {
-                file: "crates/x/src/a.rs".to_string(),
-                line: 12,
-                lint: "DT003".to_string(),
-                name: "determinism".to_string(),
-                severity: Severity::Warning,
-                message: "iteration \"order\"\nis unstable".to_string(),
-            }],
-        };
-        let text = analysis.to_json();
-        let back = Analysis::from_json(&text).expect("parse");
-        assert_eq!(back, analysis);
-    }
-
-    /// Absolute `--json` bytes, captured before the JSON module moved:
-    /// key order, integer rendering and string escaping are pinned.
-    #[test]
-    fn json_report_bytes_are_pinned() {
-        let analysis = Analysis {
-            files_scanned: 41,
-            findings: vec![Finding {
-                file: "crates/x/src/a.rs".to_string(),
-                line: 12,
-                lint: "DT003".to_string(),
-                name: "determinism".to_string(),
-                severity: Severity::Error,
-                message: "say \"é\"\nthen\tstop \\ \u{1}".to_string(),
-            }],
-        };
-        assert_eq!(
-            analysis.to_json(),
-            "{\"errors\":1,\"files_scanned\":41,\"findings\":[{\"file\":\"crates/x/src/a.rs\",\
-             \"line\":12,\"lint\":\"DT003\",\"message\":\"say \\\"é\\\"\\nthen\\tstop \\\\ \\u0001\",\
-             \"name\":\"determinism\",\"severity\":\"error\"}]}"
-        );
+        assert_eq!(f.to_string(), "crates/x/src/lib.rs:7: error [PL001] no");
     }
 }

@@ -1,4 +1,5 @@
-//! The four domain lints plus allowlist hygiene.
+//! The token-level domain lints (precision-leak, fault-site,
+//! vfs-bypass) plus allowlist hygiene.
 //!
 //! Every lint is a pure function from a [`SourceFile`] to findings;
 //! path-based scoping (which crates a lint applies to) lives in
@@ -6,14 +7,12 @@
 //! path.
 
 use crate::source::SourceFile;
-use crate::{Finding, Severity};
+use crate::Finding;
 
 /// Lint family names as used in `mpr-allow` pragmas.
-pub const LINT_NAMES: [&str; 8] = [
+pub const LINT_NAMES: [&str; 6] = [
     "precision-leak",
     "fault-site",
-    "determinism",
-    "panic-hygiene",
     "precision-taint",
     "determinism-taint",
     "panic-reachability",
@@ -32,7 +31,6 @@ fn finding(
         line,
         lint: lint.to_string(),
         name: name.to_string(),
-        severity: Severity::Error,
         message,
     }
 }
@@ -520,113 +518,6 @@ pub fn vfs_bypass(file: &SourceFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// determinism (DT)
-// ---------------------------------------------------------------------
-
-/// Campaign results must be exactly reproducible from the seed: no
-/// ambient RNG, no wall-clock reads, no iteration over unordered
-/// collections in the simulation crates.
-pub fn determinism(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let checks = [
-        (
-            "DT001",
-            "thread_rng",
-            "ambient RNG breaks seeded reproducibility; derive a `StdRng` from the campaign seed",
-        ),
-        (
-            "DT001",
-            "from_entropy",
-            "entropy-seeded RNG breaks reproducibility; use `seed_from_u64` with a derived seed",
-        ),
-        (
-            "DT002",
-            "SystemTime",
-            "wall-clock reads make runs time-dependent; thread timestamps in from the caller",
-        ),
-        (
-            "DT002",
-            "Instant",
-            "monotonic-clock reads make results machine-dependent; benchmarks belong in crates/bench",
-        ),
-        (
-            "DT003",
-            "HashMap",
-            "hash-map iteration order is nondeterministic; use `BTreeMap` or a sorted `Vec`",
-        ),
-        (
-            "DT003",
-            "HashSet",
-            "hash-set iteration order is nondeterministic; use `BTreeSet` or a sorted `Vec`",
-        ),
-    ];
-    for (idx, masked) in file.masked.iter().enumerate() {
-        if file.in_test[idx] {
-            continue;
-        }
-        for (lint, token, why) in checks {
-            if !word_positions(masked, token).is_empty() {
-                out.push(finding(
-                    file,
-                    idx + 1,
-                    lint,
-                    "determinism",
-                    format!("`{token}`: {why}"),
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// panic-hygiene (PH)
-// ---------------------------------------------------------------------
-
-/// Library code must not panic on recoverable conditions: `unwrap`,
-/// `expect`, and panic-family macros are reserved for tests and for
-/// functions whose doc comment carries a `# Panics` contract.
-pub fn panic_hygiene(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (idx, masked) in file.masked.iter().enumerate() {
-        if file.in_test[idx] || file.panic_documented[idx] {
-            continue;
-        }
-        let line_no = idx + 1;
-        if masked.contains(".unwrap()") {
-            out.push(finding(
-                file,
-                line_no,
-                "PH001",
-                "panic-hygiene",
-                "`.unwrap()` in library code; return a `Result` or document the panic contract under `# Panics`".to_string(),
-            ));
-        }
-        if masked.contains(".expect(") {
-            out.push(finding(
-                file,
-                line_no,
-                "PH002",
-                "panic-hygiene",
-                "`.expect(..)` in library code; return a `Result` or document the panic contract under `# Panics`".to_string(),
-            ));
-        }
-        for mac in ["panic!(", "unreachable!(", "todo!(", "unimplemented!("] {
-            if masked.contains(mac) {
-                out.push(finding(
-                    file,
-                    line_no,
-                    "PH003",
-                    "panic-hygiene",
-                    format!("`{}..)` in library code; return an error or document the panic contract under `# Panics`", mac),
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // allowlist hygiene (AH)
 // ---------------------------------------------------------------------
 
@@ -644,30 +535,27 @@ pub fn allow_hygiene(file: &SourceFile, used: &[usize]) -> Vec<Finding> {
             continue;
         }
         if !LINT_NAMES.contains(&p.lint.as_str()) {
-            out.push(Finding {
-                file: file.rel_path.clone(),
-                line: p.line,
-                lint: "AH001".to_string(),
-                name: "allow-hygiene".to_string(),
-                severity: Severity::Error,
-                message: format!(
-                    "`mpr-allow` names unknown lint `{}` (known: {})",
+            out.push(finding(
+                file,
+                p.line,
+                "AH001",
+                "allow-hygiene",
+                format!(
+                    "`mpr-allow` names unknown lint `{}` (known: {}); panic and clock/hash-type bans are clippy lints, exempted with `#[expect(clippy::…, reason = \"…\")]`",
                     p.lint,
                     LINT_NAMES.join(", ")
                 ),
-            });
+            ));
             continue;
         }
         if p.reason.is_empty() {
-            out.push(Finding {
-                file: file.rel_path.clone(),
-                line: p.line,
-                lint: "AH002".to_string(),
-                name: "allow-hygiene".to_string(),
-                severity: Severity::Error,
-                message: "`mpr-allow` without a justification; append ` -- <why this is sound>`"
-                    .to_string(),
-            });
+            out.push(finding(
+                file,
+                p.line,
+                "AH002",
+                "allow-hygiene",
+                "`mpr-allow` without a justification; append ` -- <why this is sound>`".to_string(),
+            ));
         }
         if !used.contains(&p.line) {
             // Stale-suppression audit covers both pragma forms: a line
@@ -685,14 +573,7 @@ pub fn allow_hygiene(file: &SourceFile, used: &[usize]) -> Vec<Finding> {
                     p.lint
                 )
             };
-            out.push(Finding {
-                file: file.rel_path.clone(),
-                line: p.line,
-                lint: "AH003".to_string(),
-                name: "allow-hygiene".to_string(),
-                severity: Severity::Warning,
-                message,
-            });
+            out.push(finding(file, p.line, "AH003", "allow-hygiene", message));
         }
     }
     out

@@ -13,7 +13,7 @@
 pub struct AllowPragma {
     /// 1-based line the pragma sits on.
     pub line: usize,
-    /// Lint name the pragma suppresses (e.g. `panic-hygiene`).
+    /// Lint name the pragma suppresses (e.g. `fault-site`).
     pub lint: String,
     /// Justification text after ` -- ` (empty when missing).
     pub reason: String,
@@ -62,12 +62,12 @@ impl SourceFile {
         }
     }
 
-    /// True when a pragma suppresses `lint` at 1-based `line` (the
-    /// pragma may sit on the line itself or the line directly above).
-    pub fn allows(&self, lint: &str, line: usize) -> bool {
+    /// The pragma that suppresses `lint` at 1-based `line`, if any: a
+    /// file-wide one, or one on the line itself or directly above.
+    pub fn suppressor(&self, lint: &str, line: usize) -> Option<&AllowPragma> {
         self.pragmas
             .iter()
-            .any(|p| p.lint == lint && (p.file_wide || p.line == line || p.line + 1 == line))
+            .find(|p| p.lint == lint && (p.file_wide || p.line == line || p.line + 1 == line))
     }
 }
 
@@ -376,16 +376,22 @@ fn mark_panic_documented(lines: &[String], masked: &[String]) -> Vec<bool> {
         if !(t.starts_with("///") || t.starts_with("//!")) || !t.contains("# Panics") {
             continue;
         }
-        // The documented fn follows the doc block and any attributes.
+        // The documented fn follows the doc block and any attributes,
+        // which may wrap over several lines (`#[expect(\n ..\n)]`).
         let mut item = idx + 1;
+        let mut attr_depth = 0i32;
         while item < masked.len() {
             let s = lines[item].trim();
-            if masked[item].contains("fn ") {
-                break;
+            if attr_depth == 0 {
+                if masked[item].contains("fn ") {
+                    break;
+                }
+                if !(s.starts_with("///") || s.starts_with('#') || s.is_empty()) {
+                    break;
+                }
             }
-            if !(s.starts_with("///") || s.starts_with('#') || s.is_empty()) {
-                break;
-            }
+            attr_depth += masked[item].matches('[').count() as i32;
+            attr_depth -= masked[item].matches(']').count() as i32;
             item += 1;
         }
         if item >= masked.len() || !masked[item].contains("fn ") {
@@ -484,6 +490,13 @@ mod tests {
     }
 
     #[test]
+    fn panic_doc_reaches_past_a_wrapped_attribute() {
+        let src = "/// # Panics\n///\n/// Panics when weird.\n#[expect(\n    clippy::panic,\n    reason = \"documented under `# Panics`\"\n)]\npub fn f() {\n    panic!(\"weird\");\n}\n";
+        let f = SourceFile::parse("x.rs", src);
+        assert!(f.panic_documented[8]);
+    }
+
+    #[test]
     fn generic_kernel_body_is_marked_signature_excluded() {
         let src = "fn run<F: FloatExt>(&self) -> Vec<f64> {\n    let x = F::zero();\n}\nfn other() {\n    let y = 1.0f64;\n}\n";
         let f = SourceFile::parse("x.rs", src);
@@ -495,14 +508,14 @@ mod tests {
 
     #[test]
     fn pragmas_parse_with_reason() {
-        let src = "// mpr-allow: panic-hygiene -- joins cannot fail here\nx.unwrap();\n//! mpr-allow-file: determinism -- documented\n";
+        let src = "// mpr-allow: fault-site -- index setup, not data\nx += 1;\n//! mpr-allow-file: vfs-bypass -- documented\n";
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.pragmas.len(), 2);
-        assert_eq!(f.pragmas[0].lint, "panic-hygiene");
-        assert!(f.pragmas[0].reason.contains("joins"));
-        assert!(f.allows("panic-hygiene", 2));
-        assert!(!f.allows("panic-hygiene", 3));
+        assert_eq!(f.pragmas[0].lint, "fault-site");
+        assert!(f.pragmas[0].reason.contains("index"));
+        assert_eq!(f.suppressor("fault-site", 2).map(|p| p.line), Some(1));
+        assert!(f.suppressor("fault-site", 3).is_none());
         assert!(f.pragmas[1].file_wide);
-        assert!(f.allows("determinism", 999));
+        assert_eq!(f.suppressor("vfs-bypass", 999).map(|p| p.line), Some(3));
     }
 }

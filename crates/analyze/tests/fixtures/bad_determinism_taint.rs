@@ -1,7 +1,7 @@
 //! Known-bad fixture for DT004 determinism-taint: both PR 3 bug
-//! shapes, written so that no single line contains a token the
-//! line-scoped lints (DT001-DT003) recognize — only the flow-sensitive
-//! pass sees the nondeterminism.
+//! shapes, written so that no single line names a clock, an ambient
+//! RNG or a hash-ordered type — only the flow-sensitive pass sees the
+//! nondeterminism.
 
 /// PR 3 bug shape 1: thread-stride workers pushing into a shared
 /// result vector in completion order. Element order ends up depending

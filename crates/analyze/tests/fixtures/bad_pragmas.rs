@@ -3,9 +3,11 @@
 fn configure(&self) -> u64 {
     // mpr-allow: no-such-lint -- typo in the lint name
     let a = 1;
-    // mpr-allow: determinism
+    // mpr-allow: fault-site
     let b = 2;
-    // mpr-allow: panic-hygiene -- suppresses nothing below
+    // mpr-allow: vfs-bypass -- suppresses nothing below
     let c = 3;
-    a + b + c
+    // mpr-allow: panic-hygiene -- a leftover from before the clippy lints
+    let d = self.cells.first().expect("nonempty");
+    a + b + c + d
 }

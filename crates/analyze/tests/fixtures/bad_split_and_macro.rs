@@ -2,8 +2,8 @@
 //! offending statements are split across physical lines, or sit inside
 //! a macro invocation body. Scanned twice by the tests — once under a
 //! kernel-crate path (PL005 must fire, PL001-PL004 must not) and once
-//! under a campaign-crate path (DT004 must fire, DT001-DT003 must
-//! not).
+//! under a campaign-crate path (DT004 must fire on the stride push and
+//! on the three-line weak seed).
 
 monomorphic_workload! {
     fn narrowed_strike(golden: &[f64], i: usize) -> f32 {

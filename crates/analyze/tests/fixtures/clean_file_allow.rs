@@ -1,13 +1,14 @@
 //! Clean twin of `bad_stale_file_allow.rs`: the same file-wide allow,
-//! justified and load-bearing — it suppresses the real DT003 findings
+//! justified and load-bearing — it suppresses the real FS003 findings
 //! below, so allow-hygiene stays quiet.
-//! mpr-allow-file: determinism -- site tables are hash-keyed for O(1) probes; lookups never iterate, so order cannot leak into results
+//! mpr-allow-file: vfs-bypass -- this is the `Vfs` passthrough itself; every other persistence path routes through it
 
-use std::collections::HashMap;
+use std::path::Path;
 
-fn probe(table: &HashMap<u64, u64>, k: u64) -> u64 {
-    match table.get(&k) {
-        Some(v) => *v,
-        None => 0,
-    }
+fn read(path: &Path) -> std::io::Result<Vec<u8>> {
+    std::fs::read(path)
+}
+
+fn rename(from: &Path, to: &Path) -> std::io::Result<()> {
+    std::fs::rename(from, to)
 }

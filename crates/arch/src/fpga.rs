@@ -81,6 +81,7 @@ impl Fpga {
     /// # Panics
     ///
     /// Panics if `design` is not one of the synthesized designs.
+    #[expect(clippy::expect_used, reason = "documented under `# Panics`")]
     pub fn per_gate_sensitivity(&self, design: &str, precision: Precision, fit_au: f64) -> f64 {
         let r = self.resources(design, precision).expect("unknown design");
         (r.luts + r.dsps + r.brams) / fit_au

@@ -43,8 +43,11 @@ impl Device for XeonPhiKnc {
     }
 
     fn exec_time(&self, profile: &WorkloadProfile, precision: Precision) -> f64 {
+        #[expect(
+            clippy::panic,
+            reason = "implements the Device trait's documented unsupported-precision panic"
+        )]
         let lanes = knc_lanes(precision)
-            // mpr-allow: panic-hygiene -- implements the Device trait's documented unsupported-precision panic
             .unwrap_or_else(|| panic!("KNC has no {precision}-precision hardware"));
         if let Some(c) = knc_time_components(&profile.name) {
             // Calibrated to the paper's Table 2: vector compute halves
@@ -72,8 +75,11 @@ impl Device for XeonPhiKnc {
     }
 
     fn exposure(&self, profile: &WorkloadProfile, precision: Precision) -> Exposure {
+        #[expect(
+            clippy::panic,
+            reason = "implements the Device trait's documented unsupported-precision panic"
+        )]
         let lanes = knc_lanes(precision)
-            // mpr-allow: panic-hygiene -- implements the Device trait's documented unsupported-precision panic
             .unwrap_or_else(|| panic!("KNC has no {precision}-precision hardware"));
         // SDC-candidate exposure: functional units and internal queues,
         // proportional to the compiler's vector-register allocation (the

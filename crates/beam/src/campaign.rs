@@ -96,8 +96,7 @@ impl<'a> BeamCampaign<'a> {
     /// [`Workload::run_strike_batch`] per kernel pass (default 64).
     /// Batch size never changes results: per-strike RNG streams are
     /// derived from `(seed, strike index)` and every observation is
-    /// tagged with its index, so any batch size is byte-identical
-    /// (DT001).
+    /// tagged with its index, so any batch size is byte-identical.
     ///
     /// # Panics
     ///
@@ -117,7 +116,7 @@ impl<'a> BeamCampaign<'a> {
     /// configured target. Every decision is a pure function of
     /// completed-round statistics keyed by strike index, so adaptive
     /// results stay byte-identical across `--threads` and
-    /// `strike_batch` (DT001, DESIGN.md §4k).
+    /// `strike_batch` (DESIGN.md §4k).
     pub fn sampling(mut self, plan: SamplingPlan) -> Self {
         self.sampling = plan;
         self
@@ -167,6 +166,7 @@ impl<'a> BeamCampaign<'a> {
     /// Panics if the campaign is cancelled by its watchdog token or a
     /// worker panics; callers that need to survive either use
     /// [`BeamCampaign::try_run`].
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub fn run(&self) -> CampaignResult {
         match self.try_run() {
             Ok(result) => result,

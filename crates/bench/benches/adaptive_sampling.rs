@@ -23,6 +23,10 @@
 //! - `--test`:  tiny budgets, invariants only, no file written
 //! - `--quick`: quick CI target (0.8), writes `BENCH_sampling.json`
 //! - default:   paper CI target (0.25), larger budgets, same gates
+#![expect(
+    clippy::expect_used,
+    reason = "a bench harness reports a failed run by panicking"
+)]
 
 use mpr_arch::Fpga;
 use mpr_beam::{BeamCampaign, BeamSession};

@@ -53,15 +53,10 @@ pub enum Command {
         /// Chaos options.
         opts: ChaosOpts,
     },
-    /// Run the workspace static-analysis lints.
+    /// Run the workspace static-analysis lints; any finding fails.
     Analyze {
-        /// Emit the report as JSON instead of plain text.
-        json: bool,
         /// Workspace root to scan (defaults to the current directory).
         root: String,
-        /// Compare findings against a committed JSON baseline report;
-        /// exit nonzero with a readable diff when they drift.
-        baseline: Option<String>,
     },
     /// Print usage.
     Help,
@@ -243,7 +238,7 @@ USAGE:
                   [--adaptive] [--ci-width W] [--strike-budget N]
     mpr chaos     --cache-dir <PATH> [--chaos-seed S] [--chaos-rate R]
                   [--chaos-crash-at K] [--threads N] [--retries N] [--resume]
-    mpr analyze   [--json] [--root <PATH>] [--baseline <REPORT.json>]
+    mpr analyze   [--root <PATH>]
     mpr help
 
 CHAOS OPTS:
@@ -363,24 +358,18 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "analyze" => {
-            if let Some(&bad) = rest.iter().find(|&&a| {
-                a.starts_with("--") && a != "--json" && a != "--root" && a != "--baseline"
-            }) {
+            if let Some(&bad) = rest.iter().find(|&&a| a.starts_with("--") && a != "--root") {
                 return Err(ParseError(format!("unknown flag `{bad}`")));
             }
-            let baseline = if rest.contains(&"--baseline") {
-                Some(
-                    optional(&rest, "--baseline")
-                        .ok_or_else(|| ParseError("`--baseline` expects a path".to_string()))?
-                        .to_string(),
-                )
-            } else {
-                None
+            let root = match optional(&rest, "--root") {
+                Some(root) => root,
+                None if rest.contains(&"--root") => {
+                    return Err(ParseError("`--root` expects a path".to_string()))
+                }
+                None => ".",
             };
             Ok(Command::Analyze {
-                json: rest.contains(&"--json"),
-                root: optional(&rest, "--root").unwrap_or(".").to_string(),
-                baseline,
+                root: root.to_string(),
             })
         }
         other => Err(ParseError(format!("unknown command `{other}`\n\n{USAGE}"))),
@@ -790,29 +779,20 @@ mod tests {
         assert_eq!(
             parse_ok("analyze"),
             Command::Analyze {
-                json: false,
-                root: ".".to_string(),
-                baseline: None
+                root: ".".to_string()
             }
         );
         assert_eq!(
-            parse_ok("analyze --json --root /tmp/ws"),
+            parse_ok("analyze --root /tmp/ws"),
             Command::Analyze {
-                json: true,
-                root: "/tmp/ws".to_string(),
-                baseline: None
+                root: "/tmp/ws".to_string()
             }
         );
-        assert_eq!(
-            parse_ok("analyze --baseline ci/analyze-baseline.json"),
-            Command::Analyze {
-                json: false,
-                root: ".".to_string(),
-                baseline: Some("ci/analyze-baseline.json".to_string())
-            }
-        );
-        assert!(parse_err("analyze --jsno").0.contains("unknown flag"));
-        assert!(parse_err("analyze --baseline").0.contains("expects a path"));
+        assert!(parse_err("analyze --root").0.contains("expects a path"));
+        for gone in ["--json", "--baseline"] {
+            let err = parse_err(&format!("analyze {gone} ci/analyze-baseline.json"));
+            assert!(err.0.contains("unknown flag"), "{gone}: {err:?}");
+        }
     }
 
     #[test]

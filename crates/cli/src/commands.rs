@@ -121,11 +121,7 @@ pub fn run(command: Command) -> i32 {
             engine_of(seed, threads, retries, cell_timeout),
         ),
         Command::Chaos { opts } => run_chaos(opts),
-        Command::Analyze {
-            json,
-            root,
-            baseline,
-        } => run_analyze(json, &root, baseline.as_deref()),
+        Command::Analyze { root } => run_analyze(&root),
     }
 }
 
@@ -334,40 +330,12 @@ fn inject_budget(store_key: &str) -> Option<u64> {
     field(";b:").or_else(|| field("inj:n="))
 }
 
-fn run_analyze(json: bool, root: &str, baseline: Option<&str>) -> i32 {
+/// Exit 0 on a clean tree, 1 on any finding, 2 when the tree cannot
+/// be read.
+fn run_analyze(root: &str) -> i32 {
     match mpr_analyze::analyze_workspace(std::path::Path::new(root)) {
         Ok(analysis) => {
-            if json {
-                println!("{}", analysis.to_json());
-            } else {
-                print!("{}", analysis.to_text());
-            }
-            if let Some(path) = baseline {
-                // Baseline mode gates on drift, not on cleanliness: a
-                // deliberately-accepted finding set stays green until
-                // it changes.
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("analyze failed: baseline {path}: {e}");
-                        return 2;
-                    }
-                };
-                let base = match mpr_analyze::Analysis::from_json(&text) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("analyze failed: baseline {path}: {e}");
-                        return 2;
-                    }
-                };
-                return match mpr_analyze::diff_reports(&base, &analysis) {
-                    Some(diff) => {
-                        eprint!("{diff}");
-                        1
-                    }
-                    None => 0,
-                };
-            }
+            print!("{}", analysis.to_text());
             if analysis.clean() {
                 0
             } else {
@@ -778,10 +746,7 @@ mod tests {
     #[test]
     fn analyze_exits_zero_on_clean_tree() {
         let dir = temp_tree("clean", "crates/kernels/src/lib.rs", "//! Clean.\n");
-        assert_eq!(
-            run_analyze(false, dir.to_str().expect("utf-8 path"), None),
-            0
-        );
+        assert_eq!(run_analyze(dir.to_str().expect("utf-8 path")), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -789,40 +754,25 @@ mod tests {
     fn analyze_exits_nonzero_on_leaky_tree() {
         let src = "//! Leaky.\nfn gain<F: FloatExt>() -> F {\n    F::one() * 0.5\n}\n";
         let dir = temp_tree("bad", "crates/kernels/src/lib.rs", src);
-        assert_eq!(
-            run_analyze(true, dir.to_str().expect("utf-8 path"), None),
-            1
-        );
+        assert_eq!(run_analyze(dir.to_str().expect("utf-8 path")), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn analyze_exits_two_on_missing_root() {
-        assert_eq!(run_analyze(false, "/nonexistent/mpr-root", None), 2);
+        assert_eq!(run_analyze("/nonexistent/mpr-root"), 2);
     }
 
     #[test]
-    fn analyze_baseline_gates_on_drift_not_cleanliness() {
-        // A leaky tree with a matching baseline passes; once the
-        // baseline no longer matches, the diff fails the gate.
-        let src = "//! Leaky.\nfn gain<F: FloatExt>() -> F {\n    F::one() * 0.5\n}\n";
-        let dir = temp_tree("base", "crates/kernels/src/lib.rs", src);
-        let root = dir.to_str().expect("utf-8 path");
-        let current = mpr_analyze::analyze_workspace(&dir).expect("scan succeeds");
-        assert!(!current.clean());
-        let baseline_path = dir.join("baseline.json");
-        std::fs::write(&baseline_path, current.to_json()).expect("write baseline");
-        let baseline = baseline_path.to_str().expect("utf-8 path");
-        assert_eq!(run_analyze(false, root, Some(baseline)), 0);
-        // Drift: the baseline claims no findings.
-        std::fs::write(
-            &baseline_path,
-            "{\"errors\":0,\"files_scanned\":1,\"findings\":[]}",
-        )
-        .expect("write baseline");
-        assert_eq!(run_analyze(false, root, Some(baseline)), 1);
-        // A missing or malformed baseline is an operational error.
-        assert_eq!(run_analyze(false, root, Some("/nonexistent/base.json")), 2);
+    fn analyze_exits_nonzero_on_a_stale_pragma() {
+        // A stale allow is the tree's only finding, and it fails the
+        // gate like any other.
+        let src = "//! Stale.\n// mpr-allow: fault-site -- nothing below computes\nfn f() {}\n";
+        let dir = temp_tree("stale", "crates/kernels/src/lib.rs", src);
+        let analysis = mpr_analyze::analyze_workspace(&dir).expect("scan succeeds");
+        let ids: Vec<&str> = analysis.findings.iter().map(|f| f.lint.as_str()).collect();
+        assert_eq!(ids, ["AH003"]);
+        assert_eq!(run_analyze(dir.to_str().expect("utf-8 path")), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -182,7 +182,10 @@ impl Study {
             let mut dsps = [0.0; 3];
             let mut brams = [0.0; 3];
             for (i, p) in PRECISIONS.iter().enumerate() {
-                // mpr-allow: panic-hygiene -- both studied designs are registered in Fpga::resources
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both studied designs are registered in Fpga::resources"
+                )]
                 let r = fpga.resources(design, *p).expect("studied design");
                 luts[i] = r.luts;
                 dsps[i] = r.dsps;

@@ -186,6 +186,10 @@ impl Study {
     /// at every precision, in that row order. Figures 10, 11, and 13
     /// (and the ECC ablation's bare-GPU arm) all project this one set
     /// of campaigns.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_cells returns exactly one result per requested cell"
+    )]
     fn gpu_results(&self) -> [[CellResult; 3]; 6] {
         let workloads = [
             self.micro_id(MicroKernelOp::Add),
@@ -202,7 +206,6 @@ impl Study {
             }
         }
         let mut results = self.run_cells(cells).into_iter();
-        // mpr-allow: panic-hygiene -- run_cells returns exactly one result per requested cell
         [(); 6].map(|_| [(); 3].map(|_| results.next().expect("eighteen gpu cells")))
     }
 

@@ -152,6 +152,10 @@ impl Study {
     /// The KNC beam cells — LavaMD, MxM, and LUD at double and single
     /// precision (the KNC has no half-precision hardware). Figures 6,
     /// 8, and 9 all project this one set of campaigns.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_cells returns exactly one result per requested cell"
+    )]
     fn knc_results(&self) -> [[CellResult; 2]; 3] {
         let workloads = [self.lavamd_knc_id(), self.gemm_id(), self.lud_id()];
         let mut cells = Vec::with_capacity(6);
@@ -161,7 +165,6 @@ impl Study {
             }
         }
         let mut results = self.run_cells(cells).into_iter();
-        // mpr-allow: panic-hygiene -- run_cells returns exactly one result per requested cell
         [(); 3].map(|_| [(); 2].map(|_| results.next().expect("six knc cells")))
     }
 

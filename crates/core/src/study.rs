@@ -203,7 +203,10 @@ impl Study {
                 particles,
                 knc_unit: true,
             },
-            // mpr-allow: panic-hygiene -- lavamd_id always returns the LavaMd variant
+            #[expect(
+                clippy::unreachable,
+                reason = "lavamd_id always returns the LavaMd variant"
+            )]
             other => unreachable!("lavamd_id returned {other:?}"),
         }
     }
@@ -405,7 +408,6 @@ mod tests {
         assert_ne!(a, b);
         // Nearby seeds must not produce related weight seeds.
         let (WorkloadId::Mnist { seed: sa }, WorkloadId::Mnist { seed: sb }) = (a, b) else {
-            // mpr-allow: panic-hygiene -- mnist_id always returns the Mnist variant
             panic!("mnist_id variant");
         };
         assert!((sa ^ sb).count_ones() > 8, "{sa:x} vs {sb:x}");

@@ -290,7 +290,6 @@ mod tests {
         let (CellResult::Beam(orig), LoadOutcome::Hit(CellResult::Beam(got))) =
             (sample_beam(), loaded)
         else {
-            // mpr-allow: panic-hygiene -- test asserts the variant round-trips
             panic!("beam entry failed to load");
         };
         assert_eq!(got.device, orig.device);
@@ -339,7 +338,6 @@ mod tests {
         save(&RealFs, &dir, key, &adaptive).expect("save");
         let LoadOutcome::Hit(CellResult::Beam(got)) = load(&RealFs, &entry_path(&dir, key), key)
         else {
-            // mpr-allow: panic-hygiene -- test asserts the variant round-trips
             panic!("adaptive beam entry failed to load");
         };
         assert_eq!(got.executed, 64);
@@ -451,7 +449,6 @@ mod tests {
         save(&RealFs, &dir, key, &orig).expect("save");
         let LoadOutcome::Hit(CellResult::Inject(got)) = load(&RealFs, &entry_path(&dir, key), key)
         else {
-            // mpr-allow: panic-hygiene -- test asserts the variant round-trips
             panic!("inject entry failed to load");
         };
         assert_eq!(got.counts, OutcomeCounts::new(300, 99, 1));
@@ -465,14 +462,12 @@ mod tests {
         let dir = std::env::temp_dir().join("mpr-exp-cache-test-wide");
         let key = "seed=0000000000000005;v2;dev=é;wl=gemm:12;p=single;k=beam";
         let CellResult::Beam(mut wide) = sample_beam() else {
-            // mpr-allow: panic-hygiene -- test fixture is a beam result
             panic!("sample is a beam result");
         };
         wide.device = "é".repeat(512 * 1024);
         save(&RealFs, &dir, key, &CellResult::Beam(wide.clone())).expect("save");
         let LoadOutcome::Hit(CellResult::Beam(got)) = load(&RealFs, &entry_path(&dir, key), key)
         else {
-            // mpr-allow: panic-hygiene -- test asserts the variant round-trips
             panic!("wide beam entry failed to load");
         };
         assert_eq!(got.device, wide.device);

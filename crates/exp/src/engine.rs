@@ -140,9 +140,9 @@ impl Engine {
     }
 
     /// Number of times a failed or hung cell is re-attempted (default
-    /// 0). Retries reuse the cell's seed unchanged, so determinism
-    /// invariant DT001 holds: a retry that succeeds is byte-identical
-    /// to a first run that never failed.
+    /// 0). Retries reuse the cell's seed unchanged, so the
+    /// seed-determinism contract holds: a retry that succeeds is
+    /// byte-identical to a first run that never failed.
     pub fn with_retries(mut self, retries: u32) -> Engine {
         self.retries = retries;
         self
@@ -236,6 +236,7 @@ impl Engine {
     /// [`Engine::try_run`]. Healthy cells are already written through
     /// to the disk cache before this panic, so a later `--resume` run
     /// re-executes only the failed subset.
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub fn run(&self, plan: &ExperimentPlan) -> Vec<CellResult> {
         let results = self.try_run(plan);
         let mut failures: Vec<CellFailure> = Vec::new();
@@ -390,6 +391,10 @@ impl Engine {
     ///
     /// Panics with the rendered failure table if the cell exhausts its
     /// attempts (see [`Engine::run`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "a one-cell plan returns exactly one result"
+    )]
     pub fn run_one(&self, key: &CellKey) -> CellResult {
         let mut plan = ExperimentPlan::new();
         plan.push(key.clone());
@@ -397,10 +402,13 @@ impl Engine {
     }
 
     /// Convenience: runs a single cell fault-tolerantly.
+    #[expect(
+        clippy::expect_used,
+        reason = "a one-cell plan returns exactly one result"
+    )]
     pub fn try_run_one(&self, key: &CellKey) -> Result<CellResult, CellFailure> {
         let mut plan = ExperimentPlan::new();
         plan.push(key.clone());
-        // mpr-allow: panic-hygiene -- a one-cell plan returns exactly one result
         self.try_run(&plan).into_iter().next().expect("one result")
     }
 

@@ -40,6 +40,7 @@ impl CellResult {
     /// # Panics
     ///
     /// Panics if the cell was not a beam cell — a plan-construction bug.
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub fn beam(&self) -> &CampaignResult {
         match self {
             CellResult::Beam(r) => r,
@@ -52,6 +53,7 @@ impl CellResult {
     /// # Panics
     ///
     /// Panics if the cell was not an injection cell.
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub fn inject(&self) -> &InjectionReport {
         match self {
             CellResult::Inject(r) => r,
@@ -64,6 +66,7 @@ impl CellResult {
     /// # Panics
     ///
     /// Panics if the cell was not an accumulation cell.
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub fn accumulate(&self) -> &AccumulateOutcome {
         match self {
             CellResult::Accumulate(r) => r,
@@ -197,8 +200,11 @@ impl ResultStore {
 
     /// [`ResultStore::lookup`], additionally reporting where the answer
     /// came from so callers can record cache telemetry.
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned store lock means a worker already panicked; propagating is the only sound option"
+    )]
     pub fn lookup_traced(&self, store_key: &str) -> (Option<CellResult>, LookupSource) {
-        // mpr-allow: panic-hygiene -- a poisoned store lock means a worker already panicked; propagating is the only sound option
         if let Some(hit) = self.results.lock().expect("store lock").get(store_key) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return (Some(hit.clone()), LookupSource::Memory);
@@ -227,7 +233,6 @@ impl ResultStore {
             }
         };
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        // mpr-allow: panic-hygiene -- a poisoned store lock means a worker already panicked; propagating is the only sound option
         let mut results = self.results.lock().expect("store lock");
         results.insert(store_key.to_string(), loaded.clone());
         (Some(loaded), LookupSource::Disk)
@@ -244,7 +249,10 @@ impl ResultStore {
             Some(dir) => cache::save(self.vfs.as_ref(), dir, store_key, &result),
             None => Ok(()),
         };
-        // mpr-allow: panic-hygiene -- a poisoned store lock means a worker already panicked; propagating is the only sound option
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned store lock means a worker already panicked; propagating is the only sound option"
+        )]
         let mut results = self.results.lock().expect("store lock");
         results.insert(store_key.to_string(), result);
         disk
@@ -256,7 +264,10 @@ impl ResultStore {
     /// actually executed — e.g. the per-cell convergence table —
     /// without re-threading results through every figure.
     pub fn snapshot(&self) -> Vec<(String, CellResult)> {
-        // mpr-allow: panic-hygiene -- a poisoned store lock means a worker already panicked; propagating is the only sound option
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned store lock means a worker already panicked; propagating is the only sound option"
+        )]
         let results = self.results.lock().expect("store lock");
         results
             .iter()
@@ -268,7 +279,10 @@ impl ResultStore {
     /// it with `compute` on first request and reusing it afterwards.
     pub fn golden(&self, golden_key: &str, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
         {
-            // mpr-allow: panic-hygiene -- a poisoned store lock means a worker already panicked; propagating is the only sound option
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned store lock means a worker already panicked; propagating is the only sound option"
+            )]
             let map = self.goldens.lock().expect("golden lock");
             if let Some(hit) = map.get(golden_key) {
                 return Arc::clone(hit);
@@ -277,7 +291,10 @@ impl ResultStore {
         // Compute outside the lock; a racing duplicate computes the
         // same deterministic value and the first insert wins.
         let value = Arc::new(compute());
-        // mpr-allow: panic-hygiene -- a poisoned store lock means a worker already panicked; propagating is the only sound option
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned store lock means a worker already panicked; propagating is the only sound option"
+        )]
         let mut map = self.goldens.lock().expect("golden lock");
         Arc::clone(map.entry(golden_key.to_string()).or_insert(value))
     }
@@ -321,10 +338,7 @@ mod tests {
             calls += 1;
             vec![1.0, 2.0]
         });
-        let b = store.golden("gemm:12@single", || {
-            // mpr-allow: panic-hygiene -- test asserts the closure is never reached
-            panic!("golden recomputed")
-        });
+        let b = store.golden("gemm:12@single", || panic!("golden recomputed"));
         assert_eq!(calls, 1);
         assert_eq!(a, b);
     }

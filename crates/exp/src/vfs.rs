@@ -313,8 +313,11 @@ impl ChaosFs {
     }
 
     /// The per-operation log in arrival order (thread-dependent).
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned trace lock means a sibling holder panicked; the trace is then meaningless"
+    )]
     pub fn trace(&self) -> Vec<String> {
-        // mpr-allow: panic-hygiene -- a poisoned trace lock means a sibling holder panicked; the trace is then meaningless
         self.trace.lock().expect("chaos trace lock").clone()
     }
 
@@ -373,7 +376,10 @@ impl ChaosFs {
             // see the module docs.
             0
         } else {
-            // mpr-allow: panic-hygiene -- a poisoned schedule lock means a sibling holder panicked; determinism is already lost
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned schedule lock means a sibling holder panicked; determinism is already lost"
+            )]
             let mut seq = self.seq.lock().expect("chaos schedule lock");
             let slot = seq.entry(format!("{op}:{name}")).or_insert(0);
             let n = *slot;
@@ -392,7 +398,10 @@ impl ChaosFs {
     }
 
     fn log(&self, op: &str, name: &str, outcome: &str) {
-        // mpr-allow: panic-hygiene -- a poisoned trace lock means a sibling holder panicked; the trace is then meaningless
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned trace lock means a sibling holder panicked; the trace is then meaningless"
+        )]
         let mut t = self.trace.lock().expect("chaos trace lock");
         t.push(format!("{op} {name} -> {outcome}"));
     }
@@ -691,7 +700,6 @@ mod tests {
                 }
             }
         }
-        // mpr-allow: panic-hygiene -- test must find at least one bit-flip seed
         panic!("no seed in 0..256 produced a bit flip");
     }
 

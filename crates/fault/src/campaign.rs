@@ -185,7 +185,7 @@ impl<'a> InjectionCampaign<'a> {
     /// Batch size never changes results: per-strike RNG streams are
     /// derived from `(seed, injection index)` and every observation is
     /// tagged with its index, so `strike_batch(1)` and `strike_batch(64)`
-    /// are byte-identical (DT001).
+    /// are byte-identical.
     ///
     /// # Panics
     ///
@@ -205,7 +205,7 @@ impl<'a> InjectionCampaign<'a> {
     /// configured target — `injections` then acts as the strike budget.
     /// All adaptive decisions derive from completed-round statistics
     /// keyed by injection index, so results stay byte-identical across
-    /// thread counts and strike batches (DT001).
+    /// thread counts and strike batches.
     pub fn sampling(mut self, plan: SamplingPlan) -> Self {
         self.sampling = plan;
         self
@@ -248,6 +248,7 @@ impl<'a> InjectionCampaign<'a> {
     /// Panics if the campaign is cancelled by its watchdog token or a
     /// worker panics; callers that need to survive either use
     /// [`InjectionCampaign::try_run`].
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub fn run(&self) -> InjectionReport {
         match self.try_run() {
             Ok(report) => report,

@@ -8,7 +8,7 @@
 //! deterministic kernel, but misbehaves in one controlled way chosen
 //! by its [`HostileMode`].
 //!
-//! Two properties keep the determinism contract (DT001) intact:
+//! Two properties keep the seed-determinism contract intact:
 //!
 //! * Misbehavior is *attempt-dependent, output-independent*. A
 //!   [`HostileMode::FlakyGolden`] workload panics on its first N golden
@@ -126,6 +126,11 @@ impl Workload for HostileWorkload {
     /// In [`HostileMode::FlakyGolden`] mode the first `panics` calls
     /// (per tag, process-wide) panic deliberately; later calls succeed
     /// with the same bytes a never-failing run would produce.
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "documented under `# Panics`"
+    )]
     fn run_golden(&self, precision: Precision) -> Vec<f64> {
         if let HostileMode::FlakyGolden { panics } = self.mode {
             // mpr-allow: panic-reachability -- a poisoned hostile registry means a staged panic already unwound through the lock; re-propagating is part of the act

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// against the golden run in one [`sdc_severity`] pass, and tag every
 /// corrupted one with its strike index; the merge sorts on that index.
 /// Results are therefore byte-identical for every `threads` and
-/// `strike_batch` (DT001).
+/// `strike_batch`.
 ///
 /// [`SamplingPlan::Fixed`] is one round of `budget` slots over the
 /// single stratum `(0, sites)`. [`SamplingPlan::Adaptive`] runs the
@@ -404,7 +404,7 @@ mod tests {
             let clean = run(&Dot(16), plan, 64, &unlimited, &|out, _| out[0]).expect("clean run");
             assert!(!clean.observed.is_empty(), "{plan:?}");
             // A cancelled attempt leaves no residue: re-running with the
-            // same seed reproduces the clean run bit for bit (DT001).
+            // same seed reproduces the clean run bit for bit.
             let token = CancelToken::unlimited();
             token.cancel();
             let _ = run(&Dot(16), plan, 64, &token, &|out, _| out[0]);

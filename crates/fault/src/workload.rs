@@ -28,7 +28,7 @@ use mpr_softfloat::Precision;
 ///   cannot reach, recompute only the dirty slice) and batch-wide
 ///   amortization.
 ///
-/// The two must agree **bit for bit** (DT001): every batch result is
+/// The two must agree **bit for bit**: every batch result is
 /// byte-identical to `run_with_fault` for the same strike, so campaign
 /// results, and therefore the cached campaign bytes, never depend on
 /// which path executed a strike. `tests/fast_path.rs` sweeps exactly

@@ -187,7 +187,7 @@ impl Gemm {
     ///   step serves the whole group.
     ///
     /// Every lane runs the scalar `Half::mul_add`, so the outputs match
-    /// `run_with_fault` byte-for-byte (DT001). The exact binary16 product
+    /// `run_with_fault` byte-for-byte. The exact binary16 product
     /// commutes, which is why `B`-column strikes may broadcast the `B`
     /// value over transposed `A` rows.
     fn run_half_batch(

@@ -358,10 +358,13 @@ impl LavaMd {
                 return; // past the last dynamic site: the fault never fires
             }
             let pi = g.first.partition_point(|&f| f <= k) - 1;
+            #[expect(
+                clippy::expect_used,
+                reason = "`first` was built from the same walk, so interaction `k` has a partner"
+            )]
             let pj = self
                 .partners(pi)
                 .nth(k - g.first[pi])
-                // mpr-allow: panic-hygiene -- `first` was built from the same walk, so interaction `k` has a partner
                 .expect("interaction within the walk");
             let mut hook = InjectHook::new(offset % g.per_interaction, fault);
             let (_, v) = self.interact(

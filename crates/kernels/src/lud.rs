@@ -584,7 +584,7 @@ mod tests {
     }
 
     /// Runs `strikes` as one batch and checks every result against the
-    /// naive injected run, bit for bit (DT001).
+    /// naive injected run, bit for bit.
     fn assert_batch_matches_naive(lud: &Lud, p: Precision, strikes: &[(u64, ValueFault)]) {
         let golden = lud.run_golden(p);
         let mut got: Vec<Option<Vec<f64>>> = vec![None; strikes.len()];

@@ -35,6 +35,7 @@ pub(crate) fn strike_each(
 /// (and smaller) targets the workspace supports, but checked rather
 /// than silently truncated.
 #[inline]
+#[expect(clippy::expect_used, reason = "documented under `# Panics`")]
 pub(crate) fn to_u64(count: usize) -> u64 {
     // mpr-allow: panic-reachability -- usize -> u64 cannot fail on the 64-bit (and smaller) targets the workspace supports; checked rather than silently truncated
     u64::try_from(count).expect("index space exceeds u64")
@@ -100,7 +101,7 @@ pub(crate) fn gen_value(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
 }
 
 /// Runs `strikes` through `w`'s fast path as one batch and checks every
-/// result against the naive injected run, bit for bit (DT001). Returns
+/// result against the naive injected run, bit for bit. Returns
 /// how many strikes left the output bit-identical to golden.
 #[cfg(test)]
 pub(crate) fn assert_batch_matches_naive(

@@ -84,6 +84,7 @@ impl Table {
     /// figure regenerators build rows with statically known arity, so a
     /// mismatch is a programming error. Use [`Table::try_row`] to handle
     /// it as a value instead.
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub fn row(&mut self, cells: Vec<String>) -> &mut Table {
         if let Err(e) = self.try_row(cells) {
             panic!("{e}");

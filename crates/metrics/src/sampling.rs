@@ -18,7 +18,7 @@
 //! Every decision is a pure function of completed-round statistics keyed
 //! by strike index — never wall-clock, worker id, or arrival order — so
 //! adaptive campaigns are byte-identical across thread counts and strike
-//! batch sizes (DT001, DESIGN.md §4k).
+//! batch sizes (DESIGN.md §4k).
 
 use crate::stats::poisson_ci95;
 

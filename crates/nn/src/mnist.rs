@@ -110,6 +110,10 @@ impl Mnist {
     }
 
     /// The class the fault-free network assigns at the given precision.
+    #[expect(
+        clippy::expect_used,
+        reason = "the classifier head always emits ten logits"
+    )]
     pub fn golden_class(&self, precision: Precision) -> usize {
         let logits = self.run_golden(precision);
         logits
@@ -117,7 +121,6 @@ impl Mnist {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
-            // mpr-allow: panic-hygiene -- the classifier head always emits ten logits
             .expect("ten logits")
     }
 }

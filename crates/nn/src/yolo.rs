@@ -162,6 +162,10 @@ impl TinyYolo {
                 // YOLO's anchor scaling.
                 let w = output[base + 3].exp().clamp(0.2, GRID as f64);
                 let h = output[base + 4].exp().clamp(0.2, GRID as f64);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the head emits `CLASSES` > 0 scores per cell"
+                )]
                 let (class, &score) = output[base + 5..base + 5 + CLASSES]
                     .iter()
                     .enumerate()

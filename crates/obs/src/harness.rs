@@ -10,10 +10,10 @@
 //! Campaign workers poll [`CancelToken::is_cancelled`] at strike-batch
 //! boundaries and exit their loop when it fires, so every thread is
 //! always joined — nothing is ever detached or killed.
-// mpr-allow-file: determinism -- the watchdog deadline decides only
-// whether a cell is abandoned; an abandoned cell yields no result
-// bytes (the engine discards partial work and reports `Hung`), so
-// clock reads here can never reach a campaign output.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the watchdog deadline decides only whether a cell is abandoned; an abandoned cell yields no result bytes (the engine discards partial work and reports `Hung`), so clock reads here can never reach a campaign output"
+)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -4,8 +4,8 @@
 //! The workspace is fully offline (no serde), and every JSON document
 //! it reads or writes goes through this file: the experiment cache and
 //! campaign manifest (`mpr-exp`), the JSONL profile log (`mpr-obs`),
-//! `mpr analyze --json` and its CI baseline, the gate benches'
-//! `BENCH_*.json`, and the whole-study benchmark's child reports.
+//! the gate benches' `BENCH_*.json`, and the whole-study benchmark's
+//! child reports.
 //!
 //! Hostile input yields `Err`, never a panic or a pathological run:
 //! nesting deeper than [`MAX_DEPTH`] is rejected before it can exhaust

@@ -10,7 +10,10 @@
 //! ```text
 //! {"t_us":1042,"name":"cell.exec","scope":"v2;dev=titan-v;...","kind":"time","value":0.0123}
 //! ```
-// mpr-allow-file: determinism -- the log's monotonic-relative origin is observability metadata; it never feeds campaign RNG streams or results
+#![expect(
+    clippy::disallowed_types,
+    reason = "the log's monotonic-relative origin is observability metadata; it never feeds campaign RNG streams or results"
+)]
 
 use crate::json::{self, str_json};
 use crate::record::{Event, Metric, Recorder};
@@ -64,15 +67,21 @@ impl JsonlRecorder {
     }
 
     /// A snapshot of the buffered events, in record order.
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned event buffer means a recording thread already panicked; propagating is the only sound option"
+    )]
     pub fn events(&self) -> Vec<Event> {
-        // mpr-allow: panic-hygiene -- a poisoned event buffer means a recording thread already panicked; propagating is the only sound option
         self.events.lock().expect("event buffer").clone()
     }
 
     /// Serializes the buffered events as JSONL text.
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned event buffer means a recording thread already panicked; propagating is the only sound option"
+    )]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        // mpr-allow: panic-hygiene -- a poisoned event buffer means a recording thread already panicked; propagating is the only sound option
         for ev in self.events.lock().expect("event buffer").iter() {
             serialize_line(&mut out, ev);
         }
@@ -83,7 +92,10 @@ impl JsonlRecorder {
 impl Recorder for JsonlRecorder {
     fn record(&self, name: &str, scope: &str, metric: Metric) {
         let t_us = self.origin.elapsed().as_micros() as u64;
-        // mpr-allow: panic-hygiene -- a poisoned event buffer means a recording thread already panicked; propagating is the only sound option
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned event buffer means a recording thread already panicked; propagating is the only sound option"
+        )]
         let mut events = self.events.lock().expect("event buffer");
         // mpr-allow: determinism-taint -- the timestamp IS the telemetry payload; events never feed campaign results, seeds, or cache keys
         events.push(Event {

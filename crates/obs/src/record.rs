@@ -1,5 +1,8 @@
 //! The recorder trait and its metric handles.
-// mpr-allow-file: determinism -- telemetry timestamps are observability metadata read inside obs only; they never feed campaign RNG streams or results
+#![expect(
+    clippy::disallowed_types,
+    reason = "telemetry timestamps are observability metadata read inside obs only; they never feed campaign RNG streams or results"
+)]
 
 use std::time::Instant;
 

@@ -12,6 +12,10 @@
 //! ```text
 //! cargo run --release --example fpga_scrubbing
 //! ```
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on a broken invariant"
+)]
 
 use mixed_precision_reliability::arch::Fpga;
 use mixed_precision_reliability::fault::hook::PeriodicHook;

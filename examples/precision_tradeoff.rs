@@ -6,6 +6,10 @@
 //! ```text
 //! cargo run --release --example precision_tradeoff
 //! ```
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message on a broken invariant"
+)]
 
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, ClassifierId, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,

@@ -18,6 +18,10 @@
 //! 4. the engine's cross-cell reallocation observed end to end: a
 //!    converged cell's spare budget reruns an unconverged cell under a
 //!    boosted-budget key, timed and counted like any other cache miss.
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns report a broken fixture by panicking"
+)]
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
 use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};

@@ -1,4 +1,4 @@
-//! Batched strike execution (DT001): campaign results must be
+//! Batched strike execution: campaign results must be
 //! byte-identical for *any* strike batch size, at any thread count.
 //!
 //! Batching regroups strike *execution* — it never moves an RNG draw.

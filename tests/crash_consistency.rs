@@ -12,6 +12,10 @@
 //! counts) and must report nothing unfinished.
 //!
 //! Hostile tags are process-global; this file uses the 0xE0_00xx range.
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns report a broken fixture by panicking"
+)]
 
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, CellState, ChaosConfig, ChaosFs, DeviceId, Engine, ExperimentPlan,

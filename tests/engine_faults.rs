@@ -7,6 +7,10 @@
 //! Every test uses its own hostile tag: the staged-failure registry is
 //! keyed by tag and process-global, so tags must never be shared
 //! between tests (they run in one test binary).
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns report a broken fixture by panicking"
+)]
 
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, DeviceId, Engine, ExperimentPlan, FailureKind, Manifest, ResultStore,
@@ -92,7 +96,7 @@ fn healthy_cells_complete_when_a_sibling_keeps_panicking() {
 
 #[test]
 fn recovered_cells_are_byte_identical_to_untroubled_runs() {
-    // DT001: a retry reuses the cell's seed unchanged. The flaky
+    // Seed determinism: a retry reuses the cell's seed unchanged. The flaky
     // registry stages exactly one panic for this tag, so the first
     // engine needs a retry while the second (same key, same seed,
     // staged panics already consumed) runs clean. Their cache bytes

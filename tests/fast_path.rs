@@ -1,4 +1,4 @@
-//! The fast-path contract (DT001): `run_strike_batch` — monomorphized
+//! The fast-path contract: `run_strike_batch` — monomorphized
 //! hooks, golden-prefix replay, batch grouping — must be byte-identical
 //! to the naive full rerun through `dispatch`, and must not move any
 //! previously observable bit.
@@ -17,6 +17,10 @@
 //!    the fast path earns zero cache invalidation;
 //! 4. the PH004 panic-reachability roots name methods the `Workload`
 //!    contract really declares, so a rename cannot empty the root set.
+#![expect(
+    clippy::panic,
+    reason = "test helpers outside `#[test]` fns report a broken fixture by panicking"
+)]
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
 use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};

@@ -7,6 +7,10 @@
 //! tables masked the bug; the raw vectors and the cached bytes exposed
 //! it. Campaigns now tag every event with its strike index and merge in
 //! strike order, making the raw result thread-invariant.
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns report a broken fixture by panicking"
+)]
 
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, ClassifierId, DeviceId, Engine, ResultStore, SamplingPlan, WorkloadId,
