@@ -2,7 +2,7 @@
 
 use crate::BeamSession;
 use mpr_arch::{Device, WorkloadProfile};
-use mpr_fault::{CampaignError, FaultModel, StrikeRunner, Workload};
+use mpr_fault::{resolve_threads, CampaignError, FaultModel, StrikeRunner, Workload};
 use mpr_metrics::sampling::{rel_ci_width, SamplingPlan};
 use mpr_metrics::{CrossSection, FitRate, Mebf, TreCurve};
 use mpr_obs::{mix_seed, CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER};
@@ -217,10 +217,7 @@ impl<'a> BeamCampaign<'a> {
             seed: self.session.seed,
             budget: candidates,
             sampling: self.sampling,
-            threads: match self.session.threads {
-                0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-                n => n,
-            },
+            threads: resolve_threads(self.session.threads),
             strike_batch: self.strike_batch,
             cancel: &self.cancel,
             recorder: rec,

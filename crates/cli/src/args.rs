@@ -1,6 +1,10 @@
 //! Hand-rolled argument parsing (the workspace carries no CLI
 //! dependency; the grammar is small and fully tested below).
 
+use mpr_core::StudyScale;
+use mpr_exp::{DeviceId, WorkloadId};
+use mpr_fault::FaultModel;
+use mpr_kernels::MicroKernelOp;
 use mpr_softfloat::Precision;
 use std::fmt;
 use std::time::Duration;
@@ -23,25 +27,25 @@ pub enum Command {
     Validate { opts: StudyOpts },
     /// Run one beam campaign.
     Campaign {
-        device: DeviceArg,
-        workload: WorkloadArg,
+        device: DeviceId,
+        workload: WorkloadId,
         precision: Precision,
         strikes: u64,
         hours: f64,
         seed: u64,
-        threads: Option<usize>,
+        threads: usize,
         retries: u32,
         cell_timeout: Option<Duration>,
         sampling: SamplingOpts,
     },
     /// Run one injection campaign.
     Inject {
-        workload: WorkloadArg,
+        workload: WorkloadId,
         precision: Precision,
         injections: u64,
-        model: ModelArg,
+        model: FaultModel,
         seed: u64,
-        threads: Option<usize>,
+        threads: usize,
         retries: u32,
         cell_timeout: Option<Duration>,
         sampling: SamplingOpts,
@@ -77,16 +81,6 @@ impl Command {
     }
 }
 
-/// Statistical scale of a study command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scale {
-    /// Fast statistics.
-    #[default]
-    Quick,
-    /// Paper-scale statistics.
-    Paper,
-}
-
 /// Adaptive strike-sampling options, shared by the study subcommands
 /// and the one-off `campaign`/`inject` commands.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -108,10 +102,10 @@ pub struct SamplingOpts {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StudyOpts {
     /// Statistical scale.
-    pub scale: Scale,
-    /// `--threads N` override; `None` falls back to the `MPR_THREADS`
-    /// environment variable, then to all available cores.
-    pub threads: Option<usize>,
+    pub scale: StudyScale,
+    /// `--threads N`: worker-thread budget (0, the default, uses every
+    /// available core).
+    pub threads: usize,
     /// `--cache-dir PATH`: on-disk experiment-cell cache.
     pub cache_dir: Option<String>,
     /// `--profile PATH`: write a JSONL observability log of the run and
@@ -120,9 +114,8 @@ pub struct StudyOpts {
     /// `--retries N`: re-attempt a failed or hung cell up to N times
     /// with its seed unchanged.
     pub retries: u32,
-    /// `--cell-timeout DUR`: per-cell watchdog deadline; `None` falls
-    /// back to the `MPR_CELL_TIMEOUT` environment variable, then to no
-    /// deadline.
+    /// `--cell-timeout DUR`: per-cell watchdog deadline (`None`, the
+    /// default, arms none).
     pub cell_timeout: Option<Duration>,
     /// `--resume`: re-execute only the cells the cache directory's
     /// manifest records as failed, hung, or missing. Requires
@@ -148,60 +141,13 @@ pub struct ChaosOpts {
     /// `--chaos-crash-at K`: simulate a hard crash at the K-th
     /// filesystem operation (fail-stop; every later operation errors).
     pub crash_at: Option<u64>,
-    /// `--threads N` override.
-    pub threads: Option<usize>,
+    /// `--threads N` (0 = every available core).
+    pub threads: usize,
     /// `--retries N`: per-cell retry budget against injected faults.
     pub retries: u32,
     /// `--resume`: report what the manifest says survived, then run
     /// only the missing subset.
     pub resume: bool,
-}
-
-/// Device selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceArg {
-    /// NVIDIA Titan V.
-    Gpu,
-    /// Titan V silicon with ECC (Tesla V100).
-    GpuEcc,
-    /// Intel Xeon Phi 3120A.
-    Knc,
-    /// Xilinx Zynq-7000.
-    Fpga,
-}
-
-/// Workload selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadArg {
-    /// Matrix multiplication.
-    Mxm,
-    /// Particle potentials (GPU software-exp variant).
-    Lavamd,
-    /// Particle potentials (KNC transcendental-unit variant).
-    LavamdKnc,
-    /// LU decomposition.
-    Lud,
-    /// Micro-ADD.
-    MicroAdd,
-    /// Micro-MUL.
-    MicroMul,
-    /// Micro-FMA.
-    MicroFma,
-    /// MNIST classifier.
-    Mnist,
-    /// YOLO-style detector.
-    Yolo,
-}
-
-/// Fault-model selector for `inject`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelArg {
-    /// Single bit flip.
-    Single,
-    /// Double bit flip.
-    Double,
-    /// Random byte.
-    Byte,
 }
 
 /// A parse failure with a user-facing message.
@@ -251,15 +197,14 @@ CHAOS OPTS:
 
 STUDY OPTS:
     --paper            paper-scale statistics (default: quick)
-    --threads N        worker threads (default: MPR_THREADS, then all cores)
+    --threads N        worker threads (default: all cores)
     --cache-dir PATH   reuse cached experiment cells across runs
     --profile PATH     write a JSONL observability log and print a
                        profile summary (per-cell timings, cache hits)
     --retries N        re-attempt a failed or hung cell up to N times
                        (same seed; a recovered cell is byte-identical)
     --cell-timeout DUR per-cell watchdog deadline, e.g. 5s, 500ms, 2.5
-                       (bare numbers are seconds; default:
-                       MPR_CELL_TIMEOUT, then no deadline)
+                       (bare numbers are seconds; default: no deadline)
     --resume           re-execute only the cells the cache manifest
                        records as failed/hung/missing (needs --cache-dir)
     --adaptive         adaptive strike sampling: stratified Neyman
@@ -310,7 +255,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             device: device_of(required(&rest, "--device")?)?,
             workload: workload_of(required(&rest, "--workload")?)?,
             precision: precision_of(required(&rest, "--precision")?)?,
-            strikes: numeric(&rest, "--strikes", 2000)?,
+            strikes: positive(&rest, "--strikes", 2000)?,
             hours: float(&rest, "--hours", 100.0)?,
             seed: numeric(&rest, "--seed", 0)?,
             threads: threads_of(&rest)?,
@@ -384,16 +329,16 @@ fn study_opts(rest: &[&str], allow_dir: bool) -> Result<StudyOpts, ParseError> {
     while i < rest.len() {
         match rest[i] {
             "--paper" => {
-                opts.scale = Scale::Paper;
+                opts.scale = StudyScale::Paper;
                 i += 1;
             }
             "--threads" => {
                 let v = rest
                     .get(i + 1)
                     .ok_or_else(|| ParseError("`--threads` expects a value".to_string()))?;
-                opts.threads = Some(v.parse().map_err(|_| {
+                opts.threads = v.parse().map_err(|_| {
                     ParseError(format!("`--threads` expects an integer, got `{v}`"))
-                })?);
+                })?;
                 i += 2;
             }
             "--cache-dir" => {
@@ -488,13 +433,12 @@ fn sampling_of(rest: &[&str]) -> Result<SamplingOpts, ParseError> {
     })
 }
 
-/// Parses an optional `--threads N` flag (campaign/inject).
-fn threads_of(rest: &[&str]) -> Result<Option<usize>, ParseError> {
+/// Parses an optional `--threads N` flag (campaign/inject/chaos).
+fn threads_of(rest: &[&str]) -> Result<usize, ParseError> {
     match optional(rest, "--threads") {
-        None => Ok(None),
+        None => Ok(0),
         Some(v) => v
             .parse()
-            .map(Some)
             .map_err(|_| ParseError(format!("`--threads` expects an integer, got `{v}`"))),
     }
 }
@@ -550,7 +494,7 @@ fn cell_timeout_of(rest: &[&str]) -> Result<Option<Duration>, ParseError> {
 ///
 /// Returns a [`ParseError`] unless the value is a positive, finite,
 /// reasonable duration.
-pub fn duration_of(s: &str) -> Result<Duration, ParseError> {
+fn duration_of(s: &str) -> Result<Duration, ParseError> {
     let (num, unit_s) = if let Some(v) = s.strip_suffix("ms") {
         (v, 0.001)
     } else if let Some(v) = s.strip_suffix('s') {
@@ -589,6 +533,18 @@ fn numeric(rest: &[&str], flag: &str, default: u64) -> Result<u64, ParseError> {
     }
 }
 
+/// Like [`numeric`], but zero is rejected too.
+fn positive(rest: &[&str], flag: &str, default: u64) -> Result<u64, ParseError> {
+    match optional(rest, flag) {
+        None => Ok(default),
+        Some(v) => {
+            v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                ParseError(format!("`{flag}` expects a positive integer, got `{v}`"))
+            })
+        }
+    }
+}
+
 fn float(rest: &[&str], flag: &str, default: f64) -> Result<f64, ParseError> {
     match optional(rest, flag) {
         None => Ok(default),
@@ -600,31 +556,36 @@ fn float(rest: &[&str], flag: &str, default: f64) -> Result<f64, ParseError> {
     }
 }
 
-fn device_of(s: &str) -> Result<DeviceArg, ParseError> {
-    match s {
-        "gpu" | "titan-v" => Ok(DeviceArg::Gpu),
-        "gpu-ecc" | "v100" => Ok(DeviceArg::GpuEcc),
-        "knc" | "xeon-phi" => Ok(DeviceArg::Knc),
-        "fpga" | "zynq" => Ok(DeviceArg::Fpga),
-        _ => Err(ParseError(format!(
-            "unknown device `{s}` (gpu | gpu-ecc | knc | fpga)"
-        ))),
-    }
+fn device_of(s: &str) -> Result<DeviceId, ParseError> {
+    DeviceId::parse(s)
+        .ok_or_else(|| ParseError(format!("unknown device `{s}` (gpu | gpu-ecc | knc | fpga)")))
 }
 
-fn workload_of(s: &str) -> Result<WorkloadArg, ParseError> {
-    match s {
-        "mxm" | "gemm" => Ok(WorkloadArg::Mxm),
-        "lavamd" => Ok(WorkloadArg::Lavamd),
-        "lavamd-knc" => Ok(WorkloadArg::LavamdKnc),
-        "lud" => Ok(WorkloadArg::Lud),
-        "micro-add" => Ok(WorkloadArg::MicroAdd),
-        "micro-mul" => Ok(WorkloadArg::MicroMul),
-        "micro-fma" => Ok(WorkloadArg::MicroFma),
-        "mnist" => Ok(WorkloadArg::Mnist),
-        "yolo" | "yolov3" => Ok(WorkloadArg::Yolo),
-        _ => Err(ParseError(format!("unknown workload `{s}`\n\n{USAGE}"))),
-    }
+/// Resolves a workload name to the CLI's fixed mid-size proxy (between
+/// the study's quick and paper scales).
+fn workload_of(s: &str) -> Result<WorkloadId, ParseError> {
+    let lavamd = |knc_unit| WorkloadId::LavaMd {
+        boxes: 2,
+        particles: 4,
+        knc_unit,
+    };
+    let micro = |op| WorkloadId::Micro {
+        op,
+        threads: 32,
+        iters: 256,
+    };
+    Ok(match s {
+        "mxm" | "gemm" => WorkloadId::Gemm { dim: 16 },
+        "lavamd" => lavamd(false),
+        "lavamd-knc" => lavamd(true),
+        "lud" => WorkloadId::Lud { dim: 20 },
+        "micro-add" => micro(MicroKernelOp::Add),
+        "micro-mul" => micro(MicroKernelOp::Mul),
+        "micro-fma" => micro(MicroKernelOp::Fma),
+        "mnist" => WorkloadId::Mnist { seed: 0x313 },
+        "yolo" | "yolov3" => WorkloadId::Yolo,
+        _ => return Err(ParseError(format!("unknown workload `{s}`\n\n{USAGE}"))),
+    })
 }
 
 fn precision_of(s: &str) -> Result<Precision, ParseError> {
@@ -632,11 +593,11 @@ fn precision_of(s: &str) -> Result<Precision, ParseError> {
         .map_err(|_| ParseError(format!("unknown precision `{s}` (double | single | half)")))
 }
 
-fn model_of(s: &str) -> Result<ModelArg, ParseError> {
+fn model_of(s: &str) -> Result<FaultModel, ParseError> {
     match s {
-        "single" => Ok(ModelArg::Single),
-        "double" => Ok(ModelArg::Double),
-        "byte" => Ok(ModelArg::Byte),
+        "single" => Ok(FaultModel::SingleBit),
+        "double" => Ok(FaultModel::DoubleBit),
+        "byte" => Ok(FaultModel::RandomByte),
         _ => Err(ParseError(format!(
             "unknown model `{s}` (single | double | byte)"
         ))),
@@ -669,7 +630,7 @@ mod tests {
             parse_ok("figures --paper"),
             Command::Figures {
                 opts: StudyOpts {
-                    scale: Scale::Paper,
+                    scale: StudyScale::Paper,
                     ..StudyOpts::default()
                 }
             }
@@ -680,7 +641,7 @@ mod tests {
             Command::Export {
                 dir: "/tmp/x".to_string(),
                 opts: StudyOpts {
-                    scale: Scale::Paper,
+                    scale: StudyScale::Paper,
                     ..StudyOpts::default()
                 }
             }
@@ -693,8 +654,8 @@ mod tests {
             parse_ok("report --threads 4 --cache-dir /tmp/cells"),
             Command::Report {
                 opts: StudyOpts {
-                    scale: Scale::Quick,
-                    threads: Some(4),
+                    scale: StudyScale::Quick,
+                    threads: 4,
                     cache_dir: Some("/tmp/cells".to_string()),
                     ..StudyOpts::default()
                 }
@@ -704,8 +665,8 @@ mod tests {
             parse_ok("tables --paper --threads 2"),
             Command::Tables {
                 opts: StudyOpts {
-                    scale: Scale::Paper,
-                    threads: Some(2),
+                    scale: StudyScale::Paper,
+                    threads: 2,
                     ..StudyOpts::default()
                 }
             }
@@ -739,13 +700,13 @@ mod tests {
         assert_eq!(
             c,
             Command::Campaign {
-                device: DeviceArg::Gpu,
-                workload: WorkloadArg::Mxm,
+                device: DeviceId::TitanV,
+                workload: WorkloadId::Gemm { dim: 16 },
                 precision: Precision::Half,
                 strikes: 2000,
                 hours: 100.0,
                 seed: 0,
-                threads: None,
+                threads: 0,
                 retries: 0,
                 cell_timeout: None,
                 sampling: SamplingOpts::default(),
@@ -765,10 +726,17 @@ mod tests {
                 threads,
                 ..
             } => {
-                assert_eq!(device, DeviceArg::Knc);
-                assert_eq!(workload, WorkloadArg::LavamdKnc);
+                assert_eq!(device, DeviceId::Knc3120a);
+                assert_eq!(
+                    workload,
+                    WorkloadId::LavaMd {
+                        boxes: 2,
+                        particles: 4,
+                        knc_unit: true
+                    }
+                );
                 assert_eq!((strikes, hours, seed), (500, 10.0, 7));
-                assert_eq!(threads, Some(3));
+                assert_eq!(threads, 3);
             }
             other => panic!("{other:?}"),
         }
@@ -805,7 +773,7 @@ mod tests {
                     seed: 2019,
                     rate: 0.0,
                     crash_at: None,
-                    threads: None,
+                    threads: 0,
                     retries: 0,
                     resume: false,
                 }
@@ -822,7 +790,7 @@ mod tests {
                     seed: 7,
                     rate: 0.10,
                     crash_at: Some(12),
-                    threads: Some(2),
+                    threads: 2,
                     retries: 3,
                     resume: true,
                 }
@@ -849,12 +817,16 @@ mod tests {
         assert_eq!(
             c,
             Command::Inject {
-                workload: WorkloadArg::MicroFma,
+                workload: WorkloadId::Micro {
+                    op: MicroKernelOp::Fma,
+                    threads: 32,
+                    iters: 256,
+                },
                 precision: Precision::Double,
                 injections: 300,
-                model: ModelArg::Byte,
+                model: FaultModel::RandomByte,
                 seed: 0,
-                threads: None,
+                threads: 0,
                 retries: 0,
                 cell_timeout: None,
                 sampling: SamplingOpts::default(),
@@ -880,7 +852,7 @@ mod tests {
             parse_ok("figures --paper --adaptive --ci-width 0.3 --strike-budget 5000"),
             Command::Figures {
                 opts: StudyOpts {
-                    scale: Scale::Paper,
+                    scale: StudyScale::Paper,
                     sampling: SamplingOpts {
                         adaptive: true,
                         ci_width: Some(0.3),
@@ -1000,14 +972,94 @@ mod tests {
     }
 
     #[test]
-    fn aliases_resolve() {
+    fn strikes_must_be_positive() {
+        let err = parse_err("campaign --device gpu --workload mxm --precision half --strikes 0");
+        assert!(
+            err.0.contains("`--strikes` expects a positive integer"),
+            "{err:?}"
+        );
+        // A zero-injection run is well defined and stays accepted.
         assert!(matches!(
-            parse_ok("campaign --device v100 --workload gemm --precision double"),
-            Command::Campaign {
-                device: DeviceArg::GpuEcc,
-                workload: WorkloadArg::Mxm,
-                ..
-            }
+            parse_ok("inject --workload mxm --precision half --n 0"),
+            Command::Inject { injections: 0, .. }
         ));
+    }
+
+    #[test]
+    fn aliases_resolve() {
+        let devices = [
+            ("gpu", DeviceId::TitanV),
+            ("titan-v", DeviceId::TitanV),
+            ("gpu-ecc", DeviceId::TeslaV100),
+            ("v100", DeviceId::TeslaV100),
+            ("tesla-v100", DeviceId::TeslaV100),
+            ("knc", DeviceId::Knc3120a),
+            ("xeon-phi", DeviceId::Knc3120a),
+            ("knc-3120a", DeviceId::Knc3120a),
+            ("fpga", DeviceId::Zynq7000),
+            ("zynq", DeviceId::Zynq7000),
+            ("zynq-7000", DeviceId::Zynq7000),
+        ];
+        for (name, want) in devices {
+            let line = format!("campaign --device {name} --workload mxm --precision half");
+            assert!(
+                matches!(parse_ok(&line), Command::Campaign { device, .. } if device == want),
+                "{name}"
+            );
+        }
+        let micro = |op| WorkloadId::Micro {
+            op,
+            threads: 32,
+            iters: 256,
+        };
+        let lavamd = |knc_unit| WorkloadId::LavaMd {
+            boxes: 2,
+            particles: 4,
+            knc_unit,
+        };
+        let workloads = [
+            ("mxm", WorkloadId::Gemm { dim: 16 }),
+            ("gemm", WorkloadId::Gemm { dim: 16 }),
+            ("lavamd", lavamd(false)),
+            ("lavamd-knc", lavamd(true)),
+            ("lud", WorkloadId::Lud { dim: 20 }),
+            ("micro-add", micro(MicroKernelOp::Add)),
+            ("micro-mul", micro(MicroKernelOp::Mul)),
+            ("micro-fma", micro(MicroKernelOp::Fma)),
+            ("mnist", WorkloadId::Mnist { seed: 0x313 }),
+            ("yolo", WorkloadId::Yolo),
+            ("yolov3", WorkloadId::Yolo),
+        ];
+        for (name, want) in workloads {
+            let line = format!("inject --workload {name} --precision half");
+            assert!(
+                matches!(parse_ok(&line), Command::Inject { workload, .. } if workload == want),
+                "{name}"
+            );
+        }
+        let models = [
+            ("single", FaultModel::SingleBit),
+            ("double", FaultModel::DoubleBit),
+            ("byte", FaultModel::RandomByte),
+        ];
+        for (name, want) in models {
+            let line = format!("inject --workload mxm --precision half --model {name}");
+            assert!(
+                matches!(parse_ok(&line), Command::Inject { model, .. } if model == want),
+                "{name}"
+            );
+        }
+        assert_eq!(
+            parse_err("campaign --device tpu --workload mxm --precision half").0,
+            "unknown device `tpu` (gpu | gpu-ecc | knc | fpga)"
+        );
+        assert_eq!(
+            parse_err("inject --workload resnet --precision half").0,
+            format!("unknown workload `resnet`\n\n{USAGE}")
+        );
+        assert_eq!(
+            parse_err("inject --workload mxm --precision half --model triple").0,
+            "unknown model `triple` (single | double | byte)"
+        );
     }
 }

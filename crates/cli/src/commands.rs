@@ -1,15 +1,12 @@
 //! Command execution.
 
-use crate::args::{
-    duration_of, ChaosOpts, Command, DeviceArg, ModelArg, SamplingOpts, Scale, StudyOpts,
-    WorkloadArg,
-};
-use mpr_core::Study;
+use crate::args::{ChaosOpts, Command, SamplingOpts, StudyOpts};
+use mpr_core::{Study, StudyScale};
 use mpr_exp::{
-    failure_table, CellKey, CellKind, CellResult, ChaosConfig, ChaosFs, ClassifierId, DeviceId,
-    Engine, ExperimentPlan, RealFs, ResultStore, SamplingConfig, SamplingPlan, Vfs, WorkloadId,
+    failure_table, CellKey, CellKind, CellResult, ChaosConfig, ChaosFs, DeviceId, Engine,
+    ExperimentPlan, RealFs, ResultStore, SamplingConfig, SamplingPlan, Vfs, WorkloadId,
 };
-use mpr_fault::FaultModel;
+use mpr_fault::{FaultModel, InjectionReport};
 use mpr_kernels::MicroKernelOp;
 use mpr_metrics::sampling::rel_ci_width;
 use mpr_metrics::{SeverityHistogram, Table};
@@ -93,13 +90,15 @@ pub fn run(command: Command) -> i32 {
             retries,
             cell_timeout,
             sampling,
-        } => run_campaign(
-            device,
-            workload,
-            precision,
-            strikes,
-            hours,
-            sampling_plan(&sampling, Scale::Quick),
+        } => run_cell(
+            CellKey::beam(
+                device,
+                workload,
+                precision,
+                hours,
+                strikes,
+                sampling_plan(&sampling, StudyScale::Quick),
+            ),
             engine_of(seed, threads, retries, cell_timeout),
         ),
         Command::Inject {
@@ -112,12 +111,15 @@ pub fn run(command: Command) -> i32 {
             retries,
             cell_timeout,
             sampling,
-        } => run_inject(
-            workload,
-            precision,
-            injections,
-            model,
-            sampling_plan(&sampling, Scale::Quick),
+        } => run_cell(
+            CellKey::inject(
+                workload,
+                precision,
+                injections,
+                model,
+                1.0,
+                sampling_plan(&sampling, StudyScale::Quick),
+            ),
             engine_of(seed, threads, retries, cell_timeout),
         ),
         Command::Chaos { opts } => run_chaos(opts),
@@ -130,7 +132,12 @@ pub fn run(command: Command) -> i32 {
 /// milliseconds, wide enough to exercise many cache commits.
 fn chaos_plan() -> ExperimentPlan {
     let mut plan = ExperimentPlan::new();
-    for workload in [WorkloadId::Gemm { dim: 8 }, micro_id(MicroKernelOp::Add)] {
+    let micro_add = WorkloadId::Micro {
+        op: MicroKernelOp::Add,
+        threads: 32,
+        iters: 256,
+    };
+    for workload in [WorkloadId::Gemm { dim: 8 }, micro_add] {
         for precision in [Precision::Double, Precision::Single, Precision::Half] {
             plan.push(CellKey {
                 device: DeviceId::Zynq7000,
@@ -181,7 +188,7 @@ fn run_chaos(opts: ChaosOpts) -> i32 {
     };
     let store = Arc::new(ResultStore::with_cache_dir_on(dir, vfs));
     let engine = Engine::new(2019)
-        .with_threads(threads_from_env(opts.threads))
+        .with_threads(opts.threads)
         .with_retries(opts.retries)
         .with_store(store);
     let results = engine.try_run(&chaos_plan());
@@ -349,49 +356,13 @@ fn run_analyze(root: &str) -> i32 {
     }
 }
 
-/// Resolves the worker-thread budget: the `--threads` flag wins, then
-/// the `MPR_THREADS` environment variable, then 0 (all cores).
-fn resolve_threads(flag: Option<usize>, env: Option<&str>) -> usize {
-    flag.or_else(|| env.and_then(|s| s.trim().parse().ok()))
-        .unwrap_or(0)
-}
-
-fn threads_from_env(flag: Option<usize>) -> usize {
-    resolve_threads(flag, std::env::var("MPR_THREADS").ok().as_deref())
-}
-
-/// Resolves the watchdog deadline: the `--cell-timeout` flag wins, then
-/// the `MPR_CELL_TIMEOUT` environment variable (same grammar), then no
-/// deadline. An unparsable environment value is reported and ignored.
-fn resolve_cell_timeout(flag: Option<Duration>, env: Option<&str>) -> Option<Duration> {
-    flag.or_else(|| {
-        let v = env?.trim();
-        match duration_of(v) {
-            Ok(d) => Some(d),
-            Err(e) => {
-                eprintln!("ignoring MPR_CELL_TIMEOUT: {e}");
-                None
-            }
-        }
-    })
-}
-
-fn cell_timeout_from_env(flag: Option<Duration>) -> Option<Duration> {
-    resolve_cell_timeout(flag, std::env::var("MPR_CELL_TIMEOUT").ok().as_deref())
-}
-
 /// The engine behind the single-campaign commands, with the
 /// fault-tolerance knobs applied.
-fn engine_of(
-    seed: u64,
-    threads: Option<usize>,
-    retries: u32,
-    cell_timeout: Option<Duration>,
-) -> Engine {
+fn engine_of(seed: u64, threads: usize, retries: u32, cell_timeout: Option<Duration>) -> Engine {
     Engine::new(seed)
-        .with_threads(threads_from_env(threads))
+        .with_threads(threads)
         .with_retries(retries)
-        .with_cell_timeout(cell_timeout_from_env(cell_timeout))
+        .with_cell_timeout(cell_timeout)
 }
 
 /// Handles `--resume` before any cells run: names the subset the run
@@ -435,13 +406,13 @@ fn resume_preflight(opts: &StudyOpts) -> Option<i32> {
 /// Builds the strike-sampling plan from the parsed flags: fixed unless
 /// `--adaptive`, starting from the scale's CI-width preset and refined
 /// by `--ci-width` / `--strike-budget`.
-fn sampling_plan(opts: &SamplingOpts, scale: Scale) -> SamplingPlan {
+fn sampling_plan(opts: &SamplingOpts, scale: StudyScale) -> SamplingPlan {
     if !opts.adaptive {
         return SamplingPlan::Fixed;
     }
     let mut config = match scale {
-        Scale::Quick => SamplingConfig::quick(),
-        Scale::Paper => SamplingConfig::paper(),
+        StudyScale::Quick => SamplingConfig::quick(),
+        StudyScale::Paper => SamplingConfig::paper(),
     };
     if let Some(w) = opts.ci_width {
         config = config.with_ci_width(w);
@@ -454,13 +425,13 @@ fn sampling_plan(opts: &SamplingOpts, scale: Scale) -> SamplingPlan {
 
 fn study(opts: &StudyOpts) -> Study {
     let mut study = match opts.scale {
-        Scale::Quick => Study::quick(2019),
-        Scale::Paper => Study::paper(2019),
+        StudyScale::Quick => Study::quick(2019),
+        StudyScale::Paper => Study::paper(2019),
     }
     .with_sampling(sampling_plan(&opts.sampling, opts.scale))
-    .with_threads(threads_from_env(opts.threads))
+    .with_threads(opts.threads)
     .with_retries(opts.retries)
-    .with_cell_timeout(cell_timeout_from_env(opts.cell_timeout));
+    .with_cell_timeout(opts.cell_timeout);
     if let Some(dir) = &opts.cache_dir {
         study = study.with_cache_dir(dir);
     }
@@ -496,55 +467,6 @@ fn finish_profile(rec: Option<Arc<JsonlRecorder>>) -> i32 {
     }
 }
 
-fn device_id(arg: DeviceArg) -> DeviceId {
-    match arg {
-        DeviceArg::Gpu => DeviceId::TitanV,
-        DeviceArg::GpuEcc => DeviceId::TeslaV100,
-        DeviceArg::Knc => DeviceId::Knc3120a,
-        DeviceArg::Fpga => DeviceId::Zynq7000,
-    }
-}
-
-/// The CLI's fixed mid-size workload proxies (between the study's
-/// quick and paper scales).
-fn workload_id(arg: WorkloadArg) -> WorkloadId {
-    match arg {
-        WorkloadArg::Mxm => WorkloadId::Gemm { dim: 16 },
-        WorkloadArg::Lavamd => WorkloadId::LavaMd {
-            boxes: 2,
-            particles: 4,
-            knc_unit: false,
-        },
-        WorkloadArg::LavamdKnc => WorkloadId::LavaMd {
-            boxes: 2,
-            particles: 4,
-            knc_unit: true,
-        },
-        WorkloadArg::Lud => WorkloadId::Lud { dim: 20 },
-        WorkloadArg::MicroAdd => micro_id(MicroKernelOp::Add),
-        WorkloadArg::MicroMul => micro_id(MicroKernelOp::Mul),
-        WorkloadArg::MicroFma => micro_id(MicroKernelOp::Fma),
-        WorkloadArg::Mnist => WorkloadId::Mnist { seed: 0x313 },
-        WorkloadArg::Yolo => WorkloadId::Yolo,
-    }
-}
-
-fn micro_id(op: MicroKernelOp) -> WorkloadId {
-    WorkloadId::Micro {
-        op,
-        threads: 32,
-        iters: 256,
-    }
-}
-
-fn classifier_for(workload: &WorkloadId) -> ClassifierId {
-    match workload {
-        WorkloadId::Mnist { .. } => ClassifierId::MnistLogits,
-        WorkloadId::Yolo => ClassifierId::YoloDetections,
-        _ => ClassifierId::None,
-    }
-}
-
 /// Checks precision support with distinct messages for the device and
 /// the workload; returns the exit code on failure.
 fn check_supported(key: &CellKey) -> Option<i32> {
@@ -569,35 +491,30 @@ fn check_supported(key: &CellKey) -> Option<i32> {
     None
 }
 
-fn run_campaign(
-    device_arg: DeviceArg,
-    workload_arg: WorkloadArg,
-    precision: Precision,
-    strikes: u64,
-    hours: f64,
-    sampling: SamplingPlan,
-    engine: Engine,
-) -> i32 {
-    let key = CellKey {
-        device: device_id(device_arg),
-        workload: workload_id(workload_arg),
-        precision,
-        kind: CellKind::Beam {
-            hours,
-            target_candidates: strikes,
-            classifier: classifier_for(&workload_id(workload_arg)),
-            sampling,
-        },
-    };
+/// Runs the one cell behind `campaign` / `inject` and prints its
+/// report. Exit code 3 renders the structured failure table on stderr
+/// instead of a panic backtrace, distinguishing "the cell failed" from
+/// usage (1) and unsupported-configuration (2) errors.
+fn run_cell(key: CellKey, engine: Engine) -> i32 {
     if let Some(code) = check_supported(&key) {
         return code;
     }
     let cell = match engine.try_run_one(&key) {
         Ok(cell) => cell,
-        Err(failure) => return report_failure(failure),
+        Err(failure) => {
+            eprintln!("{}", failure_table(&[failure]));
+            return 3;
+        }
     };
-    let result = cell.beam();
+    match key.kind {
+        CellKind::Inject { model, .. } => print_inject(cell.inject(), key.precision, model),
+        _ => print_beam(&cell, key.precision),
+    }
+    0
+}
 
+fn print_beam(cell: &CellResult, precision: Precision) {
+    let result = cell.beam();
     let mut t = Table::new(vec!["quantity", "value"]).with_title(format!(
         "{} / {} / {precision}",
         result.device, result.workload
@@ -644,57 +561,9 @@ fn run_campaign(
     println!("{t}");
     println!("SDC severity distribution (max relative error per event):");
     println!("{}", SeverityHistogram::from_errors(&result.severities));
-    0
 }
 
-/// Renders a structured failure table on stderr instead of letting a
-/// panic backtrace through; exit code 3 distinguishes "the cell failed"
-/// from usage (1) and unsupported-configuration (2) errors.
-fn report_failure(failure: mpr_exp::CellFailure) -> i32 {
-    eprintln!("{}", failure_table(&[failure]));
-    3
-}
-
-fn run_inject(
-    workload_arg: WorkloadArg,
-    precision: Precision,
-    injections: u64,
-    model: ModelArg,
-    sampling: SamplingPlan,
-    engine: Engine,
-) -> i32 {
-    let workload = workload_id(workload_arg);
-    let model = match model {
-        ModelArg::Single => FaultModel::SingleBit,
-        ModelArg::Double => FaultModel::DoubleBit,
-        ModelArg::Byte => FaultModel::RandomByte,
-    };
-    // Injection bypasses the device's execution units: the device slot
-    // only namespaces the cell (same convention as the study).
-    let key = CellKey {
-        device: match workload {
-            WorkloadId::Micro { .. } | WorkloadId::Yolo => DeviceId::TitanV,
-            WorkloadId::Mnist { .. } => DeviceId::Zynq7000,
-            _ => DeviceId::Knc3120a,
-        },
-        workload,
-        precision,
-        kind: CellKind::Inject {
-            injections,
-            model,
-            live_fraction: 1.0,
-            sampling,
-        },
-    };
-    if let Some(code) = check_supported(&key) {
-        return code;
-    }
-    let cell = match engine.try_run_one(&key) {
-        Ok(cell) => cell,
-        Err(failure) => return report_failure(failure),
-    };
-    let report = cell.inject();
-
+fn print_inject(report: &InjectionReport, precision: Precision, model: FaultModel) {
     let v = report.vulnerability();
     let mut t = Table::new(vec!["quantity", "value"])
         .with_title(format!("{} / {precision} / {model:?}", report.workload));
@@ -705,12 +574,11 @@ fn run_inject(
     println!("{t}");
     println!("SDC severity distribution:");
     println!("{}", SeverityHistogram::from_errors(&report.severities));
-    0
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{cell_label, inject_budget, resolve_threads, run_analyze};
+    use super::{cell_label, inject_budget, run_analyze};
 
     #[test]
     fn inject_budget_reads_request_and_adaptive_override() {
@@ -774,30 +642,6 @@ mod tests {
         assert_eq!(ids, ["AH003"]);
         assert_eq!(run_analyze(dir.to_str().expect("utf-8 path")), 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn thread_budget_resolution_order() {
-        // Flag beats environment beats the all-cores default.
-        assert_eq!(resolve_threads(Some(4), Some("8")), 4);
-        assert_eq!(resolve_threads(None, Some("8")), 8);
-        assert_eq!(resolve_threads(None, Some(" 2 ")), 2);
-        assert_eq!(resolve_threads(None, Some("many")), 0);
-        assert_eq!(resolve_threads(None, None), 0);
-    }
-
-    #[test]
-    fn cell_timeout_resolution_order() {
-        use super::resolve_cell_timeout;
-        use std::time::Duration;
-        let flag = Some(Duration::from_secs(9));
-        assert_eq!(resolve_cell_timeout(flag, Some("5s")), flag);
-        assert_eq!(
-            resolve_cell_timeout(None, Some("250ms")),
-            Some(Duration::from_millis(250))
-        );
-        assert_eq!(resolve_cell_timeout(None, Some("forever")), None);
-        assert_eq!(resolve_cell_timeout(None, None), None);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! FPGA experiments: Figures 2-5 of the paper.
 
 use crate::Study;
+use mpr_arch::Fpga;
 use mpr_exp::DeviceId;
 use mpr_metrics::{Table, TreCurve};
 use mpr_softfloat::Precision;
@@ -175,7 +176,7 @@ impl Study {
     /// Figure 2: synthesis resource utilization.
     pub fn fig2_fpga_resources(&self) -> Fig2 {
         let _phase = self.phase("fig2_fpga_resources");
-        let fpga = self.fpga();
+        let fpga = Fpga::zynq7000();
         let mut rows = Vec::new();
         for design in ["MxM", "MNIST"] {
             let mut luts = [0.0; 3];
@@ -213,7 +214,7 @@ impl Study {
     /// Figure 3: beam campaigns on the FPGA MxM and MNIST circuits.
     pub fn fig3_fpga_fit(&self) -> Fig3 {
         let _phase = self.phase("fig3_fpga_fit");
-        let fpga = self.fpga();
+        let fpga = Fpga::zynq7000();
         let results = self.run_cells(self.fpga_cells());
 
         let mut mxm_fit = [0.0; 3];

@@ -2,10 +2,10 @@
 
 use crate::fpga_figures::PRECISIONS;
 use crate::Study;
-use mpr_arch::Device;
-use mpr_exp::{CellResult, DeviceId};
+use mpr_arch::{Device, VoltaGpu};
+use mpr_exp::{CellResult, DeviceId, WorkloadId};
 use mpr_fault::FaultModel;
-use mpr_kernels::MicroKernelOp;
+use mpr_kernels::{profiles as kprofiles, MicroKernelOp};
 use mpr_metrics::{Table, TreCurve, Vulnerability};
 
 fn gpu_table(first: &str, title: &str) -> Table {
@@ -195,9 +195,9 @@ impl Study {
             self.micro_id(MicroKernelOp::Add),
             self.micro_id(MicroKernelOp::Mul),
             self.micro_id(MicroKernelOp::Fma),
-            self.lavamd_id(),
+            self.lavamd_id(false),
             self.gemm_id(),
-            self.yolo_id(),
+            WorkloadId::Yolo,
         ];
         let mut cells = Vec::with_capacity(18);
         for w in workloads {
@@ -264,10 +264,10 @@ impl Study {
     /// core — Section 6.2).
     pub fn fig12_gpu_avf(&self) -> Fig12 {
         let _phase = self.phase("fig12_gpu_avf");
-        let gpu = self.gpu();
+        let gpu = VoltaGpu::titan_v();
         let mut cells = Vec::with_capacity(9);
         for op in MicroKernelOp::ALL {
-            let prof = self.profile_micro(op);
+            let prof = kprofiles::micro(op);
             for p in PRECISIONS {
                 let pipe = gpu.exposure(&prof, p).pipeline_fraction;
                 cells.push(self.inject_cell(

@@ -157,7 +157,7 @@ impl Study {
         reason = "run_cells returns exactly one result per requested cell"
     )]
     fn knc_results(&self) -> [[CellResult; 2]; 3] {
-        let workloads = [self.lavamd_knc_id(), self.gemm_id(), self.lud_id()];
+        let workloads = [self.lavamd_id(true), self.gemm_id(), self.lud_id()];
         let mut cells = Vec::with_capacity(6);
         for w in workloads {
             for p in [Precision::Double, Precision::Single] {
@@ -190,7 +190,7 @@ impl Study {
     /// KNC injects program variables — Section 5.2).
     pub fn fig7_knc_pvf(&self) -> Fig7 {
         let _phase = self.phase("fig7_knc_pvf");
-        let workloads = [self.lavamd_knc_id(), self.gemm_id(), self.lud_id()];
+        let workloads = [self.lavamd_id(true), self.gemm_id(), self.lud_id()];
         let mut cells = Vec::with_capacity(6);
         for w in workloads {
             for p in [Precision::Double, Precision::Single] {

@@ -1,23 +1,22 @@
 //! The study configuration: scale, seed, and the experiment engine.
 
-use mpr_arch::{Fpga, VoltaGpu, WorkloadProfile, XeonPhiKnc};
 use mpr_exp::{
-    mix_seed, CellKey, CellKind, CellResult, ClassifierId, DeviceId, Engine, ExperimentPlan,
-    ResultStore, SamplingPlan, WorkloadId,
+    mix_seed, CellKey, CellKind, CellResult, DeviceId, Engine, ExperimentPlan, ResultStore,
+    SamplingPlan, WorkloadId,
 };
 use mpr_fault::FaultModel;
-use mpr_kernels::{profiles as kprofiles, MicroKernelOp};
-use mpr_nn::profiles as nprofiles;
+use mpr_kernels::MicroKernelOp;
 use mpr_obs::{Recorder, Timer};
 use mpr_softfloat::Precision;
 use std::path::Path;
 use std::sync::Arc;
 
 /// How much statistical weight to put behind each experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StudyScale {
     /// Small proxies and short sessions: seconds per figure. Used by
     /// tests and the quickstart example.
+    #[default]
     Quick,
     /// Paper-scale statistics (thousands of strikes/injections per
     /// configuration): tens of seconds per figure. Used by the benches
@@ -181,7 +180,9 @@ impl Study {
         }
     }
 
-    pub(crate) fn lavamd_id(&self) -> WorkloadId {
+    /// LavaMD; `knc_unit` selects the KNC's dedicated-transcendental-unit
+    /// exp model.
+    pub(crate) fn lavamd_id(&self, knc_unit: bool) -> WorkloadId {
         let (boxes, particles) = match self.scale {
             StudyScale::Quick => (2, 3),
             StudyScale::Paper => (2, 5),
@@ -189,25 +190,7 @@ impl Study {
         WorkloadId::LavaMd {
             boxes,
             particles,
-            knc_unit: false,
-        }
-    }
-
-    /// LavaMD with the KNC's dedicated-transcendental-unit exp model.
-    pub(crate) fn lavamd_knc_id(&self) -> WorkloadId {
-        match self.lavamd_id() {
-            WorkloadId::LavaMd {
-                boxes, particles, ..
-            } => WorkloadId::LavaMd {
-                boxes,
-                particles,
-                knc_unit: true,
-            },
-            #[expect(
-                clippy::unreachable,
-                reason = "lavamd_id always returns the LavaMd variant"
-            )]
-            other => unreachable!("lavamd_id returned {other:?}"),
+            knc_unit,
         }
     }
 
@@ -237,51 +220,23 @@ impl Study {
         }
     }
 
-    pub(crate) fn yolo_id(&self) -> WorkloadId {
-        WorkloadId::Yolo
-    }
-
-    // --- devices ------------------------------------------------------------
-
-    pub(crate) fn fpga(&self) -> Fpga {
-        Fpga::zynq7000()
-    }
-
-    pub(crate) fn knc(&self) -> XeonPhiKnc {
-        XeonPhiKnc::coprocessor_3120a()
-    }
-
-    pub(crate) fn gpu(&self) -> VoltaGpu {
-        VoltaGpu::titan_v()
-    }
-
     // --- cell constructors --------------------------------------------------
 
-    /// A beam cell at this study's scale. Workloads with a domain
-    /// classifier (MNIST, YOLO) always carry it, so label-consuming
-    /// and label-free figures share one campaign.
+    /// A beam cell at this study's scale (see [`CellKey::beam`]).
     pub(crate) fn beam_cell(
         &self,
         device: DeviceId,
         workload: WorkloadId,
         precision: Precision,
     ) -> CellKey {
-        let classifier = match workload {
-            WorkloadId::Mnist { .. } => ClassifierId::MnistLogits,
-            WorkloadId::Yolo => ClassifierId::YoloDetections,
-            _ => ClassifierId::None,
-        };
-        CellKey {
+        CellKey::beam(
             device,
             workload,
             precision,
-            kind: CellKind::Beam {
-                hours: self.hours(),
-                target_candidates: self.target_candidates(),
-                classifier,
-                sampling: self.sampling,
-            },
-        }
+            self.hours(),
+            self.target_candidates(),
+            self.sampling,
+        )
     }
 
     /// An injection cell at this study's scale, with the given fault
@@ -294,25 +249,14 @@ impl Study {
         model: FaultModel,
         live_fraction: f64,
     ) -> CellKey {
-        // Injection campaigns bypass the device's execution units; the
-        // device slot only namespaces the cell. Use the device whose
-        // methodology the model mimics to keep keys self-describing.
-        let device = match workload {
-            WorkloadId::Micro { .. } | WorkloadId::Yolo => DeviceId::TitanV,
-            WorkloadId::Mnist { .. } => DeviceId::Zynq7000,
-            _ => DeviceId::Knc3120a,
-        };
-        CellKey {
-            device,
+        CellKey::inject(
             workload,
             precision,
-            kind: CellKind::Inject {
-                injections: self.injections(),
-                model,
-                live_fraction,
-                sampling: self.sampling,
-            },
-        }
+            self.injections(),
+            model,
+            live_fraction,
+            self.sampling,
+        )
     }
 
     /// An FPGA error-accumulation cell (MxM, `faults` stuck-at upsets
@@ -340,36 +284,6 @@ impl Study {
             plan.push(key);
         }
         self.engine.run(&plan)
-    }
-
-    // --- profile accessors (full-scale characterizations) ------------------
-
-    pub(crate) fn profile_mxm_gpu(&self) -> WorkloadProfile {
-        kprofiles::mxm_gpu()
-    }
-    pub(crate) fn profile_lavamd_gpu(&self) -> WorkloadProfile {
-        kprofiles::lavamd_gpu()
-    }
-    pub(crate) fn profile_mxm_knc(&self) -> WorkloadProfile {
-        kprofiles::mxm_knc()
-    }
-    pub(crate) fn profile_lavamd_knc(&self) -> WorkloadProfile {
-        kprofiles::lavamd_knc()
-    }
-    pub(crate) fn profile_lud_knc(&self) -> WorkloadProfile {
-        kprofiles::lud_knc()
-    }
-    pub(crate) fn profile_mxm_fpga(&self) -> WorkloadProfile {
-        kprofiles::mxm_fpga()
-    }
-    pub(crate) fn profile_micro(&self, op: MicroKernelOp) -> WorkloadProfile {
-        kprofiles::micro(op)
-    }
-    pub(crate) fn profile_mnist_fpga(&self) -> WorkloadProfile {
-        nprofiles::mnist_fpga()
-    }
-    pub(crate) fn profile_yolo_gpu(&self) -> WorkloadProfile {
-        nprofiles::yolo_gpu()
     }
 }
 

@@ -2,21 +2,22 @@
 
 use crate::fpga_figures::PRECISIONS;
 use crate::Study;
-use mpr_arch::Device;
-use mpr_kernels::MicroKernelOp;
+use mpr_arch::{Device, Fpga, VoltaGpu, XeonPhiKnc};
+use mpr_kernels::{profiles as kprofiles, MicroKernelOp};
 use mpr_metrics::Table;
+use mpr_nn::profiles as nprofiles;
 use mpr_softfloat::Precision;
 
 impl Study {
     /// Table 1: benchmark execution times on the Zynq-7000.
     pub fn table1_fpga_times(&self) -> Table {
         let _phase = self.phase("table1_fpga_times");
-        let fpga = self.fpga();
+        let fpga = Fpga::zynq7000();
         let mut t = Table::new(vec!["benchmark", "double [s]", "single [s]", "half [s]"])
             .with_title("Table 1: execution time on the Zynq-7000");
         for (name, profile) in [
-            ("MNIST", self.profile_mnist_fpga()),
-            ("MxM", self.profile_mxm_fpga()),
+            ("MNIST", nprofiles::mnist_fpga()),
+            ("MxM", kprofiles::mxm_fpga()),
         ] {
             let times = PRECISIONS.map(|p| fpga.exec_time(&profile, p));
             t.row(vec![
@@ -32,13 +33,13 @@ impl Study {
     /// Table 2: benchmark execution times on the Xeon Phi.
     pub fn table2_knc_times(&self) -> Table {
         let _phase = self.phase("table2_knc_times");
-        let knc = self.knc();
+        let knc = XeonPhiKnc::coprocessor_3120a();
         let mut t = Table::new(vec!["benchmark", "double [s]", "single [s]"])
             .with_title("Table 2: execution time on the Xeon Phi 3120A");
         for (name, profile) in [
-            ("LavaMD", self.profile_lavamd_knc()),
-            ("MxM", self.profile_mxm_knc()),
-            ("LUD", self.profile_lud_knc()),
+            ("LavaMD", kprofiles::lavamd_knc()),
+            ("MxM", kprofiles::mxm_knc()),
+            ("LUD", kprofiles::lud_knc()),
         ] {
             t.row(vec![
                 name.to_string(),
@@ -52,7 +53,7 @@ impl Study {
     /// Table 3: benchmark execution times on the Titan V.
     pub fn table3_gpu_times(&self) -> Table {
         let _phase = self.phase("table3_gpu_times");
-        let gpu = self.gpu();
+        let gpu = VoltaGpu::titan_v();
         let mut t = Table::new(vec!["benchmark", "double [s]", "single [s]", "half [s]"])
             .with_title("Table 3: execution time on the Titan V");
         let mut push = |name: &str, profile: &mpr_arch::WorkloadProfile| {
@@ -65,11 +66,11 @@ impl Study {
             ]);
         };
         for op in MicroKernelOp::ALL {
-            push(op.name(), &self.profile_micro(op));
+            push(op.name(), &kprofiles::micro(op));
         }
-        push("LavaMD", &self.profile_lavamd_gpu());
-        push("MxM", &self.profile_mxm_gpu());
-        push("YOLOv3", &self.profile_yolo_gpu());
+        push("LavaMD", &kprofiles::lavamd_gpu());
+        push("MxM", &kprofiles::mxm_gpu());
+        push("YOLOv3", &nprofiles::yolo_gpu());
         t
     }
 }

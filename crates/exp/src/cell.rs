@@ -417,6 +417,66 @@ pub struct CellKey {
 }
 
 impl CellKey {
+    /// A beam cell. Workloads with a domain classifier (MNIST, YOLO)
+    /// always carry it, so label-consuming and label-free figures share
+    /// one campaign; every other workload runs unlabelled.
+    pub fn beam(
+        device: DeviceId,
+        workload: WorkloadId,
+        precision: Precision,
+        hours: f64,
+        target_candidates: u64,
+        sampling: SamplingPlan,
+    ) -> CellKey {
+        let classifier = match workload {
+            WorkloadId::Mnist { .. } => ClassifierId::MnistLogits,
+            WorkloadId::Yolo => ClassifierId::YoloDetections,
+            _ => ClassifierId::None,
+        };
+        CellKey {
+            device,
+            workload,
+            precision,
+            kind: CellKind::Beam {
+                hours,
+                target_candidates,
+                classifier,
+                sampling,
+            },
+        }
+    }
+
+    /// An injection cell. Injection bypasses the device's execution
+    /// units, so the device slot only namespaces the cell: it names the
+    /// device whose methodology the injection mimics (the Titan V for
+    /// the micros and YOLO, the Zynq for MNIST, the Xeon Phi for the
+    /// rest), which keeps keys self-describing.
+    pub fn inject(
+        workload: WorkloadId,
+        precision: Precision,
+        injections: u64,
+        model: FaultModel,
+        live_fraction: f64,
+        sampling: SamplingPlan,
+    ) -> CellKey {
+        let device = match workload {
+            WorkloadId::Micro { .. } | WorkloadId::Yolo => DeviceId::TitanV,
+            WorkloadId::Mnist { .. } => DeviceId::Zynq7000,
+            _ => DeviceId::Knc3120a,
+        };
+        CellKey {
+            device,
+            workload,
+            precision,
+            kind: CellKind::Inject {
+                injections,
+                model,
+                live_fraction,
+                sampling,
+            },
+        }
+    }
+
     /// The canonical, versioned string encoding of this key.
     pub fn canonical(&self) -> String {
         format!(
@@ -603,6 +663,105 @@ mod tests {
             },
         };
         assert!(!key.supported());
+    }
+
+    #[test]
+    fn constructors_pick_classifier_and_namespace_device() {
+        use MicroKernelOp::{Add, Fma, Mul};
+        let micro = |op| WorkloadId::Micro {
+            op,
+            threads: 4,
+            iters: 8,
+        };
+        let lavamd = |knc_unit| WorkloadId::LavaMd {
+            boxes: 2,
+            particles: 3,
+            knc_unit,
+        };
+        let hostile = WorkloadId::Hostile {
+            tag: 1,
+            mode: HostileMode::WellBehaved,
+        };
+        let cases = [
+            (
+                WorkloadId::Gemm { dim: 12 },
+                ClassifierId::None,
+                DeviceId::Knc3120a,
+            ),
+            (lavamd(false), ClassifierId::None, DeviceId::Knc3120a),
+            (lavamd(true), ClassifierId::None, DeviceId::Knc3120a),
+            (
+                WorkloadId::Lud { dim: 12 },
+                ClassifierId::None,
+                DeviceId::Knc3120a,
+            ),
+            (micro(Add), ClassifierId::None, DeviceId::TitanV),
+            (micro(Mul), ClassifierId::None, DeviceId::TitanV),
+            (micro(Fma), ClassifierId::None, DeviceId::TitanV),
+            (
+                WorkloadId::Mnist { seed: 7 },
+                ClassifierId::MnistLogits,
+                DeviceId::Zynq7000,
+            ),
+            (
+                WorkloadId::Yolo,
+                ClassifierId::YoloDetections,
+                DeviceId::TitanV,
+            ),
+            (hostile, ClassifierId::None, DeviceId::Knc3120a),
+        ];
+        for (workload, classifier, inject_device) in cases {
+            let p = Precision::Single;
+            let beam = CellKey::beam(
+                DeviceId::TeslaV100,
+                workload,
+                p,
+                1.0,
+                8,
+                SamplingPlan::Fixed,
+            );
+            assert_eq!(beam.device, DeviceId::TeslaV100, "{workload:?}");
+            assert!(
+                matches!(beam.kind, CellKind::Beam { classifier: c, .. } if c == classifier),
+                "{workload:?}"
+            );
+            let inject = CellKey::inject(
+                workload,
+                p,
+                8,
+                FaultModel::SingleBit,
+                1.0,
+                SamplingPlan::Fixed,
+            );
+            assert_eq!(inject.device, inject_device, "{workload:?}");
+        }
+        // The constructors build exactly the keys the struct literals
+        // built before them: same canonical string, same cache entry.
+        let beam = CellKey::beam(
+            DeviceId::Zynq7000,
+            WorkloadId::Mnist { seed: 0x313 },
+            Precision::Half,
+            100.0,
+            200,
+            SamplingPlan::Fixed,
+        );
+        assert_eq!(
+            beam.canonical(),
+            "v2;dev=zynq-7000;wl=mnist:0000000000000313;p=half;\
+             k=beam:h=4059000000000000,n=200,c=mnist"
+        );
+        let inject = CellKey::inject(
+            micro(Fma),
+            Precision::Half,
+            300,
+            FaultModel::RandomByte,
+            1.0,
+            SamplingPlan::Fixed,
+        );
+        assert_eq!(
+            inject.canonical(),
+            "v2;dev=titan-v;wl=micro-fma:4x8;p=half;k=inj:n=300,m=rb,lf=3ff0000000000000"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::manifest::{CellState, CellStatus, Manifest};
 use crate::store::{AccumulateOutcome, CellResult, LookupSource, ResultStore};
 use mpr_beam::{BeamCampaign, BeamSession};
 use mpr_fault::hook::MultiStrikeHook;
-use mpr_fault::{CampaignError, InjectionCampaign, ValueFault};
+use mpr_fault::{resolve_threads, CampaignError, InjectionCampaign, ValueFault};
 use mpr_metrics::sampling::{largest_remainder, rel_ci_width, SamplingPlan};
 use mpr_obs::{
     fnv1a64, panic_message, CancelToken, Counter, Metric, NullRecorder, Recorder, SplitMix, Timer,
@@ -157,20 +157,14 @@ impl Engine {
         self
     }
 
-    /// Attaches a plan-level shutdown token: firing it (from a signal
-    /// thread, a strike worker, or a deadline) makes the engine stop
-    /// starting new cells, lets the in-flight cell cancel cooperatively
-    /// at its next batch boundary, and still flushes the campaign
-    /// manifest — so an interrupted run is always resumable. This is
-    /// the process's SIGINT analogue: the workspace is `unsafe`-free,
-    /// so an actual signal handler cannot be installed; a front end
-    /// that catches SIGINT fires this token instead.
-    pub fn with_cancel_token(mut self, cancel: CancelToken) -> Engine {
-        self.cancel = cancel;
-        self
-    }
-
-    /// The plan-level shutdown token (see [`Engine::with_cancel_token`]).
+    /// The plan-level shutdown token: firing it (from a signal thread,
+    /// a strike worker, or a deadline) makes the engine stop starting
+    /// new cells, lets the in-flight cell cancel cooperatively at its
+    /// next batch boundary, and still flushes the campaign manifest — so
+    /// an interrupted run is always resumable. This is the process's
+    /// SIGINT analogue: the workspace is `unsafe`-free, so an actual
+    /// signal handler cannot be installed; a front end that catches
+    /// SIGINT fires this token instead.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -216,10 +210,7 @@ impl Engine {
 
     /// The resolved worker-thread count.
     pub fn threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-            n => n,
-        }
+        resolve_threads(self.threads)
     }
 
     /// Runs a plan: dedups the requested cells, executes the unique

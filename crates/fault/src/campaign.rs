@@ -1,6 +1,6 @@
 //! Seeded, parallel fault-injection campaigns.
 
-use crate::{FaultModel, StrikeRunner, ValueFault, Workload};
+use crate::{resolve_threads, FaultModel, StrikeRunner, ValueFault, Workload};
 use mpr_metrics::sampling::{rel_ci_width, SamplingPlan};
 use mpr_metrics::{OutcomeCounts, TreCurve, Vulnerability};
 use mpr_obs::{CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER};
@@ -122,7 +122,7 @@ impl<'a> InjectionCampaign<'a> {
             seed: 0,
             model: FaultModel::SingleBit,
             live_fraction: 1.0,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: resolve_threads(0),
             strike_batch: 64,
             sampling: SamplingPlan::Fixed,
             golden: None,

@@ -80,5 +80,5 @@ pub use model::{FaultModel, ValueFault};
 /// The workspace's one splitmix64 mixer, for workload crates that
 /// synthesize deterministic inputs with it.
 pub use mpr_obs::splitmix64;
-pub use runner::{StrikeRunner, Strikes};
+pub use runner::{resolve_threads, StrikeRunner, Strikes};
 pub use workload::Workload;

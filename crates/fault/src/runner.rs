@@ -72,6 +72,15 @@ impl std::fmt::Debug for StrikeRunner<'_> {
     }
 }
 
+/// Resolves a worker-thread budget: `0` asks for every available core
+/// (4 when the platform cannot tell), any other count is taken as is.
+pub fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    }
+}
+
 /// What a [`StrikeRunner`] hands back to its driver.
 #[derive(Debug)]
 pub struct Strikes<T> {

@@ -24,8 +24,6 @@
 //! * [`FloatExt`] — one trait unifying `f64`, `f32`, and [`Half`] so every
 //!   benchmark kernel in the study is written once, generic over precision.
 //! * [`Precision`] — runtime precision selector with format metadata.
-//! * [`AnyFloat`] — a dynamically typed float value used by the fault
-//!   injector to flip bits of a value regardless of its precision.
 //! * [`ulp`] — ULP distances and relative-error helpers used by the
 //!   Tolerated-Relative-Error (TRE) analysis.
 //! * [`math`] — in-precision transcendental functions (polynomial `exp`)
@@ -57,7 +55,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod any;
 mod half;
 pub mod math;
 mod precision;
@@ -65,7 +62,6 @@ mod traits;
 pub mod ulp;
 pub mod wide;
 
-pub use any::AnyFloat;
 pub use half::{Half, ParseHalfError};
 pub use precision::Precision;
 pub use traits::FloatExt;

@@ -12,7 +12,7 @@
 //! ```
 
 use mixed_precision_reliability::exp::{
-    CellKey, CellKind, ClassifierId, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
+    CellKey, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
 };
 use mixed_precision_reliability::kernels::MicroKernelOp;
 use mixed_precision_reliability::metrics::Table;
@@ -41,20 +41,14 @@ fn main() {
     for device in [DeviceId::TitanV, DeviceId::TeslaV100] {
         for (_, workload) in &cases {
             for precision in Precision::ALL {
-                plan.push(CellKey {
+                plan.push(CellKey::beam(
                     device,
-                    workload: *workload,
+                    *workload,
                     precision,
-                    kind: CellKind::Beam {
-                        hours: 10.0,
-                        target_candidates: 900,
-                        classifier: match workload {
-                            WorkloadId::Yolo => ClassifierId::YoloDetections,
-                            _ => ClassifierId::None,
-                        },
-                        sampling: SamplingPlan::Fixed,
-                    },
-                });
+                    10.0,
+                    900,
+                    SamplingPlan::Fixed,
+                ));
             }
         }
     }

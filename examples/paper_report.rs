@@ -24,7 +24,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paper_scale = args.iter().any(|a| a == "--paper");
     let threads: usize = flag_value(&args, "--threads")
-        .or_else(|| std::env::var("MPR_THREADS").ok())
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0);
 

@@ -12,25 +12,11 @@
 )]
 
 use mixed_precision_reliability::exp::{
-    CellKey, CellKind, ClassifierId, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
+    CellKey, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
 };
 use mixed_precision_reliability::kernels::MicroKernelOp;
 use mixed_precision_reliability::metrics::Table;
 use mixed_precision_reliability::softfloat::Precision;
-
-fn beam_cell(device: DeviceId, workload: WorkloadId, precision: Precision) -> CellKey {
-    CellKey {
-        device,
-        workload,
-        precision,
-        kind: CellKind::Beam {
-            hours: 10.0,
-            target_candidates: 800,
-            classifier: ClassifierId::None,
-            sampling: SamplingPlan::Fixed,
-        },
-    }
-}
 
 fn main() {
     let engine = Engine::new(7);
@@ -71,7 +57,14 @@ fn main() {
     let mut requested = Vec::new();
     for (device, _, workload) in &configs {
         for precision in Precision::ALL {
-            let cell = beam_cell(*device, *workload, precision);
+            let cell = CellKey::beam(
+                *device,
+                *workload,
+                precision,
+                10.0,
+                800,
+                SamplingPlan::Fixed,
+            );
             if cell.supported() {
                 plan.push(cell.clone());
                 requested.push(Some(cell));

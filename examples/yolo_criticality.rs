@@ -8,7 +8,7 @@
 //! ```
 
 use mixed_precision_reliability::exp::{
-    CellKey, CellKind, ClassifierId, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
+    CellKey, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
 };
 use mixed_precision_reliability::metrics::Table;
 use mixed_precision_reliability::nn::TinyYolo;
@@ -28,22 +28,20 @@ fn main() {
     }
     println!();
 
-    // The named classifier rides inside the cell key, so these are the
-    // same cells the full study's Figures 10-13 execute — at a shared
-    // seed the results would come straight from the cache.
+    // `CellKey::beam` gives YOLO its detection classifier, and the named
+    // classifier rides inside the cell key, so these are the same cells
+    // the full study's Figures 10-13 execute — at a shared seed the
+    // results would come straight from the cache.
     let mut plan = ExperimentPlan::new();
     for precision in Precision::ALL {
-        plan.push(CellKey {
-            device: DeviceId::TitanV,
-            workload: WorkloadId::Yolo,
+        plan.push(CellKey::beam(
+            DeviceId::TitanV,
+            WorkloadId::Yolo,
             precision,
-            kind: CellKind::Beam {
-                hours: 10.0,
-                target_candidates: 1200,
-                classifier: ClassifierId::YoloDetections,
-                sampling: SamplingPlan::Fixed,
-            },
-        });
+            10.0,
+            1200,
+            SamplingPlan::Fixed,
+        ));
     }
     let results = engine.run(&plan);
 
