@@ -12,8 +12,25 @@ use mpr_metrics::sampling::rel_ci_width;
 use mpr_metrics::{SeverityHistogram, Table};
 use mpr_obs::{JsonlRecorder, Recorder};
 use mpr_softfloat::Precision;
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Writes command output to stdout; every line a command prints goes
+/// through here (the `out!` macro appends the newline). A closed pipe,
+/// as in `mpr report | head -1`, is a quiet stop with exit 0: the
+/// reader wants no more. Any other write error exits 1 with a message
+/// on stderr.
+pub fn emit(text: std::fmt::Arguments<'_>) {
+    let Err(e) = std::io::stdout().lock().write_fmt(text) else {
+        return;
+    };
+    if e.kind() == ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("mpr: cannot write output: {e}");
+    std::process::exit(1);
+}
 
 /// Runs a parsed command, returning the process exit code.
 pub fn run(command: Command) -> i32 {
@@ -24,7 +41,7 @@ pub fn run(command: Command) -> i32 {
     }
     match command {
         Command::Help => {
-            println!("{}", crate::args::USAGE);
+            out!("{}", crate::args::USAGE);
             0
         }
         Command::Tables { opts } => {
@@ -48,7 +65,7 @@ pub fn run(command: Command) -> i32 {
             print_figures(&study);
             print_ablations(&study);
             let store = study.engine().store();
-            println!(
+            out!(
                 "experiment cells: {} executed, {} memory hits, {} disk hits, {} quarantined",
                 store.executed(),
                 store.mem_hits(),
@@ -61,7 +78,7 @@ pub fn run(command: Command) -> i32 {
         Command::Validate { opts } => {
             let (study, rec) = study_with_profile(&opts);
             let report = study.validate_shapes();
-            println!("{}", report.to_table());
+            out!("{}", report.to_table());
             let code = if report.all_passed() { 0 } else { 1 };
             code.max(finish_profile(rec))
         }
@@ -69,7 +86,7 @@ pub fn run(command: Command) -> i32 {
             let (study, rec) = study_with_profile(&opts);
             let code = match study.export_csv(std::path::Path::new(&dir)) {
                 Ok(paths) => {
-                    println!("wrote {} artifacts to {dir}", paths.len());
+                    out!("wrote {} artifacts to {dir}", paths.len());
                     0
                 }
                 Err(e) => {
@@ -163,11 +180,11 @@ fn run_chaos(opts: ChaosOpts) -> i32 {
         // the manifest ever committed, so a missing ledger just means
         // the whole plan runs (the cache decides what re-executes).
         match mpr_exp::Manifest::load(dir) {
-            None => println!(
+            None => out!(
                 "resume: no manifest in {} yet; running the full plan",
                 dir.display()
             ),
-            Some(manifest) => println!(
+            Some(manifest) => out!(
                 "resume: manifest records {} cells, {} unfinished",
                 manifest.cells.len(),
                 manifest.unfinished().len()
@@ -198,7 +215,7 @@ fn run_chaos(opts: ChaosOpts) -> i32 {
         .collect();
     let ok = results.len() - failures.len();
     let store = engine.store();
-    println!(
+    out!(
         "cells: {ok} ok, {} failed ({} executed, {} memory hits, {} disk hits, {} quarantined)",
         failures.len(),
         store.executed(),
@@ -228,8 +245,8 @@ fn run_chaos(opts: ChaosOpts) -> i32 {
             "crash point reached".into(),
             if crashed { "yes".into() } else { "no".into() },
         ]);
-        println!("{t}");
-        println!(
+        out!("{t}");
+        out!(
             "chaos: ops={} injected={} survived={} crashed={}",
             stats.ops,
             stats.injected_total(),
@@ -242,37 +259,37 @@ fn run_chaos(opts: ChaosOpts) -> i32 {
         return 3;
     }
     if crashed {
-        println!("simulated crash reached; rerun with --resume to finish the campaign");
+        out!("simulated crash reached; rerun with --resume to finish the campaign");
         return 1;
     }
     0
 }
 
 fn print_tables(study: &Study) {
-    println!("{}", study.table1_fpga_times());
-    println!("{}", study.table2_knc_times());
-    println!("{}", study.table3_gpu_times());
+    out!("{}", study.table1_fpga_times());
+    out!("{}", study.table2_knc_times());
+    out!("{}", study.table3_gpu_times());
 }
 
 fn print_figures(study: &Study) {
-    println!("{}", study.fig2_fpga_resources().to_table());
-    println!("{}", study.fig3_fpga_fit().to_table());
-    println!("{}", study.fig4_fpga_tre().to_table());
-    println!("{}", study.fig5_fpga_mebf().to_table());
-    println!("{}", study.fig6_knc_fit().to_table());
-    println!("{}", study.fig7_knc_pvf().to_table());
-    println!("{}", study.fig8_knc_tre().to_table());
-    println!("{}", study.fig9_knc_mebf().to_table());
-    println!("{}", study.fig10_gpu_fit().to_table());
-    println!("{}", study.fig11_gpu_tre().to_table());
-    println!("{}", study.fig12_gpu_avf().to_table());
-    println!("{}", study.fig13_gpu_mebf().to_table());
+    out!("{}", study.fig2_fpga_resources().to_table());
+    out!("{}", study.fig3_fpga_fit().to_table());
+    out!("{}", study.fig4_fpga_tre().to_table());
+    out!("{}", study.fig5_fpga_mebf().to_table());
+    out!("{}", study.fig6_knc_fit().to_table());
+    out!("{}", study.fig7_knc_pvf().to_table());
+    out!("{}", study.fig8_knc_tre().to_table());
+    out!("{}", study.fig9_knc_mebf().to_table());
+    out!("{}", study.fig10_gpu_fit().to_table());
+    out!("{}", study.fig11_gpu_tre().to_table());
+    out!("{}", study.fig12_gpu_avf().to_table());
+    out!("{}", study.fig13_gpu_mebf().to_table());
 }
 
 fn print_ablations(study: &Study) {
-    println!("{}", study.ablation_gpu_ecc().to_table());
-    println!("{}", study.ablation_fault_models().to_table());
-    println!("{}", study.ablation_fault_accumulation().to_table());
+    out!("{}", study.ablation_gpu_ecc().to_table());
+    out!("{}", study.ablation_fault_models().to_table());
+    out!("{}", study.ablation_fault_accumulation().to_table());
 }
 
 /// Per-cell convergence: strikes executed against the fixed budget and
@@ -309,7 +326,7 @@ fn print_convergence(store: &ResultStore) {
         rows += 1;
     }
     if rows > 0 {
-        println!("{t}");
+        out!("{t}");
     }
 }
 
@@ -342,7 +359,7 @@ fn inject_budget(store_key: &str) -> Option<u64> {
 fn run_analyze(root: &str) -> i32 {
     match mpr_analyze::analyze_workspace(std::path::Path::new(root)) {
         Ok(analysis) => {
-            print!("{}", analysis.to_text());
+            emit(format_args!("{}", analysis.to_text()));
             if analysis.clean() {
                 0
             } else {
@@ -382,12 +399,12 @@ fn resume_preflight(opts: &StudyOpts) -> Option<i32> {
     };
     let unfinished = manifest.unfinished().len();
     if unfinished == 0 {
-        println!(
+        out!(
             "resume: all {} recorded cells completed; cached results will be reused",
             manifest.cells.len()
         );
     } else {
-        println!(
+        out!(
             "resume: re-executing {} unfinished of {} recorded cells:",
             unfinished,
             manifest.cells.len()
@@ -397,7 +414,7 @@ fn resume_preflight(opts: &StudyOpts) -> Option<i32> {
             .iter()
             .filter(|(_, s)| s.state != mpr_exp::CellState::Ok)
         {
-            println!("  [{}] {key} ({} attempts)", status.state, status.attempts);
+            out!("  [{}] {key} ({} attempts)", status.state, status.attempts);
         }
     }
     None
@@ -459,7 +476,7 @@ fn finish_profile(rec: Option<Arc<JsonlRecorder>>) -> i32 {
     let Some(rec) = rec else { return 0 };
     rec.flush();
     let Some(path) = rec.path() else { return 0 };
-    println!("profile log: {}", path.display());
+    out!("profile log: {}", path.display());
     if crate::profile::print_profile(path) {
         0
     } else {
@@ -558,9 +575,9 @@ fn print_beam(cell: &CellResult, precision: Precision) {
         "tolerable @1%".into(),
         format!("{:.1}%", curve.tolerable_fraction(1e-2) * 100.0),
     ]);
-    println!("{t}");
-    println!("SDC severity distribution (max relative error per event):");
-    println!("{}", SeverityHistogram::from_errors(&result.severities));
+    out!("{t}");
+    out!("SDC severity distribution (max relative error per event):");
+    out!("{}", SeverityHistogram::from_errors(&result.severities));
 }
 
 fn print_inject(report: &InjectionReport, precision: Precision, model: FaultModel) {
@@ -571,9 +588,9 @@ fn print_inject(report: &InjectionReport, precision: Precision, model: FaultMode
     t.row(vec!["masked".into(), report.counts.masked.to_string()]);
     t.row(vec!["SDC".into(), report.counts.sdc.to_string()]);
     t.row(vec!["vulnerability".into(), v.to_string()]);
-    println!("{t}");
-    println!("SDC severity distribution:");
-    println!("{}", SeverityHistogram::from_errors(&report.severities));
+    out!("{t}");
+    out!("SDC severity distribution:");
+    out!("{}", SeverityHistogram::from_errors(&report.severities));
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ pub fn print_profile(path: &Path) -> bool {
             return false;
         }
     };
-    print!("{}", render(&summarize(&events)));
+    crate::commands::emit(format_args!("{}", render(&summarize(&events))));
     true
 }
 

@@ -488,25 +488,19 @@ impl Engine {
     }
 
     /// Merges this run's per-cell statuses into the cache directory's
-    /// campaign manifest (cells recorded by other plans survive).
+    /// campaign manifest (cells recorded by other plans survive). A
+    /// ledger this run leaves unchanged is not committed again: a warm
+    /// rerun records the same statuses, and rewriting them would cost
+    /// two fsyncs per plan for no new byte. An absent, foreign or
+    /// quarantined manifest is always written.
     fn write_manifest(&self, dir: &Path, store_keys: &[String], outcomes: &[CellOutcome]) {
-        // Plan hash: order-independent over the unique store keys, so
-        // figure reordering does not read as a different campaign.
-        let mut sorted: Vec<&str> = store_keys.iter().map(String::as_str).collect();
-        sorted.sort_unstable();
-        let mut hashed = String::new();
-        for key in sorted {
-            hashed.push_str(key);
-            hashed.push('\n');
-        }
-        let plan_hash = fnv1a64(hashed.as_bytes());
         let vfs = self.store.vfs();
         let (prior, quarantined) = Manifest::load_traced(vfs.as_ref(), dir);
         if quarantined {
             Counter::new(&*self.recorder, "engine.manifest_quarantined", "").incr();
         }
-        let mut manifest = prior.unwrap_or_else(|| Manifest::new(plan_hash));
-        manifest.plan_hash = plan_hash;
+        let mut changed = prior.is_none();
+        let mut manifest = prior.unwrap_or_else(|| Manifest::new(0));
         for (store_key, (result, attempts)) in store_keys.iter().zip(outcomes) {
             let status = match result {
                 Ok(_) => CellStatus {
@@ -524,8 +518,24 @@ impl Engine {
                     detail: failure.kind.to_string(),
                 },
             };
-            manifest.record(store_key.clone(), status);
+            if manifest.cells.get(store_key) != Some(&status) {
+                changed = true;
+                manifest.record(store_key.clone(), status);
+            }
         }
+        if !changed {
+            return;
+        }
+        // Plan hash: order-independent over the unique store keys, so
+        // figure reordering does not read as a different campaign.
+        let mut sorted: Vec<&str> = store_keys.iter().map(String::as_str).collect();
+        sorted.sort_unstable();
+        let mut hashed = String::new();
+        for key in sorted {
+            hashed.push_str(key);
+            hashed.push('\n');
+        }
+        manifest.plan_hash = fnv1a64(hashed.as_bytes());
         if let Err(e) = manifest.save_on(vfs.as_ref(), dir) {
             eprintln!(
                 "mpr-exp: failed to write campaign manifest in {}: {e}",

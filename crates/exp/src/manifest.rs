@@ -10,10 +10,12 @@
 //! One `manifest.json` lives at the root of the cache directory. It is
 //! written with the same tmp+rename discipline as cache entries and
 //! *merged* on write: cells recorded by earlier plans against the same
-//! directory are preserved, so several studies can share one cache.
+//! directory are preserved, so several studies can share one cache. A
+//! plan whose statuses the ledger already holds leaves the file alone.
 
 use crate::vfs::{commit_durable, RealFs, Vfs};
-use mpr_obs::json::{self, str_json};
+use mpr_obs::json::{str_json, Reader};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -87,13 +89,18 @@ pub struct CellStatus {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// FNV-1a hash over the sorted unique store keys of the most
-    /// recent plan written against this directory.
+    /// recent plan that changed the ledger. A plan that records only
+    /// statuses the ledger already holds does not rewrite it, so this
+    /// is not necessarily the last plan run against the directory.
+    /// Nothing reads it back; it tells a reader of the file which plan
+    /// wrote it.
     pub plan_hash: u64,
     /// Store key → status, across every plan that used this directory.
     pub cells: BTreeMap<String, CellStatus>,
 }
 
 /// Classification of the bytes found at the manifest path.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum Decoded {
     /// A well-formed ledger in our format.
     Ours(Manifest),
@@ -169,30 +176,20 @@ impl Manifest {
         }
     }
 
+    /// Classifies a ledger's bytes in one typed pass over the JSON, with
+    /// no tree in between.
     fn decode(bytes: &[u8]) -> Decoded {
         let Ok(body) = std::str::from_utf8(bytes) else {
             return Decoded::Corrupt;
         };
-        let decoded = (|| {
-            let value = json::parse(body).ok()?;
-            if value.get("format")?.as_str()? != FORMAT {
-                return Some(Decoded::Foreign);
-            }
-            let plan_hash = u64::from_str_radix(value.get("plan_hash")?.as_str()?, 16).ok()?;
-            let mut cells = BTreeMap::new();
-            for (key, entry) in value.get("cells")?.as_obj()? {
-                cells.insert(
-                    key.clone(),
-                    CellStatus {
-                        state: CellState::parse(entry.get("status")?.as_str()?)?,
-                        attempts: u32::try_from(entry.get("attempts")?.as_u64()?).ok()?,
-                        detail: entry.get("detail")?.as_str()?.to_string(),
-                    },
-                );
-            }
-            Some(Decoded::Ours(Manifest { plan_hash, cells }))
-        })();
-        decoded.unwrap_or(Decoded::Corrupt)
+        let Ok((format, plan_hash, cells)) = read_ledger(body) else {
+            return Decoded::Corrupt;
+        };
+        match (format.as_deref(), plan_hash, cells) {
+            (Some(format), _, _) if format != FORMAT => Decoded::Foreign,
+            (Some(_), Some(plan_hash), Some(cells)) => Decoded::Ours(Manifest { plan_hash, cells }),
+            _ => Decoded::Corrupt,
+        }
     }
 
     /// Writes the ledger crash-durably via [`commit_durable`] on the
@@ -232,9 +229,110 @@ impl Manifest {
     }
 }
 
+/// A ledger's `format`, `plan_hash` and `cells`, each `None` when
+/// absent or ill-typed.
+type Ledger<'a> = (
+    Option<Cow<'a, str>>,
+    Option<u64>,
+    Option<BTreeMap<String, CellStatus>>,
+);
+
+/// Reads a whole ledger document. Members may come in any order, unknown
+/// ones are skipped, and a repeated key takes its last value, as a
+/// parsed tree would.
+fn read_ledger(body: &str) -> Result<Ledger<'_>, String> {
+    let mut r = Reader::new(body);
+    let (mut format, mut plan_hash, mut cells) = (None, None, None);
+    if r.object()? {
+        while let Some(name) = r.next_key()? {
+            match &*name {
+                "format" => format = r.str()?,
+                "plan_hash" => plan_hash = r.str()?.and_then(|h| u64::from_str_radix(&h, 16).ok()),
+                "cells" => cells = read_cells(&mut r)?,
+                _ => r.skip()?,
+            }
+        }
+    }
+    r.finish()?;
+    Ok((format, plan_hash, cells))
+}
+
+/// The `cells` object; `None` when it is no object or any cell's last
+/// entry is ill-formed (an earlier duplicate does not count, as it
+/// would not in a parsed tree).
+fn read_cells(r: &mut Reader<'_>) -> Result<Option<BTreeMap<String, CellStatus>>, String> {
+    if !r.object()? {
+        return Ok(None);
+    }
+    let mut cells = BTreeMap::new();
+    while let Some(key) = r.next_key()? {
+        let status = read_status(r)?;
+        cells.insert(key.into_owned(), status);
+    }
+    Ok(cells
+        .into_iter()
+        .map(|(key, status)| Some((key, status?)))
+        .collect())
+}
+
+fn read_status(r: &mut Reader<'_>) -> Result<Option<CellStatus>, String> {
+    if !r.object()? {
+        return Ok(None);
+    }
+    let (mut state, mut attempts, mut detail) = (None, None, None);
+    while let Some(name) = r.next_key()? {
+        match &*name {
+            "status" => state = r.str()?.and_then(|s| CellState::parse(&s)),
+            "attempts" => attempts = r.u64()?.and_then(|n| u32::try_from(n).ok()),
+            "detail" => detail = r.str()?,
+            _ => r.skip()?,
+        }
+    }
+    Ok(state
+        .zip(attempts)
+        .zip(detail)
+        .map(|((state, attempts), detail)| CellStatus {
+            state,
+            attempts,
+            detail: detail.into_owned(),
+        }))
+}
+
+/// The tree decoder [`Manifest::decode`] replaced: [`json::parse`]
+/// into a [`Value`](json::Value), then field lookups. Kept as the
+/// oracle the one-pass decoder is checked against.
+#[cfg(test)]
+fn decode_tree(bytes: &[u8]) -> Decoded {
+    use mpr_obs::json;
+    let Ok(body) = std::str::from_utf8(bytes) else {
+        return Decoded::Corrupt;
+    };
+    let decoded = (|| {
+        let value = json::parse(body).ok()?;
+        if value.get("format")?.as_str()? != FORMAT {
+            return Some(Decoded::Foreign);
+        }
+        let plan_hash = u64::from_str_radix(value.get("plan_hash")?.as_str()?, 16).ok()?;
+        let mut cells = BTreeMap::new();
+        for (key, entry) in value.get("cells")?.as_obj()? {
+            cells.insert(
+                key.clone(),
+                CellStatus {
+                    state: CellState::parse(entry.get("status")?.as_str()?)?,
+                    attempts: u32::try_from(entry.get("attempts")?.as_u64()?).ok()?,
+                    detail: entry.get("detail")?.as_str()?.to_string(),
+                },
+            );
+        }
+        Some(Decoded::Ours(Manifest { plan_hash, cells }))
+    })();
+    decoded.unwrap_or(Decoded::Corrupt)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpr_obs::json::MAX_DEPTH;
 
     fn sample() -> Manifest {
         let mut m = Manifest::new(0xDEAD_BEEF_0123_4567);
@@ -263,6 +361,117 @@ mod tests {
             },
         );
         m
+    }
+
+    fn agrees(bytes: &[u8]) {
+        assert_eq!(
+            Manifest::decode(bytes),
+            decode_tree(bytes),
+            "{}",
+            String::from_utf8_lossy(bytes)
+        );
+    }
+
+    #[test]
+    fn hostile_ledgers_decode_as_the_tree_oracle_does() {
+        let mut m = sample();
+        m.record(
+            "seed=01;v2;dev=\"é\\😀\"",
+            CellStatus {
+                state: CellState::Cancelled,
+                attempts: u32::MAX,
+                detail: "\u{1}\t".to_string(),
+            },
+        );
+        let body = m.serialize().into_bytes();
+        assert_eq!(Manifest::decode(&body), Decoded::Ours(m));
+        for cut in 0..body.len() {
+            agrees(&body[..cut]);
+        }
+        for i in 0..body.len() {
+            for bit in 0..8 {
+                let mut flipped = body.clone();
+                flipped[i] ^= 1 << bit;
+                agrees(&flipped);
+            }
+            for c in *b"+-\"\\{}[],:0f " {
+                let mut swapped = body.clone();
+                swapped[i] = c;
+                agrees(&swapped);
+            }
+        }
+    }
+
+    #[test]
+    fn rearranged_ledgers_decode_as_the_tree_oracle_does() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        // One `cells` member, with its fields out of the written order.
+        let cell = |key: &str, status: &str, attempts: &str, extra: &str| {
+            format!(
+                r#""{key}": {{{extra}"attempts": {attempts}, "detail": "dé", "status": {status}}}"#
+            )
+        };
+        let ledger = |head: &str, cells: &str, tail: &str| {
+            format!(
+                r#"{{{head}"cells": {{{cells}}}, "plan_hash": "00000000000000ff", "format": "mpr-exp-manifest-v1"{tail}}}"#
+            )
+        };
+        let ok = cell("a", "\"ok\"", "1", "");
+        let bad = cell("a", "7", "1", "");
+        let at_cap = ledger(
+            "",
+            &cell(
+                "a",
+                "\"ok\"",
+                "1",
+                &format!("\"n\": {}, ", nested(MAX_DEPTH - 3)),
+            ),
+            "",
+        );
+        let past_cap = ledger(
+            "",
+            &cell(
+                "a",
+                "\"ok\"",
+                "1",
+                &format!("\"n\": {}, ", nested(MAX_DEPTH - 2)),
+            ),
+            "",
+        );
+        let texts = [
+            ledger("", &ok, ""),
+            ledger(r#""zz": [1, {"y": null}], "#, &ok, r#", "aa": "x""#),
+            ledger("", &cell("a", "\"ok\"", "1", r#""u": [true], "#), ""),
+            // A repeated cell or field takes its last value.
+            ledger("", &format!("{bad}, {ok}"), ""),
+            ledger("", &format!("{ok}, {bad}"), ""),
+            ledger("", &cell("a", "\"ok\"", "1", r#""status": 7, "#), ""),
+            ledger("", &cell("a", "\"ok\"", "4294967296", ""), ""),
+            ledger("", &cell("a", "\"ok\"", "-1", ""), ""),
+            ledger("", &cell("a", "\"lost\"", "1", ""), ""),
+            ledger("", "\"a\": []", ""),
+            ledger(r#""format": 7, "#, &ok, ""),
+            ledger("", &ok, r#", "format": 7"#),
+            ledger("", &ok, r#", "format": "mpr-exp-manifest-v9""#),
+            ledger("", "\"a\": 1", r#", "format": "mpr-exp-manifest-v9""#),
+            ledger("", &ok, r#", "plan_hash": "xyz""#),
+            ledger("", &ok, r#", "plan_hash": "+f""#),
+            ledger("", &ok, r#", "cells": null"#),
+            ledger("", &cell("\\u0061\\ud83d\\ude00", "\"hung\"", "2", ""), ""),
+            ledger(&format!("\"n\": {}, ", nested(10_000)), &ok, ""),
+            format!("{} ", ledger("", &ok, "")),
+            "[]".to_string(),
+            at_cap.clone(),
+            past_cap.clone(),
+        ];
+        for text in &texts {
+            agrees(text.as_bytes());
+        }
+        assert!(matches!(
+            Manifest::decode(at_cap.as_bytes()),
+            Decoded::Ours(_)
+        ));
+        assert_eq!(Manifest::decode(past_cap.as_bytes()), Decoded::Corrupt);
     }
 
     /// Absolute ledger bytes, captured before the JSON module moved.

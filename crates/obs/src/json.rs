@@ -1,5 +1,8 @@
 //! The workspace's one JSON module: a value type, a compact renderer,
-//! a string escaper, and a byte-offset recursive-descent parser.
+//! a string escaper, a byte-offset pull [`Reader`], and [`parse`], the
+//! recursive [`Value`] builder over that reader. Decoders that know
+//! their shape (the cache and manifest loaders) read straight from the
+//! [`Reader`] and build no tree.
 //!
 //! The workspace is fully offline (no serde), and every JSON document
 //! it reads or writes goes through this file: the experiment cache and
@@ -9,18 +12,20 @@
 //!
 //! Hostile input yields `Err`, never a panic or a pathological run:
 //! nesting deeper than [`MAX_DEPTH`] is rejected before it can exhaust
-//! the stack, and strings are copied in unescaped runs straight from
-//! the input `&str`, so decoding is linear in the input length.
+//! the stack, and strings are borrowed from the input `&str` (or, with
+//! escapes, copied in unescaped runs), so decoding is linear in the
+//! input length.
 //!
 //! The file is std-only and names nothing through `crate::`, because
 //! `mpr-analyze` compiles it a second time by path (it may not depend
 //! on `mpr-obs`; see its `json` module).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The deepest array/object nesting [`parse`] accepts. Every producer
-/// in the workspace writes five levels or fewer.
+/// The deepest array/object nesting [`parse`] and [`Reader`] accept.
+/// Every producer in the workspace writes five levels or fewer.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -148,7 +153,8 @@ fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')
 }
 
-/// Parses one JSON document.
+/// Parses one JSON document into a [`Value`] tree: the recursive
+/// builder over [`Reader`].
 ///
 /// # Errors
 ///
@@ -156,24 +162,220 @@ fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 /// truncated input, trailing data, a bad escape or lone surrogate, a
 /// malformed number, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { text, pos: 0 };
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != text.len() {
-        return p.err("trailing data");
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-/// The cursor. `pos` only ever advances over ASCII bytes or whole
-/// unescaped runs, so it always sits on a char boundary of `text`.
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
+/// What the next value is, judged by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Bool,
+    Num,
+    Str,
+    Arr,
+    Obj,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
+/// A pull reader over one JSON document, for decoders that know the
+/// shape they expect and want no [`Value`] tree: the caller asks for
+/// the value it wants next, and the reader checks the grammar as it
+/// goes, with the same error texts and offsets as [`parse`].
+///
+/// A typed read ([`Reader::str`], [`Reader::u64`], [`Reader::array`],
+/// [`Reader::object`]) whose value has another type skips that value
+/// whole and answers `Ok(None)` or `Ok(false)`, so a decoder can mark
+/// a field ill-typed and still check the rest of the document. An
+/// `Err` is always a syntax error; after one, the reader is spent.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    /// The cursor. It only ever advances over ASCII bytes or whole
+    /// unescaped runs, so it always sits on a char boundary of `text`.
+    pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
+    /// Whether the innermost open container has yielded no item yet, so
+    /// its next item takes no leading comma. Every other container
+    /// around the cursor has yielded one: the one the cursor is in.
+    first: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
+    /// Enters the array that is the next value, whose elements then
+    /// follow [`Reader::next_item`]. `Ok(false)`: the next value is no
+    /// array, and has been skipped.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, or nesting deeper than [`MAX_DEPTH`].
+    #[inline]
+    pub fn array(&mut self) -> Result<bool, String> {
+        self.enter(Kind::Arr)
+    }
+
+    /// Enters the object that is the next value, whose members then
+    /// follow [`Reader::next_key`]. `Ok(false)`: the next value is no
+    /// object, and has been skipped.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, or nesting deeper than [`MAX_DEPTH`].
+    #[inline]
+    pub fn object(&mut self) -> Result<bool, String> {
+        self.enter(Kind::Obj)
+    }
+
+    /// Moves to the next element of the innermost open array: `true`
+    /// when one follows (read or skip it next), `false` once the
+    /// closing `]` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.next(b']')
+    }
+
+    /// The key of the next member of the innermost open object, with
+    /// the cursor left on its value (read or skip it next); `None` once
+    /// the closing `}` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.next(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        Ok(Some(key))
+    }
+
+    /// The string that is the next value, borrowed from the input
+    /// unless it holds escapes. `Ok(None)`: the next value is no
+    /// string, and has been skipped.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    #[inline]
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        if self.peek_byte() == Some(b'"') {
+            return self.string().map(Some);
+        }
+        self.skip()?;
+        Ok(None)
+    }
+
+    /// The next value as an exact `u64`. `Ok(None)`: it is no number
+    /// (skipped), or a number that is not a non-negative integer in
+    /// range.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error.
+    #[inline]
+    pub fn u64(&mut self) -> Result<Option<u64>, String> {
+        if self.peek()? != Kind::Num {
+            self.skip()?;
+            return Ok(None);
+        }
+        Ok(self.number()?.parse().ok())
+    }
+
+    /// Skips the next value whole, whatever its kind, checking its
+    /// grammar and nesting as [`parse`] would.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, or nesting deeper than [`MAX_DEPTH`].
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek()? {
+            Kind::Arr => {
+                self.open()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            Kind::Obj => {
+                self.open()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Kind::Str => {
+                self.string()?;
+            }
+            Kind::Num => {
+                self.number()?;
+            }
+            Kind::Null | Kind::Bool => {
+                self.bool_or_null()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the document: only whitespace may follow the cursor.
+    ///
+    /// # Errors
+    ///
+    /// `trailing data`, which includes any container left open.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return self.err("trailing data");
+        }
+        Ok(())
+    }
+
+    /// The recursive [`Value`] builder behind [`parse`].
+    fn value(&mut self) -> Result<Value, String> {
+        Ok(match self.peek()? {
+            Kind::Arr => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Value::Arr(items)
+            }
+            Kind::Obj => {
+                self.open()?;
+                let mut members = BTreeMap::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    members.insert(key.into_owned(), value);
+                }
+                Value::Obj(members)
+            }
+            Kind::Str => Value::Str(self.string()?.into_owned()),
+            Kind::Num => Value::Num(self.number()?.to_string()),
+            Kind::Null | Kind::Bool => self.bool_or_null()?,
+        })
+    }
+
+    #[inline]
+    fn peek_byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
@@ -181,121 +383,126 @@ impl Parser<'_> {
         Err(format!("{what} at offset {}", self.pos))
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() != Some(c) {
+        if self.peek_byte() != Some(c) {
             return self.err(&format!("expected `{}`", c as char));
         }
         self.pos += 1;
         Ok(())
     }
 
-    /// One value nested inside `depth` arrays/objects.
-    fn value(&mut self, depth: usize) -> Result<Value, String> {
+    /// The kind of the next value, after the whitespace before it.
+    #[inline]
+    fn peek(&mut self) -> Result<Kind, String> {
         self.skip_ws();
-        match self.peek() {
-            Some(b'[' | b'{') if depth == MAX_DEPTH => self.err("nesting too deep"),
-            Some(b'[') => {
-                let mut items = Vec::new();
-                self.items(b']', |p| {
-                    items.push(p.value(depth + 1)?);
-                    Ok(())
-                })?;
-                Ok(Value::Arr(items))
-            }
-            Some(b'{') => {
-                let mut members = BTreeMap::new();
-                self.items(b'}', |p| {
-                    p.skip_ws();
-                    let key = p.string()?;
-                    p.skip_ws();
-                    p.eat(b':')?;
-                    members.insert(key, p.value(depth + 1)?);
-                    Ok(())
-                })?;
-                Ok(Value::Obj(members))
-            }
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        match self.peek_byte() {
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
             _ => self.err("expected a value"),
         }
     }
 
-    /// The comma-separated items after an opening bracket, through the
-    /// matching `close`.
-    fn items(
-        &mut self,
-        close: u8,
-        mut item: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(close) {
-            self.pos += 1;
-            return Ok(());
+    fn enter(&mut self, kind: Kind) -> Result<bool, String> {
+        if self.peek()? != kind {
+            self.skip()?;
+            return Ok(false);
         }
-        loop {
-            item(self)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(c) if c == close => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return self.err(&format!("expected `,` or `{}`", close as char)),
+        self.open()?;
+        Ok(true)
+    }
+
+    /// Consumes the opening bracket at the cursor.
+    fn open(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return self.err("nesting too deep");
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// The comma before the next item of the innermost container, or
+    /// its `close` bracket.
+    #[inline]
+    fn next(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match self.peek_byte() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
             }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => self.err(&format!("expected `,` or `{}`", close as char)),
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
+    fn bool_or_null(&mut self) -> Result<Value, String> {
+        let (word, value) = match self.peek_byte() {
+            Some(b'n') => ("null", Value::Null),
+            Some(b't') => ("true", Value::Bool(true)),
+            _ => ("false", Value::Bool(false)),
+        };
         if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             return self.err(&format!("expected `{word}`"));
         }
         self.pos += word.len();
-        Ok(v)
+        Ok(value)
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<&'a str, String> {
+        let text = self.text;
         let start = self.pos;
         self.pos += 1;
         while matches!(
-            self.peek(),
+            self.peek_byte(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = &self.text[start..self.pos];
-        if text.parse::<f64>().is_err() {
-            return Err(format!("bad number `{text}` at offset {start}"));
+        let number = &text[start..self.pos];
+        if number.parse::<f64>().is_err() {
+            return Err(format!("bad number `{number}` at offset {start}"));
         }
-        Ok(Value::Num(text.to_string()))
+        Ok(number)
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        // Runs up to the next quote or backslash: both are ASCII, so a
+        // run ends on a char boundary and never needs re-validating.
+        let text = self.text;
+        let start = self.pos;
+        self.pos = run_end(text.as_bytes(), start);
+        if self.peek_byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&text[start..self.pos]);
         loop {
-            // Copy the run up to the next quote or backslash in one go:
-            // both are ASCII, so the run ends on a char boundary and
-            // never needs re-validating.
-            let start = self.pos;
-            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                self.pos += 1;
-            }
-            out.push_str(&self.text[start..self.pos]);
-            match self.peek() {
+            match self.peek_byte() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(_) => {
                     self.pos += 1;
@@ -303,12 +510,15 @@ impl Parser<'_> {
                 }
                 None => return self.err("unterminated string"),
             }
+            let start = self.pos;
+            self.pos = run_end(text.as_bytes(), start);
+            out.push_str(&text[start..self.pos]);
         }
     }
 
     /// The character after a backslash.
     fn escape(&mut self) -> Result<char, String> {
-        let c = match self.peek() {
+        let c = match self.peek_byte() {
             Some(b'"') => '"',
             Some(b'\\') => '\\',
             Some(b'/') => '/',
@@ -346,13 +556,38 @@ impl Parser<'_> {
         let digits = self
             .text
             .get(self.pos + 1..self.pos + 5)
-            .filter(|d| self.peek() == Some(b'u') && d.bytes().all(|c| c.is_ascii_hexdigit()));
+            .filter(|d| self.peek_byte() == Some(b'u') && d.bytes().all(|c| c.is_ascii_hexdigit()));
         let Some(code) = digits.and_then(|d| u32::from_str_radix(d, 16).ok()) else {
             return self.err("bad \\u escape");
         };
         self.pos += 5;
         Ok(code)
     }
+}
+
+/// The index of the first quote or backslash at or after `i`, or the
+/// input length. Whole eight-byte words are passed over while none of
+/// their bytes is either; `has_zero` is the classic any-zero-byte test,
+/// applied to the word XORed with each target byte.
+fn run_end(bytes: &[u8], mut i: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const QUOTES: u64 = u64::from_ne_bytes([b'"'; 8]);
+    const BACKSLASHES: u64 = u64::from_ne_bytes([b'\\'; 8]);
+    let has_zero = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let mut w = [0; 8];
+        w.copy_from_slice(word);
+        let w = u64::from_ne_bytes(w);
+        if has_zero(w ^ QUOTES) | has_zero(w ^ BACKSLASHES) != 0 {
+            break;
+        }
+        i += 8;
+    }
+    while i < bytes.len() && !matches!(bytes[i], b'"' | b'\\') {
+        i += 1;
+    }
+    i
 }
 
 #[cfg(test)]

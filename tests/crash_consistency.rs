@@ -314,6 +314,47 @@ fn durable_commits_follow_the_tmp_fsync_rename_protocol() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A rerun that changes no ledger entry commits nothing: once a warm
+/// rerun has recorded its served-from-cache statuses, the next run on
+/// the directory only reads, with no write, rename, fsync, mkdir or
+/// remove in a quiet chaos layer's trace.
+#[test]
+fn an_unchanged_ledger_is_not_recommitted() {
+    let plan = small_plan();
+    let dir = temp_dir("warm");
+    engine_on(&dir, 1).run(&plan);
+    let ledger = |dir: &Path| std::fs::read(dir.join("manifest.json")).expect("manifest");
+    let cold = ledger(&dir);
+
+    // The first rerun serves every cell from disk: its attempts go from
+    // 1 to 0, which is a change, so that ledger is committed.
+    let (engine, chaos) = chaos_engine_on(&dir, 1, ChaosConfig::quiet(5));
+    engine.run(&plan);
+    assert_eq!(engine.store().disk_hits(), 4);
+    assert!(chaos
+        .trace()
+        .contains(&"rename manifest.json -> ok".to_string()));
+    let warm = ledger(&dir);
+    assert_ne!(warm, cold);
+
+    let (engine, chaos) = chaos_engine_on(&dir, 2, ChaosConfig::quiet(5));
+    engine.run(&plan);
+    engine.run(&plan);
+    assert_eq!(engine.store().executed(), 0);
+    let trace = chaos.trace();
+    assert!(!trace.is_empty(), "the rerun reads the cache");
+    let mutating: Vec<&String> = trace
+        .iter()
+        .filter(|line| !line.starts_with("read"))
+        .collect();
+    assert!(
+        mutating.is_empty(),
+        "a warm rerun mutated the cache: {mutating:#?}"
+    );
+    assert_eq!(ledger(&dir), warm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Stale `*.tmp` residue from a crashed commit is swept when the store
 /// opens, and real entries survive the sweep.
 #[test]
