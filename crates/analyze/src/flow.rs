@@ -1,29 +1,32 @@
 //! Flow-sensitive taint analysis over function bodies.
 //!
 //! Two lint families run here, both working on the tokens of one
-//! function at a time with an environment mapping bindings to taints:
+//! function at a time with an environment mapping bindings to taints.
+//! Each keeps only the shapes rustc and clippy cannot see:
 //!
-//! * **PL005 precision-taint** — a value known to be binary16 (`Half`),
-//!   `f32`, or `f64` reaching an op or sink of a *different* precision
-//!   (mixed arithmetic, a lossy `as` narrowing, a call parameter, a
-//!   return, a struct field, or a cross-width `from_bits`
-//!   reinterpretation) without passing through one of the blessed
-//!   conversion fns (`from_f64`/`to_f64`/`from_f32`/`to_f32`,
-//!   `Half::from_bits`). Unlike PL001–PL004 this follows the value
-//!   through `let` bindings across lines, and it is not limited to
-//!   `FloatExt`-generic bodies.
-//! * **DT004 determinism-taint** — a nondeterminism source (`Instant`,
-//!   `SystemTime`, thread ids/counts, `HashMap`/`HashSet` iteration,
-//!   `RandomState`, or a weak multiply-XOR seed derivation) flowing
-//!   into a determinism sink: RNG seeding, `CellKey` construction,
-//!   cache byte writes, or campaign result vectors. Two shapes this
-//!   catches are exactly the PR 3 bugs: per-strike seeds derived with
-//!   `seed * C ^ i` instead of a full avalanche, and worker loops
-//!   pushing results in thread-stride order without an index tag.
+//! * **PL005 precision-taint** — a value known to be binary16 (`Half`
+//!   or its `u16` bits), `f32`, or `f64` narrowed by a lossy `as` cast
+//!   or reinterpreted by a cross-width `from_bits` without passing
+//!   through one of the blessed conversion fns
+//!   (`from_f64`/`to_f64`/`from_f32`/`to_f32`). The cast is judged on
+//!   its whole operand (a path or field chain, a call, an index, or a
+//!   parenthesised group), so a taint acquired lines earlier through
+//!   `let` bindings still counts. Mixed arithmetic, call arguments,
+//!   struct fields and returns of the wrong precision are rustc type
+//!   errors and are not re-checked here.
+//! * **DT004 determinism-taint** — thread identity or count, or a weak
+//!   multiply-XOR seed derivation, flowing into a determinism sink: RNG
+//!   seeding, result vectors, or cache byte writes. The two shapes it
+//!   exists for are campaign bugs this workspace once shipped:
+//!   per-strike seeds derived with `seed * C ^ i` instead of a full
+//!   avalanche, and worker loops pushing results in thread-stride order
+//!   without an index tag. Clock reads and hash-ordered collections
+//!   are clippy `disallowed_types` bans (`clippy.toml`), not sources
+//!   here.
 //!
 //! The analysis is intraprocedural and flow-sensitive in statement
-//! order; call boundaries are checked against same-file signatures
-//! (the workspace call graph handles reachability, see
+//! order; a call to a same-file fn carries its declared return
+//! precision (the workspace call graph handles reachability, see
 //! [`crate::callgraph`]). It is a lint, not a type checker: unknown
 //! constructs default to untainted, so the cost of imprecision is a
 //! missed finding, never a spurious gate failure from code the parser
@@ -59,12 +62,8 @@ impl Prec {
 /// A nondeterminism source class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Det {
-    /// `Instant`/`SystemTime` reads.
-    Clock,
     /// Thread identity or thread count.
     Thread,
-    /// `HashMap`/`HashSet` iteration order or `RandomState`.
-    HashIter,
     /// Weak (non-avalanche) seed derivation: `*`/`^` arithmetic on a
     /// seed that did not pass through `mix_seed`/`splitmix64`.
     WeakSeed,
@@ -76,9 +75,7 @@ pub enum Det {
 impl Det {
     fn describe(self) -> &'static str {
         match self {
-            Det::Clock => "a wall/monotonic clock read",
             Det::Thread => "thread identity or thread count",
-            Det::HashIter => "hash-order iteration",
             Det::WeakSeed => "a weak multiply-XOR seed derivation",
             Det::Schedule => "a thread-stride iteration schedule",
         }
@@ -92,15 +89,12 @@ pub struct Taint {
     pub prec: Option<Prec>,
     /// Determinism taints (sorted, deduped).
     pub det: Vec<Det>,
-    /// True when the value is a `HashMap`/`HashSet` container (its
-    /// *iteration* yields `Det::HashIter`).
-    pub hash_container: bool,
 }
 
 impl Taint {
     fn join(&mut self, other: &Taint) {
-        // Mixed precision joins keep the first; the mixing itself is
-        // reported at the op, not stored.
+        // An expression mixing precisions keeps the first; rustc
+        // rejects the mix itself.
         if self.prec.is_none() {
             self.prec = other.prec;
         }
@@ -110,7 +104,6 @@ impl Taint {
             }
         }
         self.det.sort();
-        self.hash_container |= other.hash_container;
     }
 
     fn with_det(d: Det) -> Taint {
@@ -154,14 +147,6 @@ const THREAD_IDENTS: [&str; 9] = [
 /// Sinks whose argument seeds an RNG stream.
 const SEED_SINKS: [&str; 3] = ["seed_from_u64", "from_seed", "new_seeded"];
 
-/// Signature knowledge for one file: fn name → (param precisions,
-/// return precision), struct field → precision.
-struct FileSigs {
-    fns: BTreeMap<String, (Vec<Option<Prec>>, Option<Prec>)>,
-    fields: BTreeMap<String, Prec>,
-    structs: Vec<String>,
-}
-
 /// Precision named by a type's token text, when unambiguous.
 fn prec_of_type(ty: &str) -> Option<Prec> {
     let has = |w: &str| {
@@ -176,35 +161,6 @@ fn prec_of_type(ty: &str) -> Option<Prec> {
     }
 }
 
-impl FileSigs {
-    fn build(parsed: &ParsedFile) -> FileSigs {
-        let mut fns = BTreeMap::new();
-        for f in &parsed.fns {
-            let params = f
-                .params
-                .iter()
-                .map(|p| prec_of_type(&p.ty))
-                .collect::<Vec<_>>();
-            fns.insert(f.name.clone(), (params, prec_of_type(&f.ret)));
-        }
-        let mut fields = BTreeMap::new();
-        let mut structs = Vec::new();
-        for s in &parsed.structs {
-            structs.push(s.name.clone());
-            for (name, ty) in &s.fields {
-                if let Some(p) = prec_of_type(ty) {
-                    fields.insert(name.clone(), p);
-                }
-            }
-        }
-        FileSigs {
-            fns,
-            fields,
-            structs,
-        }
-    }
-}
-
 /// Runs both taint lints over every function of `parsed`.
 /// `precision` / `determinism` gate the two families independently so
 /// path scoping stays in [`crate::lint_applies`].
@@ -214,13 +170,18 @@ pub fn taint_lints(
     precision: bool,
     determinism: bool,
 ) -> Vec<Finding> {
-    let sigs = FileSigs::build(parsed);
+    // Same-file fns with a float return type: a call carries it.
+    let returns: BTreeMap<String, Prec> = parsed
+        .fns
+        .iter()
+        .filter_map(|f| Some((f.name.clone(), prec_of_type(&f.ret)?)))
+        .collect();
     let mut out = Vec::new();
     for f in &parsed.fns {
         if file.in_test.get(f.line - 1).copied().unwrap_or(false) {
             continue;
         }
-        let mut fa = FnFlow::new(file, parsed, f, &sigs, precision, determinism);
+        let mut fa = FnFlow::new(file, parsed, f, &returns, precision, determinism);
         fa.run();
         out.extend(fa.findings);
     }
@@ -232,7 +193,7 @@ struct FnFlow<'a> {
     file: &'a SourceFile,
     toks: &'a [Token],
     item: &'a FnItem,
-    sigs: &'a FileSigs,
+    returns: &'a BTreeMap<String, Prec>,
     precision: bool,
     determinism: bool,
     env: BTreeMap<String, Taint>,
@@ -248,7 +209,7 @@ impl<'a> FnFlow<'a> {
         file: &'a SourceFile,
         parsed: &'a ParsedFile,
         item: &'a FnItem,
-        sigs: &'a FileSigs,
+        returns: &'a BTreeMap<String, Prec>,
         precision: bool,
         determinism: bool,
     ) -> FnFlow<'a> {
@@ -256,7 +217,6 @@ impl<'a> FnFlow<'a> {
         for p in &item.params {
             let mut t = Taint {
                 prec: prec_of_type(&p.ty),
-                hash_container: p.ty.contains("HashMap") || p.ty.contains("HashSet"),
                 ..Taint::default()
             };
             if THREAD_IDENTS.contains(&p.name.as_str()) {
@@ -268,7 +228,7 @@ impl<'a> FnFlow<'a> {
             file,
             toks: &parsed.tokens,
             item,
-            sigs,
+            returns,
             precision,
             determinism,
             env,
@@ -344,13 +304,8 @@ impl<'a> FnFlow<'a> {
             }
             i += 1;
         }
-        // Tail expression: an unterminated final statement is the
-        // function's return value.
-        let tail = &self.toks[stmt_start.min(close)..close];
-        if !tail.is_empty() {
-            self.statement(tail);
-            self.check_return(tail, tail[0].line);
-        }
+        // The unterminated tail expression is a statement too.
+        self.statement(&self.toks[stmt_start.min(close)..close]);
     }
 
     /// Handles `for <var> in <range> {` — decides whether the loop
@@ -364,7 +319,6 @@ impl<'a> FnFlow<'a> {
             .unwrap_or_default();
         let in_pos = head.iter().position(|t| t.is_ident("in"));
         let range = in_pos.map(|p| &head[p + 1..]).unwrap_or(&[]);
-        let range_taint = self.expr_taint(range);
         let mentions_thread = range.iter().any(|t| {
             t.kind == TokKind::Ident
                 && (THREAD_IDENTS.contains(&t.text.as_str())
@@ -376,16 +330,11 @@ impl<'a> FnFlow<'a> {
         let strided = range.iter().any(|t| t.is_ident("step_by"));
         let schedule = mentions_thread && strided;
         if !var.is_empty() {
-            let mut t = Taint::default();
-            if schedule {
-                t.det.push(Det::Schedule);
-            }
-            // Iterating a hash container (directly or via
-            // `.iter()/.keys()/.values()/.drain()`) yields items in
-            // hash order.
-            if range_taint.hash_container || range_taint.det.contains(&Det::HashIter) {
-                t.det.push(Det::HashIter);
-            }
+            let t = if schedule {
+                Taint::with_det(Det::Schedule)
+            } else {
+                Taint::default()
+            };
             self.env.insert(var.clone(), t);
         }
         self.loops.push((var, schedule));
@@ -408,14 +357,8 @@ impl<'a> FnFlow<'a> {
         }
         let line = stmt[0].line;
         if self.precision {
-            self.check_mixed_arith(stmt, line);
-            self.check_narrowing(stmt, line);
+            self.check_narrowing(stmt);
             self.check_from_bits(stmt, line);
-            self.check_call_params(stmt, line);
-            self.check_struct_fields(stmt, line);
-            if stmt.first().is_some_and(|t| t.is_ident("return")) {
-                self.check_return(&stmt[1..], line);
-            }
         }
         if self.determinism {
             self.check_seed_sinks(stmt, line);
@@ -469,7 +412,7 @@ impl<'a> FnFlow<'a> {
         }
         let mut taint = self.expr_taint(&stmt[assign_at + 1..]);
         if is_let {
-            // Ascribed type wins for precision and container class.
+            // Ascribed type wins for precision.
             let ty_text: String = stmt[k + 1..assign_at]
                 .iter()
                 .filter(|t| !t.is_punct(":"))
@@ -478,9 +421,6 @@ impl<'a> FnFlow<'a> {
                 .join(" ");
             if let Some(p) = prec_of_type(&ty_text) {
                 taint.prec = Some(p);
-            }
-            if ty_text.contains("HashMap") || ty_text.contains("HashSet") {
-                taint.hash_container = true;
             }
             if !self.loops.is_empty() {
                 self.loop_locals.push(name.clone());
@@ -496,12 +436,28 @@ impl<'a> FnFlow<'a> {
     /// Joined taint of an expression token slice.
     fn expr_taint(&self, expr: &[Token]) -> Taint {
         let mut t = Taint::default();
-        // Token ranges consumed by blessed mixer calls — excluded from
-        // the weak-derivation scan below (feeding raw arithmetic *into*
-        // an avalanche is exactly what the mixers are for).
-        let mut mixed: Vec<(usize, usize)> = Vec::new();
+        // `(operand start, as)` of every cast that retypes its operand.
+        let casts: Vec<(usize, usize)> = (0..expr.len())
+            .filter(|&k| cast_target(expr, k).is_some())
+            .filter_map(|k| Some((operand_start(expr, k)?, k)))
+            .collect();
+        // Token ranges already scanned for weak derivations: blessed
+        // mixer calls (feeding raw arithmetic *into* an avalanche is
+        // exactly what the mixers are for) and retyped cast operands.
+        let mut scanned: Vec<(usize, usize)> = Vec::new();
         let mut i = 0;
         while i < expr.len() {
+            // The outermost cast whose operand starts here: the
+            // operand keeps its determinism taints, the cast sets its
+            // precision.
+            if let Some(&(_, at)) = casts.iter().filter(|c| c.0 == i).max_by_key(|c| c.1) {
+                let mut inner = self.expr_taint(&expr[i..at]);
+                inner.prec = cast_target(expr, at);
+                t.join(&inner);
+                scanned.push((i, at + 1));
+                i = at + 2;
+                continue;
+            }
             let tok = &expr[i];
             match tok.kind {
                 TokKind::Ident => {
@@ -514,7 +470,7 @@ impl<'a> FnFlow<'a> {
                             let target = match name {
                                 "to_f64" => Some(Prec::F64),
                                 "to_f32" => Some(Prec::F32),
-                                _ => self.conv_target(expr, i),
+                                _ => path_prec(expr, i),
                             };
                             if let Some(end) = matching_paren(expr, i + 1) {
                                 i = end + 1;
@@ -530,49 +486,28 @@ impl<'a> FnFlow<'a> {
                         }
                         if BLESSED_MIX.contains(&name) {
                             // A full avalanche cleanses weak-derivation
-                            // taint but not clock/thread/hash taints.
+                            // taint but not thread taint.
                             if let Some(end) = matching_paren(expr, i + 1) {
                                 let mut inner = self.expr_taint(&expr[i + 2..end]);
                                 inner.det.retain(|d| *d != Det::WeakSeed);
                                 inner.prec = None;
                                 t.join(&inner);
-                                mixed.push((i, end));
+                                scanned.push((i, end));
                                 i = end + 1;
                                 continue;
                             }
                         }
-                        if let Some((_, Some(p))) = self.sigs.fns.get(name) {
+                        if let Some(p) = self.returns.get(name) {
                             t.join(&Taint::with_prec(*p));
                         }
                         match name {
-                            "now" | "elapsed" | "duration_since" => {
-                                t.join(&Taint::with_det(Det::Clock))
-                            }
                             // `thread::current()` / thread counts.
                             "current" if path_prefix(expr, i).as_deref() != Some("thread") => {}
                             "available_parallelism" | "current" => {
                                 t.join(&Taint::with_det(Det::Thread));
                             }
-                            "iter" | "keys" | "values" | "drain" | "into_iter" => {
-                                if let Some(recv) = receiver_ident(expr, i) {
-                                    if self.env.get(&recv).is_some_and(|rt| rt.hash_container) {
-                                        t.join(&Taint::with_det(Det::HashIter));
-                                    }
-                                }
-                            }
-                            "new" | "with_capacity" | "default" => {
-                                if matches!(
-                                    path_prefix(expr, i).as_deref(),
-                                    Some("HashMap") | Some("HashSet")
-                                ) {
-                                    t.hash_container = true;
-                                }
-                                if path_prefix(expr, i).as_deref() == Some("RandomState") {
-                                    t.join(&Taint::with_det(Det::HashIter));
-                                }
-                            }
                             "from_bits" => {
-                                if let Some(p) = self.conv_target(expr, i) {
+                                if let Some(p) = path_prec(expr, i) {
                                     t.join(&Taint::with_prec(p));
                                 }
                             }
@@ -581,15 +516,10 @@ impl<'a> FnFlow<'a> {
                         i += 1;
                         continue;
                     }
-                    match name {
-                        "Instant" | "SystemTime" => t.join(&Taint::with_det(Det::Clock)),
-                        "RandomState" => t.join(&Taint::with_det(Det::HashIter)),
-                        "ThreadId" => t.join(&Taint::with_det(Det::Thread)),
-                        _ => {
-                            if let Some(known) = self.env.get(name) {
-                                t.join(known);
-                            }
-                        }
+                    if name == "ThreadId" {
+                        t.join(&Taint::with_det(Det::Thread));
+                    } else if let Some(known) = self.env.get(name) {
+                        t.join(known);
                     }
                 }
                 TokKind::Float => {
@@ -605,10 +535,10 @@ impl<'a> FnFlow<'a> {
             i += 1;
         }
         // Weak seed derivation: xor/multiply arithmetic on a seed-like
-        // operand outside any blessed mixer call.
-        let outside_mixers = |k: usize| !mixed.iter().any(|&(a, b)| a <= k && k <= b);
+        // operand outside any range scanned on its own.
+        let outside = |k: usize| !scanned.iter().any(|&(a, b)| a <= k && k <= b);
         let weak_ops = expr.iter().enumerate().any(|(k, t)| {
-            outside_mixers(k)
+            outside(k)
                 && (t.kind == TokKind::Punct && matches!(t.text.as_str(), "^" | "^=")
                     || t.is_ident("wrapping_mul")
                     || t.is_ident("rotate_left"))
@@ -616,109 +546,40 @@ impl<'a> FnFlow<'a> {
         let seedish = expr
             .iter()
             .enumerate()
-            .any(|(k, t)| outside_mixers(k) && t.kind == TokKind::Ident && t.text.contains("seed"));
+            .any(|(k, t)| outside(k) && t.kind == TokKind::Ident && t.text.contains("seed"));
         if weak_ops && seedish {
             t.join(&Taint::with_det(Det::WeakSeed));
         }
         t
     }
 
-    /// Target precision of a conversion/`from_bits` call at `i`, read
-    /// from its path qualifier (`Half::from_bits`, `f32::from_bits`)
-    /// or receiver taint.
-    fn conv_target(&self, expr: &[Token], i: usize) -> Option<Prec> {
-        match path_prefix(expr, i).as_deref() {
-            Some("Half") => Some(Prec::B16),
-            Some("f32") => Some(Prec::F32),
-            Some("f64") => Some(Prec::F64),
-            Some("F") => None, // generic: no concrete precision
-            _ => None,
-        }
-    }
-
     // -- precision sinks (PL005) -------------------------------------
 
-    /// Arithmetic mixing two known, different precisions in one
-    /// statement without a blessed conversion.
-    fn check_mixed_arith(&mut self, stmt: &[Token], line: usize) {
-        let has_arith = stmt
-            .iter()
-            .any(|t| t.kind == TokKind::Punct && matches!(t.text.as_str(), "+" | "-" | "*" | "/"));
-        if !has_arith || stmt.iter().any(is_blessed_tok) {
-            return;
-        }
-        let mut precs: Vec<Prec> = Vec::new();
-        for tok in stmt {
-            let p = match tok.kind {
-                TokKind::Ident => self.env.get(&tok.text).and_then(|t| t.prec),
-                TokKind::Float => Some(if tok.text.ends_with("f32") {
-                    Prec::F32
-                } else {
-                    Prec::F64
-                }),
-                _ => None,
-            };
-            if let Some(p) = p {
-                if !precs.contains(&p) {
-                    precs.push(p);
-                }
-            }
-        }
-        if precs.len() >= 2 {
-            precs.sort();
-            let names: Vec<&str> = precs.iter().map(|p| p.name()).collect();
-            self.flag(
-                line,
-                "PL005",
-                "precision-taint",
-                format!(
-                    "arithmetic mixes {} values in one expression; convert explicitly through `to_f64`/`from_f64` (or the `Half` conversions) at an audited boundary",
-                    names.join(" and ")
-                ),
-            );
-        }
-    }
-
-    /// `x as f32` where `x` is f64-tainted: a lossy narrowing outside
-    /// the blessed conversion fns, possibly far from where `x` was
-    /// produced.
-    fn check_narrowing(&mut self, stmt: &[Token], line: usize) {
+    /// `x as f32` / `x as u16` where the whole operand `x` is
+    /// f64-tainted (or f32-tainted, for `u16`): a lossy narrowing
+    /// outside the blessed conversion fns, possibly far from where the
+    /// taint was acquired. Reported at the cast's line.
+    fn check_narrowing(&mut self, stmt: &[Token]) {
         for i in 0..stmt.len() {
-            if !stmt[i].is_ident("as") {
-                continue;
-            }
-            let Some(target) = stmt.get(i + 1) else {
+            let Some(target) = cast_target(stmt, i) else {
                 continue;
             };
-            let target_prec = match target.text.as_str() {
-                "f32" => Prec::F32,
-                "u16" => Prec::B16, // truncating bits toward binary16
+            let Some(start) = operand_start(stmt, i) else {
+                continue;
+            };
+            let operand = &stmt[start..i];
+            let source: String = operand.iter().map(|t| t.text.as_str()).collect();
+            let message = match (self.expr_taint(operand).prec, target) {
+                (Some(Prec::F64), Prec::F32 | Prec::B16) => format!(
+                    "`{source} as {}` narrows an f64-tainted value lossily; route the conversion through a blessed fn (`from_f64` on the target precision) so the rounding is audited",
+                    stmt[i + 1].text
+                ),
+                (Some(Prec::F32), Prec::B16) => format!(
+                    "`{source} as u16` truncates f32-tainted bits toward binary16; use `Half::from_f32` so round-to-nearest-even is applied",
+                ),
                 _ => continue,
             };
-            let Some(source) = primary_before(stmt, i) else {
-                continue;
-            };
-            let src_prec = self.env.get(&source).and_then(|t| t.prec);
-            if src_prec == Some(Prec::F64) {
-                self.flag(
-                    line,
-                    "PL005",
-                    "precision-taint",
-                    format!(
-                        "`{source} as {}` narrows an f64-tainted value lossily; route the conversion through a blessed fn (`from_f64` on the target precision) so the rounding is audited",
-                        target.text
-                    ),
-                );
-            } else if src_prec == Some(Prec::F32) && target_prec == Prec::B16 {
-                self.flag(
-                    line,
-                    "PL005",
-                    "precision-taint",
-                    format!(
-                        "`{source} as u16` truncates f32-tainted bits toward binary16; use `Half::from_f32` so round-to-nearest-even is applied",
-                    ),
-                );
-            }
+            self.flag(stmt[i].line, "PL005", "precision-taint", message);
         }
     }
 
@@ -729,13 +590,12 @@ impl<'a> FnFlow<'a> {
             if !stmt[i].is_ident("from_bits") {
                 continue;
             }
-            let Some(target) = self.conv_target(stmt, i) else {
+            let Some(target) = path_prec(stmt, i) else {
                 continue;
             };
-            let Some(open) = stmt.get(i + 1).filter(|t| t.is_punct("(")) else {
+            if !stmt.get(i + 1).is_some_and(|t| t.is_punct("(")) {
                 continue;
-            };
-            let _ = open;
+            }
             let Some(end) = matching_paren(stmt, i + 1) else {
                 continue;
             };
@@ -757,140 +617,10 @@ impl<'a> FnFlow<'a> {
         }
     }
 
-    /// Calls to same-file fns with a precision-typed parameter: the
-    /// argument's taint must match the declared parameter precision.
-    fn check_call_params(&mut self, stmt: &[Token], line: usize) {
-        for i in 0..stmt.len() {
-            if stmt[i].kind != TokKind::Ident {
-                continue;
-            }
-            let Some((params, _)) = self.sigs.fns.get(&stmt[i].text) else {
-                continue;
-            };
-            if !stmt.get(i + 1).is_some_and(|t| t.is_punct("(")) {
-                continue;
-            }
-            let Some(end) = matching_paren(stmt, i + 1) else {
-                continue;
-            };
-            let args = split_args(&stmt[i + 2..end]);
-            for (k, arg) in args.iter().enumerate() {
-                let Some(Some(want)) = params.get(k) else {
-                    continue;
-                };
-                if arg.iter().any(is_blessed_tok) {
-                    continue;
-                }
-                let got = self.expr_taint(arg);
-                if let Some(gp) = got.prec {
-                    if gp != *want {
-                        self.flag(
-                            line,
-                            "PL005",
-                            "precision-taint",
-                            format!(
-                                "argument {} of `{}` carries {} but the parameter is declared {}; convert through the blessed fns at the call boundary",
-                                k + 1,
-                                stmt[i].text,
-                                gp.name(),
-                                want.name()
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Struct literals (`Name { field: expr }`) against declared field
-    /// precisions.
-    fn check_struct_fields(&mut self, stmt: &[Token], line: usize) {
-        for i in 0..stmt.len() {
-            if stmt[i].kind != TokKind::Ident
-                || !self.sigs.structs.contains(&stmt[i].text)
-                || !stmt.get(i + 1).is_some_and(|t| t.is_punct("{"))
-            {
-                continue;
-            }
-            // Walk `field : expr ,` pairs at depth 1.
-            let mut k = i + 2;
-            let mut depth = 1i32;
-            while k < stmt.len() && depth > 0 {
-                if stmt[k].is_punct("{") {
-                    depth += 1;
-                } else if stmt[k].is_punct("}") {
-                    depth -= 1;
-                } else if depth == 1
-                    && stmt[k].kind == TokKind::Ident
-                    && stmt.get(k + 1).is_some_and(|t| t.is_punct(":"))
-                {
-                    let field = stmt[k].text.clone();
-                    if let Some(want) = self.sigs.fields.get(&field).copied() {
-                        let vend = stmt[k + 2..]
-                            .iter()
-                            .position(|t| t.is_punct(",") || t.is_punct("}"))
-                            .map(|p| k + 2 + p)
-                            .unwrap_or(stmt.len());
-                        let arg = &stmt[k + 2..vend];
-                        if !arg.iter().any(is_blessed_tok) {
-                            let got = self.expr_taint(arg);
-                            if let Some(gp) = got.prec {
-                                if gp != want {
-                                    self.flag(
-                                        line,
-                                        "PL005",
-                                        "precision-taint",
-                                        format!(
-                                            "field `{field}` is declared {} but is initialized with a {}-tainted value; convert through the blessed fns first",
-                                            want.name(),
-                                            gp.name()
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                        k = vend;
-                        continue;
-                    }
-                }
-                k += 1;
-            }
-        }
-    }
-
-    /// Return-position check against the declared return precision.
-    fn check_return(&mut self, expr: &[Token], line: usize) {
-        if !self.precision {
-            return;
-        }
-        let Some(want) = prec_of_type(&self.item.ret) else {
-            return;
-        };
-        if expr.iter().any(is_blessed_tok) {
-            return;
-        }
-        let got = self.expr_taint(expr);
-        if let Some(gp) = got.prec {
-            if gp != want {
-                self.flag(
-                    line,
-                    "PL005",
-                    "precision-taint",
-                    format!(
-                        "returning a {}-tainted value from a fn declared `-> {}`; convert through the blessed fns before returning",
-                        gp.name(),
-                        self.item.ret
-                    ),
-                );
-            }
-        }
-    }
-
     // -- determinism sinks (DT004) -----------------------------------
 
     /// RNG seeding and seed mixing: the seed expression must be free
-    /// of clock/thread/hash taints and must not be a raw multiply-XOR
-    /// derivation.
+    /// of thread taint and must not be a raw multiply-XOR derivation.
     fn check_seed_sinks(&mut self, stmt: &[Token], line: usize) {
         for i in 0..stmt.len() {
             let tok = &stmt[i];
@@ -909,24 +639,10 @@ impl<'a> FnFlow<'a> {
             let Some(end) = matching_paren(stmt, i + 1) else {
                 continue;
             };
-            let arg = &stmt[i + 2..end];
-            let t = self.expr_taint(arg);
-            let bad: Vec<Det> = t
-                .det
-                .iter()
-                .copied()
-                .filter(|d| {
-                    if is_mixer {
-                        // Mixers avalanche their inputs, so a weak
-                        // derivation *feeding* one is fine; ambient
-                        // nondeterminism is not.
-                        matches!(d, Det::Clock | Det::Thread | Det::HashIter)
-                    } else {
-                        true
-                    }
-                })
-                .collect();
-            if let Some(d) = bad.first() {
+            let t = self.expr_taint(&stmt[i + 2..end]);
+            // Mixers avalanche their inputs, so a weak derivation
+            // *feeding* one is fine; thread identity is not.
+            if let Some(d) = t.det.iter().find(|d| !is_mixer || **d == Det::Thread) {
                 self.flag(
                     line,
                     "DT004",
@@ -957,21 +673,14 @@ impl<'a> FnFlow<'a> {
                 continue;
             };
             let arg = &stmt[i + 2..end];
-            let t = self.expr_taint(arg);
-            let ambient: Vec<Det> = t
-                .det
-                .iter()
-                .copied()
-                .filter(|d| matches!(d, Det::Clock | Det::Thread | Det::HashIter))
-                .collect();
-            if let Some(d) = ambient.first() {
+            if self.expr_taint(arg).det.contains(&Det::Thread) {
                 self.flag(
                     line,
                     "DT004",
                     "determinism-taint",
                     format!(
                         "a value tainted by {} is stored into a result collection; results must be pure functions of the cell key and seed",
-                        d.describe()
+                        Det::Thread.describe()
                     ),
                 );
                 continue;
@@ -1027,7 +736,7 @@ impl<'a> FnFlow<'a> {
             if let Some(d) = t
                 .det
                 .iter()
-                .find(|d| matches!(d, Det::Clock | Det::Thread | Det::HashIter | Det::Schedule))
+                .find(|d| matches!(d, Det::Thread | Det::Schedule))
             {
                 self.flag(
                     line,
@@ -1041,12 +750,6 @@ impl<'a> FnFlow<'a> {
             }
         }
     }
-}
-
-/// True for tokens naming a blessed conversion fn (their presence in
-/// an expression marks an audited precision change).
-fn is_blessed_tok(t: &Token) -> bool {
-    t.kind == TokKind::Ident && BLESSED_CONV.contains(&t.text.as_str())
 }
 
 /// The `::`-qualifier directly before the ident at `i`, if any.
@@ -1067,36 +770,67 @@ fn receiver_ident(expr: &[Token], i: usize) -> Option<String> {
     None
 }
 
-/// The primary expression ident directly before token `i` (used for
-/// `x as f32` — walks back over one `)`-balanced group or field chain).
-fn primary_before(stmt: &[Token], i: usize) -> Option<String> {
-    if i == 0 {
+/// Precision named by the `::`-qualifier of the call at `i`
+/// (`Half::from_bits`, `f32::from_bits`); a generic `F::` names none.
+fn path_prec(expr: &[Token], i: usize) -> Option<Prec> {
+    prec_of_type(&path_prefix(expr, i)?)
+}
+
+/// The precision an `as` at `i` retypes its operand to: `as f32`,
+/// `as f64`, or `as u16` (binary16 bits).
+fn cast_target(expr: &[Token], i: usize) -> Option<Prec> {
+    if !expr[i].is_ident("as") {
         return None;
     }
-    let prev = &stmt[i - 1];
-    if prev.kind == TokKind::Ident {
-        return Some(prev.text.clone());
+    match expr.get(i + 1)?.text.as_str() {
+        "f32" => Some(Prec::F32),
+        "f64" => Some(Prec::F64),
+        "u16" => Some(Prec::B16),
+        _ => None,
     }
-    if prev.is_punct(")") {
-        // Walk back to the matching `(` and take the ident before it.
-        let mut depth = 0i32;
-        let mut k = i - 1;
-        loop {
-            if stmt[k].is_punct(")") {
-                depth += 1;
-            } else if stmt[k].is_punct("(") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
+}
+
+/// Start of the operand of the `as` at `i`: a path or field chain, a
+/// call, an index, or a parenthesised group, with any postfix calls
+/// and indexes on it. `None` for literals and other shapes.
+fn operand_start(expr: &[Token], i: usize) -> Option<usize> {
+    let mut k = i.checked_sub(1)?;
+    loop {
+        let t = &expr[k];
+        if t.is_punct(")") || t.is_punct("]") {
+            k = matching_open(expr, k)?;
+            // A callee or indexed base before the group belongs to it.
+            match k.checked_sub(1).map(|p| &expr[p]) {
+                Some(p) if p.kind == TokKind::Ident || p.is_punct(")") || p.is_punct("]") => k -= 1,
+                _ => return Some(k),
             }
-            if k == 0 {
-                return None;
+        } else if t.kind == TokKind::Ident {
+            match k.checked_sub(2) {
+                Some(p) if expr[k - 1].is_punct(".") || expr[k - 1].is_punct("::") => k = p,
+                _ => return Some(k),
             }
-            k -= 1;
+        } else {
+            return None;
         }
-        if k >= 1 && stmt[k - 1].kind == TokKind::Ident {
-            return Some(stmt[k - 1].text.clone());
+    }
+}
+
+/// Token index of the `(`/`[` matching the `)`/`]` at `close`.
+fn matching_open(toks: &[Token], close: usize) -> Option<usize> {
+    let (open, shut) = if toks[close].is_punct(")") {
+        ("(", ")")
+    } else {
+        ("[", "]")
+    };
+    let mut depth = 0i32;
+    for k in (0..=close).rev() {
+        if toks[k].is_punct(shut) {
+            depth += 1;
+        } else if toks[k].is_punct(open) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
         }
     }
     None
@@ -1203,6 +937,16 @@ mod tests {
     }
 
     #[test]
+    fn casts_retype_the_taint() {
+        // `as u16` makes the f64 binary16 bits, which widen to f32
+        // cleanly; `as f64` makes the f32 an f64, which `as f32` then
+        // narrows.
+        let f = run("fn g(x: f64, a: f32) -> f32 {\n    let bits = x as u16;\n    let wide = a as f64;\n    let back = bits as f32;\n    wide as f32\n}\n");
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [2, 5], "findings: {f:?}");
+    }
+
+    #[test]
     fn blessed_conversion_is_clean() {
         let f = run("fn g(golden: &[f64], i: usize) -> f32 {\n    let master = golden[i];\n    narrow(master)\n}\nfn narrow(x: f64) -> f32 { from_f64(x) }\n");
         assert!(f.is_empty(), "findings: {f:?}");
@@ -1236,33 +980,9 @@ mod tests {
     }
 
     #[test]
-    fn clock_value_into_results_is_flagged() {
-        let f = run("fn record(out: &mut Vec<u128>) {\n    let t0 = Instant::now();\n    let dt = t0.elapsed();\n    out.push(dt);\n}\n");
-        assert!(
-            f.iter().any(|x| x.lint == "DT004" && x.line == 4),
-            "findings: {f:?}"
-        );
-    }
-
-    #[test]
-    fn hashmap_iteration_into_results_is_flagged() {
-        let f = run("fn collect(m: HashMap<u64, f64>, out: &mut Vec<f64>) {\n    for v in m.values() {\n        out.push(v);\n    }\n}\n");
-        assert!(f.iter().any(|x| x.lint == "DT004"), "findings: {f:?}");
-    }
-
-    #[test]
-    fn mixed_precision_arithmetic_is_flagged() {
-        let f = run("fn mixy(a: f32, b: f64) -> f64 {\n    let x = a;\n    let y = b;\n    let z = x * y;\n    z\n}\n");
-        assert!(
-            f.iter().any(|x| x.lint == "PL005" && x.line == 4),
-            "findings: {f:?}"
-        );
-    }
-
-    #[test]
     fn from_bits_reinterpretation_is_flagged() {
         let f = run(
-            "fn reinterpret(h: Half) -> f32 {\n    let bits = h;\n    f32::from_bits(bits)\n}\n",
+            "fn reinterpret(h: Half) -> f32 {\n    let bits = h.to_bits();\n    f32::from_bits(u32::from(bits))\n}\n",
         );
         assert!(
             f.iter().any(|x| x.lint == "PL005" && x.line == 3),

@@ -16,17 +16,19 @@
 //! | family                | ids        | scope                        |
 //! |-----------------------|------------|------------------------------|
 //! | `precision-leak`      | PL001-PL004| `crates/kernels`, `crates/nn` (generic fn bodies) |
-//! | `precision-taint`     | PL005      | `crates/kernels`, `crates/nn` (flow-sensitive) |
+//! | `precision-taint`     | PL005      | `crates/kernels`, `crates/nn` (flow-sensitive: lossy `as` narrowing, cross-width `from_bits`) |
 //! | `fault-site`          | FS001-FS002| FS001: `crates/kernels`, `crates/nn` (generic fn bodies); FS002 (`dyn FaultHook`): `crates/kernels` |
-//! | `determinism-taint`   | DT004      | `crates/beam`, `crates/fault`, `crates/core`, `crates/exp`, `crates/obs` (flow-sensitive) |
+//! | `determinism-taint`   | DT004      | `crates/beam`, `crates/fault`, `crates/core`, `crates/exp`, `crates/obs` (flow-sensitive: thread identity, weak seeds, stride schedules) |
 //! | `panic-reachability`  | PH004      | `crates/kernels`, `crates/fault`, `crates/beam`, `crates/exp` (call-graph reachable from the strike fast path) |
 //! | `vfs-bypass`          | FS003      | `crates/exp` (direct `std::fs` traffic outside the `Vfs` layer) |
 //! | `allow-hygiene`       | AH001-AH003| pragma bookkeeping           |
 //!
 //! The bans stock tools can check are not here: `unwrap`/`expect`/
-//! panic macros and clock or hash-ordered collection types are
-//! workspace clippy lints (`[workspace.lints.clippy]` and
-//! `clippy.toml`), exempted with `#[expect(clippy::…, reason = "…")]`.
+//! panic macros and clock, hash-ordered collection and `RandomState`
+//! types are workspace clippy lints (`[workspace.lints.clippy]` and
+//! `clippy.toml`), exempted with `#[expect(clippy::…, reason = "…")]`,
+//! and precision mixes in arithmetic, calls, fields and returns are
+//! rustc type errors.
 //!
 //! Violations are suppressed line-by-line with a justified pragma:
 //!

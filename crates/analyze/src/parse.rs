@@ -1,14 +1,14 @@
-//! Item-level parser: functions, impl blocks, structs, calls, and
-//! panic sites — no full grammar.
+//! Item-level parser: functions, impl blocks, calls, and panic sites
+//! — no full grammar.
 //!
 //! The parser walks the token stream once and recovers just the
 //! structure the dataflow and call-graph passes need: every `fn` with
-//! its name, parameters, return type, and body token range; every
-//! struct with its named fields and their types; and, per function,
-//! the names it calls and the places it can panic. Function items are
-//! recognized at *any* brace depth, so item-like code inside macro
-//! invocations (`monomorphic_workload! { fn run<F: FloatExt>(..) {..} }`)
-//! is analyzed like ordinary code instead of vanishing into an opaque
+//! its name, parameters, return type, and body token range; and, per
+//! function, the names it calls and the places it can panic. Function
+//! items are recognized at *any* brace depth, so item-like code inside
+//! macro invocations
+//! (`monomorphic_workload! { fn run<F: FloatExt>(..) {..} }`) is
+//! analyzed like ordinary code instead of vanishing into an opaque
 //! macro body.
 
 use crate::lexer::{lex, TokKind, Token};
@@ -74,15 +74,6 @@ pub struct FnItem {
     pub panics: Vec<PanicSite>,
 }
 
-/// A parsed struct with named fields.
-#[derive(Debug, Clone)]
-pub struct StructItem {
-    /// Struct name.
-    pub name: String,
-    /// `(field, type-text)` pairs.
-    pub fields: Vec<(String, String)>,
-}
-
 /// Everything recovered from one file.
 #[derive(Debug)]
 pub struct ParsedFile {
@@ -90,8 +81,6 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     /// All function items, in source order.
     pub fns: Vec<FnItem>,
-    /// All field-bearing structs.
-    pub structs: Vec<StructItem>,
 }
 
 impl ParsedFile {
@@ -101,30 +90,18 @@ impl ParsedFile {
         let braces = match_braces(&tokens);
         let impls = impl_contexts(&tokens, &braces);
         let mut fns = Vec::new();
-        let mut structs = Vec::new();
         let mut i = 0;
         while i < tokens.len() {
-            let t = &tokens[i];
-            if t.is_ident("fn") {
+            if tokens[i].is_ident("fn") {
                 if let Some((item, next)) = parse_fn(&tokens, &braces, &impls, i) {
                     fns.push(item);
-                    i = next;
-                    continue;
-                }
-            } else if t.is_ident("struct") {
-                if let Some((item, next)) = parse_struct(&tokens, &braces, i) {
-                    structs.push(item);
                     i = next;
                     continue;
                 }
             }
             i += 1;
         }
-        ParsedFile {
-            tokens,
-            fns,
-            structs,
-        }
+        ParsedFile { tokens, fns }
     }
 
     /// The function whose signature declares parameter `param` as type
@@ -344,82 +321,6 @@ fn parse_params(tokens: &[Token]) -> Vec<Param> {
     out
 }
 
-/// Parses `struct Name { field: Type, .. }`; tuple and unit structs
-/// carry no named fields and are skipped.
-fn parse_struct(
-    tokens: &[Token],
-    braces: &[Option<usize>],
-    at: usize,
-) -> Option<(StructItem, usize)> {
-    let name_tok = tokens.get(at + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    let mut i = at + 2;
-    while i < tokens.len()
-        && !tokens[i].is_punct("{")
-        && !tokens[i].is_punct(";")
-        && !tokens[i].is_punct("(")
-    {
-        i += 1;
-    }
-    if i >= tokens.len() || !tokens[i].is_punct("{") {
-        return None;
-    }
-    let close = braces[i]?;
-    let mut fields = Vec::new();
-    let body = &tokens[i + 1..close];
-    let mut depth = 0i32;
-    let mut start = 0;
-    for (k, t) in body
-        .iter()
-        .enumerate()
-        .chain([(body.len(), &tokens[close])])
-    {
-        let is_sep =
-            k == body.len() || (t.is_punct(",") && depth <= 0) || (t.is_punct(";") && depth <= 0);
-        if !is_sep {
-            match t.text.as_str() {
-                "(" | "[" | "{" | "<" if t.kind == TokKind::Punct => depth += 1,
-                ")" | "]" | "}" | ">" if t.kind == TokKind::Punct => depth -= 1,
-                ">>" if t.kind == TokKind::Punct => depth -= 2,
-                _ => {}
-            }
-            continue;
-        }
-        let range = &body[start..k.min(body.len())];
-        start = k + 1;
-        // `pub name : Type`
-        let mut j = 0;
-        while range.get(j).is_some_and(|t| {
-            t.is_ident("pub") || t.is_punct("(") || t.is_ident("crate") || t.is_punct(")")
-        }) {
-            j += 1;
-        }
-        let (Some(name), Some(colon)) = (range.get(j), range.get(j + 1)) else {
-            continue;
-        };
-        if name.kind != TokKind::Ident || !colon.is_punct(":") {
-            continue;
-        }
-        fields.push((
-            name.text.clone(),
-            range[j + 2..]
-                .iter()
-                .map(|t| t.text.as_str())
-                .collect::<Vec<_>>()
-                .join(" "),
-        ));
-    }
-    Some((
-        StructItem {
-            name: name_tok.text.clone(),
-            fields,
-        },
-        close + 1,
-    ))
-}
-
 /// Simple names of every call in a body token slice.
 fn collect_calls(body: &[Token]) -> Vec<String> {
     let mut out = Vec::new();
@@ -575,19 +476,6 @@ mod tests {
         let f = p.fn_named("kernel").expect("macro-wrapped fn parsed");
         assert!(f.generic_float);
         assert_eq!(f.calls, vec!["touch".to_string()]);
-    }
-
-    #[test]
-    fn struct_fields_parse() {
-        let p = parse("pub struct CellKey {\n    pub seed: u64,\n    pub golden: Vec<f32>,\n}\nstruct Unit;\n");
-        assert_eq!(p.structs.len(), 1);
-        let s = &p.structs[0];
-        assert_eq!(s.name, "CellKey");
-        assert_eq!(s.fields[0], ("seed".to_string(), "u64".to_string()));
-        assert_eq!(
-            s.fields[1],
-            ("golden".to_string(), "Vec < f32 >".to_string())
-        );
     }
 
     #[test]

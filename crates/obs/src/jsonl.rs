@@ -97,7 +97,6 @@ impl Recorder for JsonlRecorder {
             reason = "a poisoned event buffer means a recording thread already panicked; propagating is the only sound option"
         )]
         let mut events = self.events.lock().expect("event buffer");
-        // mpr-allow: determinism-taint -- the timestamp IS the telemetry payload; events never feed campaign results, seeds, or cache keys
         events.push(Event {
             t_us,
             name: name.to_string(),

@@ -40,6 +40,33 @@ use core::num::FpCategory;
 /// assert!((Half::MAX + Half::ONE).to_f32().is_infinite() == false); // 65504+1 rounds back to MAX
 /// assert!((Half::MAX + Half::MAX).is_infinite());
 /// ```
+///
+/// # Mixed precision is a type error
+///
+/// `Half` does arithmetic only with `Half`, and no float type coerces
+/// to or from it, so rustc rejects any expression or call that mixes
+/// precisions; a value crosses only through a named conversion
+/// (`to_f32`, `from_f64`, ...). `mpr analyze` relies on this and
+/// checks only what the type checker accepts: `as` narrowings and
+/// cross-width `from_bits`. Each block below must fail to compile:
+///
+/// ```compile_fail,E0277
+/// # use mpr_softfloat::Half;
+/// let _ = Half::ONE * 2.0f32;
+/// ```
+///
+/// ```compile_fail,E0277
+/// # use mpr_softfloat::Half;
+/// let _ = Half::ONE + 2.0f64;
+/// ```
+///
+/// ```compile_fail,E0308
+/// # use mpr_softfloat::Half;
+/// fn single(x: f32) -> f32 {
+///     x
+/// }
+/// let _ = single(Half::ONE);
+/// ```
 #[derive(Clone, Copy, Default)]
 pub struct Half(u16);
 
