@@ -436,10 +436,22 @@ impl<'a> FnFlow<'a> {
     /// Joined taint of an expression token slice.
     fn expr_taint(&self, expr: &[Token]) -> Taint {
         let mut t = Taint::default();
-        // `(operand start, as)` of every cast that retypes its operand.
-        let casts: Vec<(usize, usize)> = (0..expr.len())
-            .filter(|&k| cast_target(expr, k).is_some())
-            .filter_map(|k| Some((operand_start(expr, k)?, k)))
+        // `(operand start, end, resume, precision)` of every retyped
+        // operand: a cast (`x as f32`) or a size (`v.len()`,
+        // `it.count()`), which is no float whatever it counts.
+        let retyped: Vec<(usize, usize, usize, Option<Prec>)> = (0..expr.len())
+            .filter_map(|k| {
+                if let Some(p) = cast_target(expr, k) {
+                    return Some((operand_start(expr, k)?, k, k + 2, Some(p)));
+                }
+                let size = expr[k].is_punct(".")
+                    && expr
+                        .get(k + 1)
+                        .is_some_and(|m| m.is_ident("len") || m.is_ident("count"))
+                    && expr.get(k + 2).is_some_and(|t| t.is_punct("("))
+                    && expr.get(k + 3).is_some_and(|t| t.is_punct(")"));
+                size.then(|| Some((operand_start(expr, k)?, k, k + 4, None)))?
+            })
             .collect();
         // Token ranges already scanned for weak derivations: blessed
         // mixer calls (feeding raw arithmetic *into* an avalanche is
@@ -447,15 +459,17 @@ impl<'a> FnFlow<'a> {
         let mut scanned: Vec<(usize, usize)> = Vec::new();
         let mut i = 0;
         while i < expr.len() {
-            // The outermost cast whose operand starts here: the
-            // operand keeps its determinism taints, the cast sets its
-            // precision.
-            if let Some(&(_, at)) = casts.iter().filter(|c| c.0 == i).max_by_key(|c| c.1) {
-                let mut inner = self.expr_taint(&expr[i..at]);
-                inner.prec = cast_target(expr, at);
+            // The outermost retyping whose operand starts here: the
+            // operand keeps its determinism taints, the retyping sets
+            // its precision.
+            if let Some(&(_, end, resume, prec)) =
+                retyped.iter().filter(|c| c.0 == i).max_by_key(|c| c.1)
+            {
+                let mut inner = self.expr_taint(&expr[i..end]);
+                inner.prec = prec;
                 t.join(&inner);
-                scanned.push((i, at + 1));
-                i = at + 2;
+                scanned.push((i, resume - 1));
+                i = resume;
                 continue;
             }
             let tok = &expr[i];
@@ -568,7 +582,15 @@ impl<'a> FnFlow<'a> {
                 continue;
             };
             let operand = &stmt[start..i];
-            let source: String = operand.iter().map(|t| t.text.as_str()).collect();
+            // Adjacent words keep a space: `n as f64`, not `nasf64`.
+            let word = |t: &Token| t.kind != TokKind::Punct;
+            let mut source = String::new();
+            for (k, tok) in operand.iter().enumerate() {
+                if k > 0 && word(&operand[k - 1]) && word(tok) {
+                    source.push(' ');
+                }
+                source.push_str(&tok.text);
+            }
             let message = match (self.expr_taint(operand).prec, target) {
                 (Some(Prec::F64), Prec::F32 | Prec::B16) => format!(
                     "`{source} as {}` narrows an f64-tainted value lossily; route the conversion through a blessed fn (`from_f64` on the target precision) so the rounding is audited",

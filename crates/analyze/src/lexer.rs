@@ -188,13 +188,12 @@ fn lex_number(line: &str, at: usize) -> (TokKind, usize) {
             i += 1;
         }
     }
-    // Trailing `1.` (not `1..`): still a float.
-    if !float && i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1] != b'.' {
-        let next = bytes[i + 1];
-        if !is_ident_start(next) {
-            float = true;
-            i += 1;
-        }
+    // Trailing `1.` (not `1..` or `1.max(..)`), end of line included:
+    // still a float.
+    let dot_ends = |n: &u8| *n != b'.' && !is_ident_start(*n);
+    if !float && bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_none_or(dot_ends) {
+        float = true;
+        i += 1;
     }
     // Exponent.
     if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
@@ -241,6 +240,17 @@ mod tests {
         assert_eq!(toks[1], (TokKind::Ident, "x".to_string()));
         assert!(toks.contains(&(TokKind::Float, "1.0f32".to_string())));
         assert!(toks.contains(&(TokKind::Int, "2".to_string())));
+    }
+
+    #[test]
+    fn trailing_dot_floats_end_anywhere() {
+        for src in ["x * 2.;", "x * 2."] {
+            assert!(
+                kinds(src).contains(&(TokKind::Float, "2.".to_string())),
+                "{src}"
+            );
+        }
+        assert!(kinds("2.max(y)").contains(&(TokKind::Int, "2".to_string())));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! [`crate::lint_applies`] so fixtures can exercise lints by claiming a
 //! path.
 
+use crate::lexer::{lex, TokKind};
 use crate::source::SourceFile;
 use crate::Finding;
 
@@ -67,23 +68,31 @@ fn word_positions(hay: &str, needle: &str) -> Vec<usize> {
 /// and bare native float types leak a fixed precision into code that the
 /// study must be able to run at double, single, and half.
 pub fn precision_leak(file: &SourceFile) -> Vec<Finding> {
+    let in_kernel = |idx: usize| file.in_generic_kernel[idx] && !file.in_test[idx];
     let mut out = Vec::new();
-    for (idx, masked) in file.masked.iter().enumerate() {
-        let line_no = idx + 1;
-        if !file.in_generic_kernel[idx] || file.in_test[idx] {
+    let toks = lex(&file.masked);
+    for (k, lit) in toks.iter().enumerate() {
+        let idx = lit.line - 1;
+        // `t.0.1` is a tuple field access, not the literal `0.1`.
+        let field = k > 0 && toks[k - 1].is_punct(".");
+        if lit.kind != TokKind::Float || field || !in_kernel(idx) {
             continue;
         }
-        for (col, lit) in float_literals(masked) {
-            if feeds_conversion(masked, col) {
-                continue;
-            }
-            out.push(finding(
-                file,
-                line_no,
-                "PL001",
-                "precision-leak",
-                format!("native float literal `{lit}` in a precision-generic kernel; wrap it in `F::from_f64(..)`"),
-            ));
+        if feeds_conversion(&file.masked[idx], lit.col) {
+            continue;
+        }
+        out.push(finding(
+            file,
+            lit.line,
+            "PL001",
+            "precision-leak",
+            format!("native float literal `{}` in a precision-generic kernel; wrap it in `F::from_f64(..)`", lit.text),
+        ));
+    }
+    for (idx, masked) in file.masked.iter().enumerate() {
+        let line_no = idx + 1;
+        if !in_kernel(idx) {
+            continue;
         }
         for ty in ["f32", "f64"] {
             for at in unenclosed(masked, &format!(" as {ty}")) {
@@ -126,59 +135,6 @@ pub fn precision_leak(file: &SourceFile) -> Vec<Finding> {
                     format!("native `{ty}` type in a precision-generic kernel body; keep intermediate values in `F`"),
                 ));
             }
-        }
-    }
-    out
-}
-
-/// Float literal tokens in a masked line: `(byte offset, token text)`.
-fn float_literals(line: &str) -> Vec<(usize, String)> {
-    let bytes = line.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if !c.is_ascii_digit()
-            || (i > 0 && is_ident_char(bytes[i - 1] as char))
-            || (i > 0 && bytes[i - 1] == b'.')
-        {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'_') {
-            i += 1;
-        }
-        let mut is_float = false;
-        // Fractional part — but `0..n` is a range, and `x.0` is a field.
-        if i + 1 < bytes.len() && bytes[i] == b'.' && (bytes[i + 1] as char).is_ascii_digit() {
-            is_float = true;
-            i += 1;
-            while i < bytes.len() && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'_') {
-                i += 1;
-            }
-        }
-        // Exponent.
-        if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-            let mut j = i + 1;
-            if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                j += 1;
-            }
-            if j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                is_float = true;
-                i = j;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-            }
-        }
-        // Suffix.
-        if line[i..].starts_with("f32") || line[i..].starts_with("f64") {
-            is_float = true;
-            i += 3;
-        }
-        if is_float {
-            out.push((start, line[start..i].to_string()));
         }
     }
     out

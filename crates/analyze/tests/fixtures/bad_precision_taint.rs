@@ -26,11 +26,14 @@ fn truncate_bits(x: f32) -> u16 {
 }
 
 /// Narrowing judged on the cast's whole operand: an indexed element,
-/// a parenthesised group, and a call to an f64-returning fn.
+/// a parenthesised group, a call to an f64-returning fn, a method on
+/// an f64 element, and a group widened inside.
 fn narrow_operands(golden: &[f64], i: usize, x: f64, out: &mut Vec<f32>) {
     out.push(golden[i] as f32);
     out.push((x * 2.0) as f32);
     out.push(twice(x) as f32);
+    out.push(golden[0].abs() as f32);
+    out.push((x / i as f64) as f32);
 }
 
 fn twice(x: f64) -> f64 {

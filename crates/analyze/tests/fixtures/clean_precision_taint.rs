@@ -25,3 +25,9 @@ fn widen_and_pair(a: f32, b: f64, out: &mut Vec<(f32, f64)>) -> f64 {
     out.push((a * 2.0f32, b * 3.0));
     a as f64 * b
 }
+
+/// A size is no float, whatever it counts.
+fn sizes(v: &[f64]) -> (f32, f32) {
+    let n = v.len();
+    (n as f32, v.iter().count() as f32)
+}

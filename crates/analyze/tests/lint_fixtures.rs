@@ -38,6 +38,14 @@ fn bad_precision_fixture_trips_every_pl_lint() {
     for expected in ["PL001", "PL002", "PL003", "PL004"] {
         assert!(ids.contains(&expected), "{expected} missing from {ids:?}");
     }
+    // The trailing-dot form is a float literal too.
+    assert!(
+        a.findings
+            .iter()
+            .any(|f| f.lint == "PL001" && f.message.contains("`2.`")),
+        "{}",
+        a.to_text()
+    );
     assert!(!a.clean());
 }
 
@@ -188,9 +196,15 @@ fn precision_taint_fixture_flags_every_leak_shape() {
     let pl5: Vec<_> = a.findings.iter().filter(|f| f.lint == "PL005").collect();
     // One per leak shape, each at the cast or call itself: cross-line
     // narrowing, from_bits reinterpretation, bit truncation, and
-    // narrowing an indexed element, a parenthesised group and a call.
+    // narrowing an indexed element, a parenthesised group, a call, a
+    // method on an element and a group widened inside.
     let lines: Vec<usize> = pl5.iter().map(|f| f.line).collect();
-    assert_eq!(lines, [12, 19, 25, 31, 32, 33], "\n{}", a.to_text());
+    assert_eq!(lines, [12, 19, 25, 32, 33, 34, 35, 36], "\n{}", a.to_text());
+    assert!(
+        pl5[7].message.contains("`(x/i as f64) as f32`"),
+        "{}",
+        pl5[7].message
+    );
     // The fns are not FloatExt-generic, so the token lints stay quiet:
     // only the flow-sensitive pass sees these.
     assert!(

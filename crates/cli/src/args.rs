@@ -1,54 +1,35 @@
-//! Hand-rolled argument parsing (the workspace carries no CLI
-//! dependency; the grammar is small and fully tested below).
+//! Argument parsing: `mpr <command> [FLAGS]`, with no CLI dependency.
+//!
+//! Each subcommand lists the flags it accepts in a table, where a bare
+//! `--name` is a switch and `--name=what` takes a value (`what` names
+//! that value in the error when it is missing). [`Flags::scan`] checks
+//! the whole line against the table once: an unknown flag, a stray
+//! argument, a repeated flag, or a value flag whose value is missing
+//! (the last token, or a next token starting with `--`) is a
+//! [`ParseError`]. Typed getters then parse the values straight into
+//! the types the engine owns: a study's [`StudyOpts`], or one
+//! [`CellKey`] with its seed and [`EngineOpts`].
 
 use mpr_core::StudyScale;
-use mpr_exp::{DeviceId, WorkloadId};
+use mpr_exp::{CellKey, DeviceId, SamplingConfig, SamplingPlan, WorkloadId};
 use mpr_fault::FaultModel;
 use mpr_kernels::MicroKernelOp;
 use mpr_softfloat::Precision;
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Print Tables 1-3.
-    Tables { opts: StudyOpts },
-    /// Print every figure (2-13).
-    Figures { opts: StudyOpts },
-    /// Print the ablations.
-    Ablations { opts: StudyOpts },
-    /// Print the whole report: tables, figures, ablations, and the
-    /// engine's cell statistics.
-    Report { opts: StudyOpts },
-    /// Export all artifacts as CSV.
-    Export { dir: String, opts: StudyOpts },
-    /// Run the executable shape validation.
-    Validate { opts: StudyOpts },
-    /// Run one beam campaign.
-    Campaign {
-        device: DeviceId,
-        workload: WorkloadId,
-        precision: Precision,
-        strikes: u64,
-        hours: f64,
+    /// Run the study and print one view of it.
+    Study { view: View, opts: StudyOpts },
+    /// Run one beam (`campaign`) or injection (`inject`) cell.
+    Cell {
+        key: CellKey,
+        /// `--seed S` (default 0).
         seed: u64,
-        threads: usize,
-        retries: u32,
-        cell_timeout: Option<Duration>,
-        sampling: SamplingOpts,
-    },
-    /// Run one injection campaign.
-    Inject {
-        workload: WorkloadId,
-        precision: Precision,
-        injections: u64,
-        model: FaultModel,
-        seed: u64,
-        threads: usize,
-        retries: u32,
-        cell_timeout: Option<Duration>,
-        sampling: SamplingOpts,
+        engine: EngineOpts,
     },
     /// Run a hostile persistence exercise: a small fixed campaign whose
     /// cache and manifest I/O routes through the seeded chaos
@@ -66,64 +47,57 @@ pub enum Command {
     Help,
 }
 
-impl Command {
-    /// The shared study options, for commands that carry them.
-    pub fn study_opts(&self) -> Option<&StudyOpts> {
-        match self {
-            Command::Tables { opts }
-            | Command::Figures { opts }
-            | Command::Ablations { opts }
-            | Command::Report { opts }
-            | Command::Validate { opts }
-            | Command::Export { opts, .. } => Some(opts),
-            _ => None,
-        }
-    }
+/// What a study subcommand prints.
+#[derive(Debug, Clone, PartialEq)]
+pub enum View {
+    /// Tables 1-3.
+    Tables,
+    /// Every figure (2-13).
+    Figures,
+    /// The ablations.
+    Ablations,
+    /// Tables, figures, ablations, and the engine's cell statistics.
+    Report,
+    /// The executable shape validation.
+    Validate,
+    /// Every artifact as CSV under `--dir`.
+    Export { dir: String },
 }
 
-/// Adaptive strike-sampling options, shared by the study subcommands
-/// and the one-off `campaign`/`inject` commands.
+/// Worker-pool options shared by every command that runs cells.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SamplingOpts {
-    /// `--adaptive`: stratified Neyman allocation with sequential early
-    /// stopping; the strike/injection count becomes a budget ceiling.
-    pub adaptive: bool,
-    /// `--ci-width W`: target relative width of the SDC-count 95% CI at
-    /// which a cell stops early (defaults to the scale's preset:
-    /// 0.8 quick, 0.25 paper). Requires `--adaptive`.
-    pub ci_width: Option<f64>,
-    /// `--strike-budget N`: per-cell strike ceiling override (defaults
-    /// to the fixed-path budget). Requires `--adaptive`.
-    pub strike_budget: Option<u64>,
-}
-
-/// Options shared by every study-backed subcommand (tables, figures,
-/// ablations, report, export, validate).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StudyOpts {
-    /// Statistical scale.
-    pub scale: StudyScale,
+pub struct EngineOpts {
     /// `--threads N`: worker-thread budget (0, the default, uses every
     /// available core).
     pub threads: usize,
-    /// `--cache-dir PATH`: on-disk experiment-cell cache.
-    pub cache_dir: Option<String>,
-    /// `--profile PATH`: write a JSONL observability log of the run and
-    /// print a profile summary afterwards.
-    pub profile: Option<String>,
     /// `--retries N`: re-attempt a failed or hung cell up to N times
     /// with its seed unchanged.
     pub retries: u32,
     /// `--cell-timeout DUR`: per-cell watchdog deadline (`None`, the
     /// default, arms none).
     pub cell_timeout: Option<Duration>,
+}
+
+/// Options shared by every study subcommand (tables, figures,
+/// ablations, report, export, validate).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct StudyOpts {
+    /// Statistical scale (`--paper`; quick by default).
+    pub scale: StudyScale,
+    /// Worker-pool options.
+    pub engine: EngineOpts,
+    /// `--cache-dir PATH`: on-disk experiment-cell cache.
+    pub cache_dir: Option<String>,
+    /// `--profile PATH`: write a JSONL observability log of the run and
+    /// print a profile summary afterwards.
+    pub profile: Option<String>,
     /// `--resume`: re-execute only the cells the cache directory's
     /// manifest records as failed, hung, or missing. Requires
     /// `--cache-dir`.
     pub resume: bool,
-    /// Adaptive-sampling flags (`--adaptive`, `--ci-width`,
-    /// `--strike-budget`).
-    pub sampling: SamplingOpts,
+    /// `--adaptive` (refined by `--ci-width` and `--strike-budget`):
+    /// the strike-sampling plan of every beam and injection cell.
+    pub sampling: SamplingPlan,
 }
 
 /// Options for the `chaos` subcommand.
@@ -221,6 +195,54 @@ WORKLOAD: mxm | lavamd | lavamd-knc | lud | micro-add | micro-mul |
           micro-fma | mnist | yolo
 ";
 
+/// The flags of every study subcommand (`export` adds [`EXPORT`]).
+const STUDY: &[&str] = &[
+    "--paper",
+    "--threads=a value",
+    "--cache-dir=a path",
+    "--profile=a path",
+    "--retries=a count",
+    "--cell-timeout=a duration",
+    "--resume",
+    "--adaptive",
+    "--ci-width=a value",
+    "--strike-budget=a count",
+];
+const EXPORT: &[&str] = &["--dir=a path"];
+/// The engine and sampling flags `campaign` and `inject` share.
+const CELL: &[&str] = &[
+    "--seed=a value",
+    "--threads=a value",
+    "--retries=a count",
+    "--cell-timeout=a duration",
+    "--adaptive",
+    "--ci-width=a value",
+    "--strike-budget=a count",
+];
+const CAMPAIGN: &[&str] = &[
+    "--device=a device",
+    "--workload=a workload",
+    "--precision=a precision",
+    "--strikes=a count",
+    "--hours=a value",
+];
+const INJECT: &[&str] = &[
+    "--workload=a workload",
+    "--precision=a precision",
+    "--n=a count",
+    "--model=a model",
+];
+const CHAOS: &[&str] = &[
+    "--cache-dir=a path",
+    "--chaos-seed=a value",
+    "--chaos-rate=a value",
+    "--chaos-crash-at=an operation index",
+    "--threads=a value",
+    "--retries=a count",
+    "--resume",
+];
+const ANALYZE: &[&str] = &["--root=a path"];
+
 /// Parses the command line (without the program name).
 ///
 /// # Errors
@@ -230,262 +252,215 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| ParseError(USAGE.to_string()))?;
     let rest: Vec<&str> = it.collect();
-    match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "tables" => Ok(Command::Tables {
-            opts: study_opts(&rest, false)?,
-        }),
-        "figures" => Ok(Command::Figures {
-            opts: study_opts(&rest, false)?,
-        }),
-        "ablations" => Ok(Command::Ablations {
-            opts: study_opts(&rest, false)?,
-        }),
-        "report" => Ok(Command::Report {
-            opts: study_opts(&rest, false)?,
-        }),
-        "validate" => Ok(Command::Validate {
-            opts: study_opts(&rest, false)?,
-        }),
-        "export" => Ok(Command::Export {
-            dir: required(&rest, "--dir")?.to_string(),
-            opts: study_opts(&rest, true)?,
-        }),
-        "campaign" => Ok(Command::Campaign {
-            device: device_of(required(&rest, "--device")?)?,
-            workload: workload_of(required(&rest, "--workload")?)?,
-            precision: precision_of(required(&rest, "--precision")?)?,
-            strikes: positive(&rest, "--strikes", 2000)?,
-            hours: float(&rest, "--hours", 100.0)?,
-            seed: numeric(&rest, "--seed", 0)?,
-            threads: threads_of(&rest)?,
-            retries: retries_of(&rest)?,
-            cell_timeout: cell_timeout_of(&rest)?,
-            sampling: sampling_of(&rest)?,
-        }),
-        "inject" => Ok(Command::Inject {
-            workload: workload_of(required(&rest, "--workload")?)?,
-            precision: precision_of(required(&rest, "--precision")?)?,
-            injections: numeric(&rest, "--n", 2000)?,
-            model: model_of(optional(&rest, "--model").unwrap_or("single"))?,
-            seed: numeric(&rest, "--seed", 0)?,
-            threads: threads_of(&rest)?,
-            retries: retries_of(&rest)?,
-            cell_timeout: cell_timeout_of(&rest)?,
-            sampling: sampling_of(&rest)?,
-        }),
+    let view = match sub {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "tables" => View::Tables,
+        "figures" => View::Figures,
+        "ablations" => View::Ablations,
+        "report" => View::Report,
+        "validate" => View::Validate,
+        "export" => {
+            let f = Flags::scan(&rest, &[STUDY, EXPORT])?;
+            let dir = f.required("--dir")?.to_string();
+            return study(View::Export { dir }, &f);
+        }
+        "campaign" => {
+            let f = Flags::scan(&rest, &[CAMPAIGN, CELL])?;
+            let key = CellKey::beam(
+                device_of(f.required("--device")?)?,
+                workload_of(f.required("--workload")?)?,
+                precision_of(f.required("--precision")?)?,
+                f.value("--hours", "a positive number", positive)?
+                    .unwrap_or(100.0),
+                f.value("--strikes", "a positive integer", |&n: &u64| n > 0)?
+                    .unwrap_or(2000),
+                sampling(&f, StudyScale::Quick)?,
+            );
+            return cell(key, &f);
+        }
+        "inject" => {
+            let f = Flags::scan(&rest, &[INJECT, CELL])?;
+            let key = CellKey::inject(
+                workload_of(f.required("--workload")?)?,
+                precision_of(f.required("--precision")?)?,
+                f.int("--n")?.unwrap_or(2000),
+                model_of(f.get("--model").unwrap_or("single"))?,
+                1.0,
+                sampling(&f, StudyScale::Quick)?,
+            );
+            return cell(key, &f);
+        }
         "chaos" => {
-            const KNOWN: [&str; 7] = [
-                "--cache-dir",
-                "--chaos-seed",
-                "--chaos-rate",
-                "--chaos-crash-at",
-                "--threads",
-                "--retries",
-                "--resume",
-            ];
-            if let Some(&bad) = rest
-                .iter()
-                .find(|&&a| a.starts_with("--") && !KNOWN.contains(&a))
-            {
-                return Err(ParseError(format!("unknown flag `{bad}`\n\n{USAGE}")));
-            }
-            Ok(Command::Chaos {
+            let f = Flags::scan(&rest, &[CHAOS])?;
+            return Ok(Command::Chaos {
                 opts: ChaosOpts {
-                    cache_dir: required(&rest, "--cache-dir")?.to_string(),
-                    seed: numeric(&rest, "--chaos-seed", 2019)?,
-                    rate: chaos_rate_of(&rest)?,
-                    crash_at: crash_at_of(&rest)?,
-                    threads: threads_of(&rest)?,
-                    retries: retries_of(&rest)?,
-                    resume: rest.contains(&"--resume"),
+                    cache_dir: f.required("--cache-dir")?.to_string(),
+                    seed: f.int("--chaos-seed")?.unwrap_or(2019),
+                    rate: f
+                        .value("--chaos-rate", "a fraction in [0, 1]", |x: &f64| {
+                            (0.0..=1.0).contains(x)
+                        })?
+                        .unwrap_or(0.0),
+                    crash_at: f.value("--chaos-crash-at", "an operation index", |_| true)?,
+                    threads: f.int("--threads")?.unwrap_or(0),
+                    retries: f.int("--retries")?.unwrap_or(0),
+                    resume: f.has("--resume"),
                 },
-            })
+            });
         }
         "analyze" => {
-            if let Some(&bad) = rest.iter().find(|&&a| a.starts_with("--") && a != "--root") {
-                return Err(ParseError(format!("unknown flag `{bad}`")));
-            }
-            let root = match optional(&rest, "--root") {
-                Some(root) => root,
-                None if rest.contains(&"--root") => {
-                    return Err(ParseError("`--root` expects a path".to_string()))
-                }
-                None => ".",
-            };
-            Ok(Command::Analyze {
-                root: root.to_string(),
-            })
+            let f = Flags::scan(&rest, &[ANALYZE])?;
+            let root = f.get("--root").unwrap_or(".").to_string();
+            return Ok(Command::Analyze { root });
         }
-        other => Err(ParseError(format!("unknown command `{other}`\n\n{USAGE}"))),
-    }
+        other => return Err(ParseError(format!("unknown command `{other}`\n\n{USAGE}"))),
+    };
+    study(view, &Flags::scan(&rest, &[STUDY])?)
 }
 
-/// Parses the shared study options, rejecting unknown flags. `allow_dir`
-/// tolerates `export`'s `--dir <path>` value pair.
-fn study_opts(rest: &[&str], allow_dir: bool) -> Result<StudyOpts, ParseError> {
-    let mut opts = StudyOpts::default();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--paper" => {
-                opts.scale = StudyScale::Paper;
-                i += 1;
-            }
-            "--threads" => {
-                let v = rest
-                    .get(i + 1)
-                    .ok_or_else(|| ParseError("`--threads` expects a value".to_string()))?;
-                opts.threads = v.parse().map_err(|_| {
-                    ParseError(format!("`--threads` expects an integer, got `{v}`"))
-                })?;
-                i += 2;
-            }
-            "--cache-dir" => {
-                let v = rest
-                    .get(i + 1)
-                    .ok_or_else(|| ParseError("`--cache-dir` expects a path".to_string()))?;
-                opts.cache_dir = Some(v.to_string());
-                i += 2;
-            }
-            "--profile" => {
-                let v = rest
-                    .get(i + 1)
-                    .ok_or_else(|| ParseError("`--profile` expects a path".to_string()))?;
-                opts.profile = Some(v.to_string());
-                i += 2;
-            }
-            "--retries" => {
-                let v = rest
-                    .get(i + 1)
-                    .ok_or_else(|| ParseError("`--retries` expects a count".to_string()))?;
-                opts.retries = v.parse().map_err(|_| {
-                    ParseError(format!("`--retries` expects an integer, got `{v}`"))
-                })?;
-                i += 2;
-            }
-            "--cell-timeout" => {
-                let v = rest
-                    .get(i + 1)
-                    .ok_or_else(|| ParseError("`--cell-timeout` expects a duration".to_string()))?;
-                opts.cell_timeout = Some(duration_of(v)?);
-                i += 2;
-            }
-            "--resume" => {
-                opts.resume = true;
-                i += 1;
-            }
-            "--adaptive" => i += 1,
-            "--ci-width" | "--strike-budget" => i += 2,
-            "--dir" if allow_dir => i += 2,
-            other => return Err(ParseError(format!("unknown flag `{other}`\n\n{USAGE}"))),
-        }
-    }
+/// A study subcommand's options, with `--resume` checked against
+/// `--cache-dir`.
+fn study(view: View, f: &Flags<'_>) -> Result<Command, ParseError> {
+    let scale = if f.has("--paper") {
+        StudyScale::Paper
+    } else {
+        StudyScale::Quick
+    };
+    let opts = StudyOpts {
+        scale,
+        engine: engine(f)?,
+        cache_dir: f.get("--cache-dir").map(String::from),
+        profile: f.get("--profile").map(String::from),
+        resume: f.has("--resume"),
+        sampling: sampling(f, scale)?,
+    };
     if opts.resume && opts.cache_dir.is_none() {
         return Err(ParseError(
             "`--resume` needs `--cache-dir` (the manifest lives there)".to_string(),
         ));
     }
-    opts.sampling = sampling_of(rest)?;
-    Ok(opts)
+    Ok(Command::Study { view, opts })
 }
 
-/// Parses the adaptive-sampling flags (study and campaign/inject).
-fn sampling_of(rest: &[&str]) -> Result<SamplingOpts, ParseError> {
-    let adaptive = rest.contains(&"--adaptive");
-    let ci_width = match optional(rest, "--ci-width") {
-        None => {
-            if rest.contains(&"--ci-width") {
-                return Err(ParseError("`--ci-width` expects a value".to_string()));
-            }
-            None
-        }
-        Some(v) => Some(
-            v.parse::<f64>()
-                .ok()
-                .filter(|x| x.is_finite() && *x > 0.0)
-                .ok_or_else(|| {
-                    ParseError(format!("`--ci-width` expects a positive number, got `{v}`"))
-                })?,
-        ),
-    };
-    let strike_budget =
-        match optional(rest, "--strike-budget") {
-            None => {
-                if rest.contains(&"--strike-budget") {
-                    return Err(ParseError("`--strike-budget` expects a count".to_string()));
-                }
-                None
-            }
-            Some(v) => Some(v.parse().map_err(|_| {
-                ParseError(format!("`--strike-budget` expects an integer, got `{v}`"))
-            })?),
-        };
-    if !adaptive && (ci_width.is_some() || strike_budget.is_some()) {
-        return Err(ParseError(
-            "`--ci-width` and `--strike-budget` need `--adaptive`".to_string(),
-        ));
-    }
-    Ok(SamplingOpts {
-        adaptive,
-        ci_width,
-        strike_budget,
+/// A one-off cell with its seed and engine options.
+fn cell(key: CellKey, f: &Flags<'_>) -> Result<Command, ParseError> {
+    Ok(Command::Cell {
+        key,
+        seed: f.int("--seed")?.unwrap_or(0),
+        engine: engine(f)?,
     })
 }
 
-/// Parses an optional `--threads N` flag (campaign/inject/chaos).
-fn threads_of(rest: &[&str]) -> Result<usize, ParseError> {
-    match optional(rest, "--threads") {
-        None => Ok(0),
-        Some(v) => v
-            .parse()
-            .map_err(|_| ParseError(format!("`--threads` expects an integer, got `{v}`"))),
+fn engine(f: &Flags<'_>) -> Result<EngineOpts, ParseError> {
+    Ok(EngineOpts {
+        threads: f.int("--threads")?.unwrap_or(0),
+        retries: f.int("--retries")?.unwrap_or(0),
+        cell_timeout: f.get("--cell-timeout").map(duration_of).transpose()?,
+    })
+}
+
+/// The strike-sampling plan: fixed unless `--adaptive`, which starts
+/// from `scale`'s CI-width preset, refined by `--ci-width` and
+/// `--strike-budget`.
+fn sampling(f: &Flags<'_>, scale: StudyScale) -> Result<SamplingPlan, ParseError> {
+    let ci_width = f.value("--ci-width", "a positive number", positive)?;
+    let budget = f.int("--strike-budget")?;
+    if !f.has("--adaptive") {
+        if ci_width.is_some() || budget.is_some() {
+            return Err(ParseError(
+                "`--ci-width` and `--strike-budget` need `--adaptive`".to_string(),
+            ));
+        }
+        return Ok(SamplingPlan::Fixed);
+    }
+    let mut config = match scale {
+        StudyScale::Quick => SamplingConfig::quick(),
+        StudyScale::Paper => SamplingConfig::paper(),
+    };
+    if let Some(w) = ci_width {
+        config = config.with_ci_width(w);
+    }
+    if let Some(b) = budget {
+        config = config.with_budget(b);
+    }
+    Ok(SamplingPlan::Adaptive(config))
+}
+
+/// One subcommand's flags, scanned against its tables: each accepted
+/// flag given at most once, with its value when it takes one.
+struct Flags<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Flags<'a> {
+    /// Checks the whole line against `accepted` (see the module doc for
+    /// the table grammar and what is rejected).
+    fn scan(rest: &[&'a str], accepted: &[&[&str]]) -> Result<Flags<'a>, ParseError> {
+        let mut flags = Vec::new();
+        let mut it = rest.iter().copied().peekable();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                return Err(ParseError(format!("unknown argument `{arg}`\n\n{USAGE}")));
+            }
+            let spec = accepted
+                .iter()
+                .flat_map(|table| table.iter())
+                .find(|spec| spec.split('=').next() == Some(arg))
+                .ok_or_else(|| ParseError(format!("unknown flag `{arg}`\n\n{USAGE}")))?;
+            if flags.iter().any(|&(seen, _)| seen == arg) {
+                return Err(ParseError(format!("`{arg}` given more than once")));
+            }
+            let value = match spec.split_once('=') {
+                None => None,
+                Some((_, what)) => Some(
+                    it.next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| ParseError(format!("`{arg}` expects {what}")))?,
+                ),
+            };
+            flags.push((arg, value));
+        }
+        Ok(Flags(flags))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|&(seen, _)| seen == flag)
+    }
+
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .find(|&&(seen, _)| seen == flag)
+            .and_then(|&(_, value)| value)
+    }
+
+    fn required(&self, flag: &str) -> Result<&'a str, ParseError> {
+        self.get(flag)
+            .ok_or_else(|| ParseError(format!("missing required flag `{flag}`")))
+    }
+
+    /// `flag`'s value parsed and checked by `ok`, or `None` when the
+    /// flag is absent; `what` names the expected value in the error.
+    fn value<T: FromStr>(
+        &self,
+        flag: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, ParseError> {
+        self.get(flag)
+            .map(|v| {
+                v.parse()
+                    .ok()
+                    .filter(&ok)
+                    .ok_or_else(|| ParseError(format!("`{flag}` expects {what}, got `{v}`")))
+            })
+            .transpose()
+    }
+
+    fn int<T: FromStr>(&self, flag: &str) -> Result<Option<T>, ParseError> {
+        self.value(flag, "an integer", |_| true)
     }
 }
 
-/// Parses an optional `--retries N` flag (campaign/inject).
-fn retries_of(rest: &[&str]) -> Result<u32, ParseError> {
-    match optional(rest, "--retries") {
-        None => Ok(0),
-        Some(v) => v
-            .parse()
-            .map_err(|_| ParseError(format!("`--retries` expects an integer, got `{v}`"))),
-    }
-}
-
-/// Parses the optional `--chaos-rate R` fraction (chaos).
-fn chaos_rate_of(rest: &[&str]) -> Result<f64, ParseError> {
-    match optional(rest, "--chaos-rate") {
-        None => Ok(0.0),
-        Some(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|x| x.is_finite() && (0.0..=1.0).contains(x))
-            .ok_or_else(|| {
-                ParseError(format!(
-                    "`--chaos-rate` expects a fraction in [0, 1], got `{v}`"
-                ))
-            }),
-    }
-}
-
-/// Parses the optional `--chaos-crash-at K` operation index (chaos).
-fn crash_at_of(rest: &[&str]) -> Result<Option<u64>, ParseError> {
-    match optional(rest, "--chaos-crash-at") {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| {
-            ParseError(format!(
-                "`--chaos-crash-at` expects an operation index, got `{v}`"
-            ))
-        }),
-    }
-}
-
-/// Parses an optional `--cell-timeout DUR` flag (campaign/inject).
-fn cell_timeout_of(rest: &[&str]) -> Result<Option<Duration>, ParseError> {
-    optional(rest, "--cell-timeout")
-        .map(duration_of)
-        .transpose()
+fn positive(x: &f64) -> bool {
+    x.is_finite() && *x > 0.0
 }
 
 /// Parses a watchdog duration: `500ms`, `5s`, or bare seconds (`2.5`).
@@ -512,48 +487,6 @@ fn duration_of(s: &str) -> Result<Duration, ParseError> {
                 "expected a positive duration like `5s`, `500ms`, or `2.5`, got `{s}`"
             ))
         })
-}
-
-fn optional<'a>(rest: &[&'a str], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|&a| a == flag)
-        .and_then(|i| rest.get(i + 1).copied())
-}
-
-fn required<'a>(rest: &[&'a str], flag: &str) -> Result<&'a str, ParseError> {
-    optional(rest, flag).ok_or_else(|| ParseError(format!("missing required flag `{flag}`")))
-}
-
-fn numeric(rest: &[&str], flag: &str, default: u64) -> Result<u64, ParseError> {
-    match optional(rest, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| ParseError(format!("`{flag}` expects an integer, got `{v}`"))),
-    }
-}
-
-/// Like [`numeric`], but zero is rejected too.
-fn positive(rest: &[&str], flag: &str, default: u64) -> Result<u64, ParseError> {
-    match optional(rest, flag) {
-        None => Ok(default),
-        Some(v) => {
-            v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                ParseError(format!("`{flag}` expects a positive integer, got `{v}`"))
-            })
-        }
-    }
-}
-
-fn float(rest: &[&str], flag: &str, default: f64) -> Result<f64, ParseError> {
-    match optional(rest, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|x| x.is_finite() && *x > 0.0)
-            .ok_or_else(|| ParseError(format!("`{flag}` expects a positive number, got `{v}`"))),
-    }
 }
 
 fn device_of(s: &str) -> Result<DeviceId, ParseError> {
@@ -607,6 +540,7 @@ fn model_of(s: &str) -> Result<FaultModel, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpr_exp::CellKind;
 
     fn parse_ok(line: &str) -> Command {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -622,13 +556,15 @@ mod tests {
     fn subcommands_parse() {
         assert_eq!(
             parse_ok("tables"),
-            Command::Tables {
+            Command::Study {
+                view: View::Tables,
                 opts: StudyOpts::default()
             }
         );
         assert_eq!(
             parse_ok("figures --paper"),
-            Command::Figures {
+            Command::Study {
+                view: View::Figures,
                 opts: StudyOpts {
                     scale: StudyScale::Paper,
                     ..StudyOpts::default()
@@ -638,8 +574,10 @@ mod tests {
         assert_eq!(parse_ok("help"), Command::Help);
         assert_eq!(
             parse_ok("export --dir /tmp/x --paper"),
-            Command::Export {
-                dir: "/tmp/x".to_string(),
+            Command::Study {
+                view: View::Export {
+                    dir: "/tmp/x".to_string()
+                },
                 opts: StudyOpts {
                     scale: StudyScale::Paper,
                     ..StudyOpts::default()
@@ -652,10 +590,14 @@ mod tests {
     fn study_opts_parse_threads_and_cache_dir() {
         assert_eq!(
             parse_ok("report --threads 4 --cache-dir /tmp/cells"),
-            Command::Report {
+            Command::Study {
+                view: View::Report,
                 opts: StudyOpts {
                     scale: StudyScale::Quick,
-                    threads: 4,
+                    engine: EngineOpts {
+                        threads: 4,
+                        ..EngineOpts::default()
+                    },
                     cache_dir: Some("/tmp/cells".to_string()),
                     ..StudyOpts::default()
                 }
@@ -663,10 +605,14 @@ mod tests {
         );
         assert_eq!(
             parse_ok("tables --paper --threads 2"),
-            Command::Tables {
+            Command::Study {
+                view: View::Tables,
                 opts: StudyOpts {
                     scale: StudyScale::Paper,
-                    threads: 2,
+                    engine: EngineOpts {
+                        threads: 2,
+                        ..EngineOpts::default()
+                    },
                     ..StudyOpts::default()
                 }
             }
@@ -680,7 +626,8 @@ mod tests {
     fn study_opts_parse_profile() {
         assert_eq!(
             parse_ok("report --profile /tmp/run.jsonl"),
-            Command::Report {
+            Command::Study {
+                view: View::Report,
                 opts: StudyOpts {
                     profile: Some("/tmp/run.jsonl".to_string()),
                     ..StudyOpts::default()
@@ -689,7 +636,7 @@ mod tests {
         );
         assert!(matches!(
             parse_ok("figures --paper --profile p.jsonl"),
-            Command::Figures { opts } if opts.profile.as_deref() == Some("p.jsonl")
+            Command::Study { view: View::Figures, opts } if opts.profile.as_deref() == Some("p.jsonl")
         ));
         assert!(parse_err("tables --profile").0.contains("path"));
     }
@@ -699,17 +646,17 @@ mod tests {
         let c = parse_ok("campaign --device gpu --workload mxm --precision half");
         assert_eq!(
             c,
-            Command::Campaign {
-                device: DeviceId::TitanV,
-                workload: WorkloadId::Gemm { dim: 16 },
-                precision: Precision::Half,
-                strikes: 2000,
-                hours: 100.0,
+            Command::Cell {
+                key: CellKey::beam(
+                    DeviceId::TitanV,
+                    WorkloadId::Gemm { dim: 16 },
+                    Precision::Half,
+                    100.0,
+                    2000,
+                    SamplingPlan::Fixed,
+                ),
                 seed: 0,
-                threads: 0,
-                retries: 0,
-                cell_timeout: None,
-                sampling: SamplingOpts::default(),
+                engine: EngineOpts::default(),
             }
         );
         let c = parse_ok(
@@ -717,14 +664,21 @@ mod tests {
              --strikes 500 --hours 10 --seed 7 --threads 3",
         );
         match c {
-            Command::Campaign {
-                device,
-                workload,
-                strikes,
-                hours,
+            Command::Cell {
+                key:
+                    CellKey {
+                        device,
+                        workload,
+                        kind:
+                            CellKind::Beam {
+                                target_candidates: strikes,
+                                hours,
+                                ..
+                            },
+                        ..
+                    },
                 seed,
-                threads,
-                ..
+                engine: EngineOpts { threads, .. },
             } => {
                 assert_eq!(device, DeviceId::Knc3120a);
                 assert_eq!(
@@ -816,20 +770,21 @@ mod tests {
         let c = parse_ok("inject --workload micro-fma --precision double --n 300 --model byte");
         assert_eq!(
             c,
-            Command::Inject {
-                workload: WorkloadId::Micro {
-                    op: MicroKernelOp::Fma,
-                    threads: 32,
-                    iters: 256,
-                },
-                precision: Precision::Double,
-                injections: 300,
-                model: FaultModel::RandomByte,
+            Command::Cell {
+                key: CellKey::inject(
+                    WorkloadId::Micro {
+                        op: MicroKernelOp::Fma,
+                        threads: 32,
+                        iters: 256,
+                    },
+                    Precision::Double,
+                    300,
+                    FaultModel::RandomByte,
+                    1.0,
+                    SamplingPlan::Fixed,
+                ),
                 seed: 0,
-                threads: 0,
-                retries: 0,
-                cell_timeout: None,
-                sampling: SamplingOpts::default(),
+                engine: EngineOpts::default(),
             }
         );
     }
@@ -838,26 +793,23 @@ mod tests {
     fn adaptive_sampling_flags_parse() {
         assert_eq!(
             parse_ok("report --adaptive"),
-            Command::Report {
+            Command::Study {
+                view: View::Report,
                 opts: StudyOpts {
-                    sampling: SamplingOpts {
-                        adaptive: true,
-                        ..SamplingOpts::default()
-                    },
+                    sampling: SamplingPlan::Adaptive(SamplingConfig::quick()),
                     ..StudyOpts::default()
                 }
             }
         );
         assert_eq!(
             parse_ok("figures --paper --adaptive --ci-width 0.3 --strike-budget 5000"),
-            Command::Figures {
+            Command::Study {
+                view: View::Figures,
                 opts: StudyOpts {
                     scale: StudyScale::Paper,
-                    sampling: SamplingOpts {
-                        adaptive: true,
-                        ci_width: Some(0.3),
-                        strike_budget: Some(5000),
-                    },
+                    sampling: SamplingPlan::Adaptive(
+                        SamplingConfig::paper().with_ci_width(0.3).with_budget(5000)
+                    ),
                     ..StudyOpts::default()
                 }
             }
@@ -867,26 +819,30 @@ mod tests {
                 "campaign --device fpga --workload mxm --precision half \
                  --strikes 1024 --adaptive --ci-width 0.5"
             ),
-            Command::Campaign {
-                strikes: 1024,
-                sampling: SamplingOpts {
-                    adaptive: true,
-                    ci_width: Some(w),
-                    strike_budget: None,
+            Command::Cell {
+                key: CellKey {
+                    kind: CellKind::Beam {
+                        target_candidates: 1024,
+                        sampling: SamplingPlan::Adaptive(config),
+                        ..
+                    },
+                    ..
                 },
                 ..
-            } if w == 0.5
+            } if config == SamplingConfig::quick().with_ci_width(0.5)
         ));
         assert!(matches!(
             parse_ok("inject --workload lud --precision double --adaptive --strike-budget 800"),
-            Command::Inject {
-                sampling: SamplingOpts {
-                    adaptive: true,
-                    ci_width: None,
-                    strike_budget: Some(800),
+            Command::Cell {
+                key: CellKey {
+                    kind: CellKind::Inject {
+                        sampling: SamplingPlan::Adaptive(config),
+                        ..
+                    },
+                    ..
                 },
                 ..
-            }
+            } if config == SamplingConfig::quick().with_budget(800)
         ));
         // The refinement flags are meaningless without --adaptive.
         assert!(parse_err("report --ci-width 0.4").0.contains("--adaptive"));
@@ -910,10 +866,14 @@ mod tests {
     fn fault_tolerance_flags_parse() {
         assert_eq!(
             parse_ok("report --retries 2 --cell-timeout 5s --cache-dir /tmp/c --resume"),
-            Command::Report {
+            Command::Study {
+                view: View::Report,
                 opts: StudyOpts {
-                    retries: 2,
-                    cell_timeout: Some(Duration::from_secs(5)),
+                    engine: EngineOpts {
+                        threads: 0,
+                        retries: 2,
+                        cell_timeout: Some(Duration::from_secs(5)),
+                    },
                     cache_dir: Some("/tmp/c".to_string()),
                     resume: true,
                     ..StudyOpts::default()
@@ -925,9 +885,12 @@ mod tests {
                 "campaign --device gpu --workload mxm --precision half \
                  --retries 3 --cell-timeout 500ms"
             ),
-            Command::Campaign {
-                retries: 3,
-                cell_timeout: Some(t),
+            Command::Cell {
+                engine: EngineOpts {
+                    retries: 3,
+                    cell_timeout: Some(t),
+                    ..
+                },
                 ..
             } if t == Duration::from_millis(500)
         ));
@@ -981,7 +944,13 @@ mod tests {
         // A zero-injection run is well defined and stays accepted.
         assert!(matches!(
             parse_ok("inject --workload mxm --precision half --n 0"),
-            Command::Inject { injections: 0, .. }
+            Command::Cell {
+                key: CellKey {
+                    kind: CellKind::Inject { injections: 0, .. },
+                    ..
+                },
+                ..
+            }
         ));
     }
 
@@ -1003,7 +972,7 @@ mod tests {
         for (name, want) in devices {
             let line = format!("campaign --device {name} --workload mxm --precision half");
             assert!(
-                matches!(parse_ok(&line), Command::Campaign { device, .. } if device == want),
+                matches!(parse_ok(&line), Command::Cell { key, .. } if key.device == want),
                 "{name}"
             );
         }
@@ -1033,7 +1002,7 @@ mod tests {
         for (name, want) in workloads {
             let line = format!("inject --workload {name} --precision half");
             assert!(
-                matches!(parse_ok(&line), Command::Inject { workload, .. } if workload == want),
+                matches!(parse_ok(&line), Command::Cell { key, .. } if key.workload == want),
                 "{name}"
             );
         }
@@ -1045,7 +1014,16 @@ mod tests {
         for (name, want) in models {
             let line = format!("inject --workload mxm --precision half --model {name}");
             assert!(
-                matches!(parse_ok(&line), Command::Inject { model, .. } if model == want),
+                matches!(
+                    parse_ok(&line),
+                    Command::Cell {
+                        key: CellKey {
+                            kind: CellKind::Inject { model, .. },
+                            ..
+                        },
+                        ..
+                    } if model == want
+                ),
                 "{name}"
             );
         }
@@ -1061,5 +1039,47 @@ mod tests {
             parse_err("inject --workload mxm --precision half --model triple").0,
             "unknown model `triple` (single | double | byte)"
         );
+    }
+
+    #[test]
+    fn the_whole_line_is_checked() {
+        for (line, want) in [
+            ("report --cache-dir --paper", "`--cache-dir` expects a path"),
+            (
+                "campaign --device gpu --workload mxm --precision half --strike 100",
+                "unknown flag `--strike`",
+            ),
+            (
+                "campaign --device gpu --workload mxm --precision half --cache-dir /tmp/x",
+                "unknown flag `--cache-dir`",
+            ),
+            (
+                "inject --workload mxm --precision half --threads",
+                "`--threads` expects",
+            ),
+            (
+                "inject --workload mxm --precision half --n 5 --n 6",
+                "`--n` given more than once",
+            ),
+            ("chaos --cache-dir /tmp/x stray", "unknown argument `stray`"),
+        ] {
+            let err = parse_err(line);
+            assert!(err.0.starts_with(want), "{line}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn usage_names_exactly_the_accepted_flags() {
+        use std::collections::BTreeSet;
+        let named: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let accepted: BTreeSet<&str> = [STUDY, EXPORT, CELL, CAMPAIGN, INJECT, CHAOS, ANALYZE]
+            .iter()
+            .flat_map(|table| table.iter())
+            .map(|spec| spec.split('=').next().unwrap_or(spec))
+            .collect();
+        assert_eq!(named, accepted);
     }
 }

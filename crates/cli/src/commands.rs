@@ -1,10 +1,10 @@
 //! Command execution.
 
-use crate::args::{ChaosOpts, Command, SamplingOpts, StudyOpts};
+use crate::args::{ChaosOpts, Command, StudyOpts, View};
 use mpr_core::{Study, StudyScale};
 use mpr_exp::{
     failure_table, CellKey, CellKind, CellResult, ChaosConfig, ChaosFs, DeviceId, Engine,
-    ExperimentPlan, RealFs, ResultStore, SamplingConfig, SamplingPlan, Vfs, WorkloadId,
+    ExperimentPlan, RealFs, ResultStore, Vfs, WorkloadId,
 };
 use mpr_fault::{FaultModel, InjectionReport};
 use mpr_kernels::MicroKernelOp;
@@ -14,7 +14,6 @@ use mpr_obs::{JsonlRecorder, Recorder};
 use mpr_softfloat::Precision;
 use std::io::{ErrorKind, Write};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Writes command output to stdout; every line a command prints goes
 /// through here (the `out!` macro appends the newline). A closed pipe,
@@ -34,33 +33,45 @@ pub fn emit(text: std::fmt::Arguments<'_>) {
 
 /// Runs a parsed command, returning the process exit code.
 pub fn run(command: Command) -> i32 {
-    if let Some(opts) = command.study_opts() {
-        if let Some(code) = resume_preflight(opts) {
-            return code;
-        }
-    }
     match command {
         Command::Help => {
             out!("{}", crate::args::USAGE);
             0
         }
-        Command::Tables { opts } => {
-            let (study, rec) = study_with_profile(&opts);
+        Command::Study { view, opts } => run_study(&view, &opts),
+        Command::Cell { key, seed, engine } => run_cell(
+            key,
+            Engine::new(seed)
+                .with_threads(engine.threads)
+                .with_retries(engine.retries)
+                .with_cell_timeout(engine.cell_timeout),
+        ),
+        Command::Chaos { opts } => run_chaos(opts),
+        Command::Analyze { root } => run_analyze(&root),
+    }
+}
+
+/// Runs the study behind a study subcommand: resume preflight, the
+/// study with its profile recorder, the view, then the profile summary.
+fn run_study(view: &View, opts: &StudyOpts) -> i32 {
+    if let Some(code) = resume_preflight(opts) {
+        return code;
+    }
+    let (study, rec) = study_with_profile(opts);
+    let code = match view {
+        View::Tables => {
             print_tables(&study);
-            finish_profile(rec)
+            0
         }
-        Command::Figures { opts } => {
-            let (study, rec) = study_with_profile(&opts);
+        View::Figures => {
             print_figures(&study);
-            finish_profile(rec)
+            0
         }
-        Command::Ablations { opts } => {
-            let (study, rec) = study_with_profile(&opts);
+        View::Ablations => {
             print_ablations(&study);
-            finish_profile(rec)
+            0
         }
-        Command::Report { opts } => {
-            let (study, rec) = study_with_profile(&opts);
+        View::Report => {
             print_tables(&study);
             print_figures(&study);
             print_ablations(&study);
@@ -73,75 +84,29 @@ pub fn run(command: Command) -> i32 {
                 store.quarantined()
             );
             print_convergence(store);
-            finish_profile(rec)
+            0
         }
-        Command::Validate { opts } => {
-            let (study, rec) = study_with_profile(&opts);
+        View::Validate => {
             let report = study.validate_shapes();
             out!("{}", report.to_table());
-            let code = if report.all_passed() { 0 } else { 1 };
-            code.max(finish_profile(rec))
+            if report.all_passed() {
+                0
+            } else {
+                1
+            }
         }
-        Command::Export { dir, opts } => {
-            let (study, rec) = study_with_profile(&opts);
-            let code = match study.export_csv(std::path::Path::new(&dir)) {
-                Ok(paths) => {
-                    out!("wrote {} artifacts to {dir}", paths.len());
-                    0
-                }
-                Err(e) => {
-                    eprintln!("export failed: {e}");
-                    1
-                }
-            };
-            code.max(finish_profile(rec))
-        }
-        Command::Campaign {
-            device,
-            workload,
-            precision,
-            strikes,
-            hours,
-            seed,
-            threads,
-            retries,
-            cell_timeout,
-            sampling,
-        } => run_cell(
-            CellKey::beam(
-                device,
-                workload,
-                precision,
-                hours,
-                strikes,
-                sampling_plan(&sampling, StudyScale::Quick),
-            ),
-            engine_of(seed, threads, retries, cell_timeout),
-        ),
-        Command::Inject {
-            workload,
-            precision,
-            injections,
-            model,
-            seed,
-            threads,
-            retries,
-            cell_timeout,
-            sampling,
-        } => run_cell(
-            CellKey::inject(
-                workload,
-                precision,
-                injections,
-                model,
-                1.0,
-                sampling_plan(&sampling, StudyScale::Quick),
-            ),
-            engine_of(seed, threads, retries, cell_timeout),
-        ),
-        Command::Chaos { opts } => run_chaos(opts),
-        Command::Analyze { root } => run_analyze(&root),
-    }
+        View::Export { dir } => match study.export_csv(std::path::Path::new(dir)) {
+            Ok(paths) => {
+                out!("wrote {} artifacts to {dir}", paths.len());
+                0
+            }
+            Err(e) => {
+                eprintln!("export failed: {e}");
+                1
+            }
+        },
+    };
+    code.max(finish_profile(rec))
 }
 
 /// The fixed hostile-run plan: six accumulation cells (GEMM and
@@ -373,15 +338,6 @@ fn run_analyze(root: &str) -> i32 {
     }
 }
 
-/// The engine behind the single-campaign commands, with the
-/// fault-tolerance knobs applied.
-fn engine_of(seed: u64, threads: usize, retries: u32, cell_timeout: Option<Duration>) -> Engine {
-    Engine::new(seed)
-        .with_threads(threads)
-        .with_retries(retries)
-        .with_cell_timeout(cell_timeout)
-}
-
 /// Handles `--resume` before any cells run: names the subset the run
 /// will re-execute, or exits 2 when the cache has no manifest yet.
 fn resume_preflight(opts: &StudyOpts) -> Option<i32> {
@@ -420,45 +376,20 @@ fn resume_preflight(opts: &StudyOpts) -> Option<i32> {
     None
 }
 
-/// Builds the strike-sampling plan from the parsed flags: fixed unless
-/// `--adaptive`, starting from the scale's CI-width preset and refined
-/// by `--ci-width` / `--strike-budget`.
-fn sampling_plan(opts: &SamplingOpts, scale: StudyScale) -> SamplingPlan {
-    if !opts.adaptive {
-        return SamplingPlan::Fixed;
-    }
-    let mut config = match scale {
-        StudyScale::Quick => SamplingConfig::quick(),
-        StudyScale::Paper => SamplingConfig::paper(),
-    };
-    if let Some(w) = opts.ci_width {
-        config = config.with_ci_width(w);
-    }
-    if let Some(b) = opts.strike_budget {
-        config = config.with_budget(b);
-    }
-    SamplingPlan::Adaptive(config)
-}
-
-fn study(opts: &StudyOpts) -> Study {
+/// Builds the study from its options and, when `--profile` was given,
+/// attaches a JSONL recorder writing to the requested path.
+fn study_with_profile(opts: &StudyOpts) -> (Study, Option<Arc<JsonlRecorder>>) {
     let mut study = match opts.scale {
         StudyScale::Quick => Study::quick(2019),
         StudyScale::Paper => Study::paper(2019),
     }
-    .with_sampling(sampling_plan(&opts.sampling, opts.scale))
-    .with_threads(opts.threads)
-    .with_retries(opts.retries)
-    .with_cell_timeout(opts.cell_timeout);
+    .with_sampling(opts.sampling)
+    .with_threads(opts.engine.threads)
+    .with_retries(opts.engine.retries)
+    .with_cell_timeout(opts.engine.cell_timeout);
     if let Some(dir) = &opts.cache_dir {
         study = study.with_cache_dir(dir);
     }
-    study
-}
-
-/// Builds the study and, when `--profile` was given, attaches a JSONL
-/// recorder writing to the requested path.
-fn study_with_profile(opts: &StudyOpts) -> (Study, Option<Arc<JsonlRecorder>>) {
-    let mut study = study(opts);
     let rec = opts
         .profile
         .as_ref()

@@ -48,7 +48,10 @@ use core::num::FpCategory;
 /// precisions; a value crosses only through a named conversion
 /// (`to_f32`, `from_f64`, ...). `mpr analyze` relies on this and
 /// checks only what the type checker accepts: `as` narrowings and
-/// cross-width `from_bits`. Each block below must fail to compile:
+/// cross-width `from_bits`. Each block below must fail to compile.
+/// Stable rustdoc does not check the error codes they name, so the
+/// block after them, the same lines with each mix replaced by its
+/// named conversion, pins that the prelude itself still compiles:
 ///
 /// ```compile_fail,E0277
 /// # use mpr_softfloat::Half;
@@ -66,6 +69,16 @@ use core::num::FpCategory;
 ///     x
 /// }
 /// let _ = single(Half::ONE);
+/// ```
+///
+/// ```
+/// # use mpr_softfloat::Half;
+/// let _ = Half::ONE * Half::from_f32(2.0);
+/// let _ = Half::ONE + Half::from_f64(2.0);
+/// fn single(x: f32) -> f32 {
+///     x
+/// }
+/// let _ = single(Half::ONE.to_f32());
 /// ```
 #[derive(Clone, Copy, Default)]
 pub struct Half(u16);
