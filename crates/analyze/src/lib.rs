@@ -17,7 +17,7 @@
 //! |-----------------------|------------|------------------------------|
 //! | `precision-leak`      | PL001-PL004| `crates/kernels`, `crates/nn` (generic fn bodies) |
 //! | `precision-taint`     | PL005      | `crates/kernels`, `crates/nn` (flow-sensitive: lossy `as` narrowing, cross-width `from_bits`) |
-//! | `fault-site`          | FS001-FS002| FS001: `crates/kernels`, `crates/nn` (generic fn bodies); FS002 (`dyn FaultHook`): `crates/kernels` |
+//! | `fault-site`          | FS001-FS002| `crates/kernels`, `crates/nn` (FS001: generic fn bodies; FS002: any non-test `dyn FaultHook`) |
 //! | `determinism-taint`   | DT004      | `crates/beam`, `crates/fault`, `crates/core`, `crates/exp`, `crates/obs` (flow-sensitive: thread identity, weak seeds, stride schedules) |
 //! | `panic-reachability`  | PH004      | `crates/kernels`, `crates/fault`, `crates/beam`, `crates/exp` (call-graph reachable from the strike fast path) |
 //! | `vfs-bypass`          | FS003      | `crates/exp` (direct `std::fs` traffic outside the `Vfs` layer) |
@@ -127,14 +127,13 @@ pub fn lint_applies(lint: &str, rel_path: &str) -> bool {
     match lint {
         // PL005 extends the precision discipline beyond generic bodies
         // to everything in the precision-bearing crates, so it shares
-        // the PL001–PL004 scope.
+        // the PL001–PL004 scope. FS002 bans `dyn FaultHook` in the same
+        // crates: their one trait-object boundary is the `dispatch`
+        // that mpr-fault's `monomorphic_workload!` generates beside the
+        // trait.
         "precision-leak" | "fault-site" | "precision-taint" => {
             p.starts_with("crates/kernels/src") || p.starts_with("crates/nn/src")
         }
-        // FS002: campaigns legitimately hold `dyn FaultHook` at the
-        // dispatch boundary, so the trait-object ban covers only the
-        // kernel crate where per-touch virtual calls are hot.
-        "dyn-hook" => p.starts_with("crates/kernels/src"),
         // FS003: every byte mpr-exp persists must route through the
         // `Vfs` seam so chaos injection and the durable-commit
         // protocol cover it; `vfs.rs` itself carries a file-wide allow.
@@ -194,8 +193,6 @@ pub fn analyze_files(inputs: Vec<(String, String)>) -> Analysis {
             }
             if lint_applies("fault-site", &rel) {
                 out.extend(lints::fault_site(sf));
-            }
-            if lint_applies("dyn-hook", &rel) {
                 out.extend(lints::dyn_hook(sf));
             }
             if lint_applies("vfs-bypass", &rel) {
@@ -312,9 +309,9 @@ mod tests {
             "precision-leak",
             "crates/beam/src/campaign.rs"
         ));
-        assert!(lint_applies("dyn-hook", "crates/kernels/src/gemm.rs"));
-        assert!(!lint_applies("dyn-hook", "crates/nn/src/layers.rs"));
-        assert!(!lint_applies("dyn-hook", "crates/fault/src/campaign.rs"));
+        assert!(lint_applies("fault-site", "crates/kernels/src/gemm.rs"));
+        assert!(lint_applies("fault-site", "crates/nn/src/layers.rs"));
+        assert!(!lint_applies("fault-site", "crates/fault/src/campaign.rs"));
         assert!(lint_applies("vfs-bypass", "crates/exp/src/store.rs"));
         assert!(!lint_applies("vfs-bypass", "crates/obs/src/jsonl.rs"));
         assert!(!lint_applies("vfs-bypass", "crates/cli/src/commands.rs"));
@@ -356,11 +353,10 @@ mod tests {
             "obs",
             "softfloat",
         ];
-        let families: [(&str, &[&str]); 7] = [
+        let families: [(&str, &[&str]); 6] = [
             ("precision-leak", &["kernels", "nn"]),
             ("precision-taint", &["kernels", "nn"]),
             ("fault-site", &["kernels", "nn"]),
-            ("dyn-hook", &["kernels"]),
             (
                 "determinism-taint",
                 &["beam", "core", "exp", "fault", "obs"],
@@ -380,7 +376,7 @@ mod tests {
         }
         // An unknown or retired family applies nowhere rather than
         // everywhere.
-        for retired in ["no-such-family", "determinism", "panic-hygiene"] {
+        for retired in ["no-such-family", "determinism", "panic-hygiene", "dyn-hook"] {
             assert!(!lint_applies(retired, "crates/kernels/src/lib.rs"));
         }
     }

@@ -251,13 +251,13 @@ pub fn fault_site(file: &SourceFile) -> Vec<Finding> {
         .collect()
 }
 
-/// Trait-object hook dispatch in kernel code. `dyn FaultHook` costs a
-/// virtual call per touched value — millions per run — which is exactly
-/// what the monomorphized fast path removes. Kernel code must take the
-/// hook generically (`H: FaultHook + ?Sized`) so golden runs and strike
-/// replays instantiate it statically with a concrete hook; the one
-/// sanctioned trait-object boundary is the campaign-facing `dispatch`,
-/// which carries a justified pragma.
+/// Trait-object hook dispatch in kernel or network code. `dyn FaultHook`
+/// costs a virtual call per touched value — millions per run — which is
+/// exactly what the monomorphized hook protocol removes. Workload code
+/// must take the hook generically (`H: FaultHook + ?Sized`) so golden
+/// runs and strikes instantiate it statically with a concrete hook; the
+/// one trait-object boundary is the campaign-facing `dispatch` that
+/// mpr-fault's `monomorphic_workload!` generates outside this scope.
 pub fn dyn_hook(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     for (idx, masked) in file.masked.iter().enumerate() {
@@ -279,7 +279,7 @@ pub fn dyn_hook(file: &SourceFile) -> Vec<Finding> {
                     "FS002",
                     "fault-site",
                     format!(
-                        "`dyn {path}` in kernel code pays a virtual call per touched value; \
+                        "`dyn {path}` in workload code pays a virtual call per touched value; \
                          take `H: FaultHook + ?Sized` generically so a concrete hook \
                          monomorphizes, and keep trait objects at the campaign boundary"
                     ),

@@ -1,4 +1,4 @@
-//! Fixture: trait-object hook dispatch inside kernel code — FS002.
+//! Fixture: trait-object hook dispatch inside kernel or network code — FS002.
 
 /// Bare trait-object hook parameter: a virtual call per touched value.
 fn run_slow(hook: &mut dyn FaultHook) -> f64 {

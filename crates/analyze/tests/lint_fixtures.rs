@@ -84,23 +84,26 @@ fn clean_fault_site_fixture_passes() {
 
 #[test]
 fn dyn_hook_fixture_flags_each_trait_object() {
-    let a = scan("crates/kernels/src/fixture.rs", "bad_dyn_hook.rs");
-    let fs: Vec<_> = a.findings.iter().filter(|f| f.lint == "FS002").collect();
-    // Bare, qualified, and boxed forms trip; the pragma'd boundary, the
-    // unrelated trait object, and the test helper do not.
-    assert_eq!(fs.len(), 3, "FS002 findings: {}", a.to_text());
-    assert!(fs.iter().all(|f| f.name == "fault-site"));
-    assert!(!a.clean());
+    // Kernels and network layers take the hook generically alike.
+    for path in ["crates/kernels/src/fixture.rs", "crates/nn/src/fixture.rs"] {
+        let a = scan(path, "bad_dyn_hook.rs");
+        let fs: Vec<_> = a.findings.iter().filter(|f| f.lint == "FS002").collect();
+        // Bare, qualified, and boxed forms trip; the pragma'd boundary,
+        // the unrelated trait object, and the test helper do not.
+        assert_eq!(fs.len(), 3, "{path} FS002 findings: {}", a.to_text());
+        assert!(fs.iter().all(|f| f.name == "fault-site"));
+        assert!(!a.clean());
+    }
 }
 
 #[test]
-fn dyn_hook_lint_scopes_to_the_kernel_crate() {
+fn dyn_hook_lint_scopes_to_the_workload_crates() {
     // Campaign crates hold workloads and hooks as trait objects at the
     // dispatch boundary — the same source is legitimate there.
     let a = scan("crates/fault/src/fixture.rs", "bad_dyn_hook.rs");
     assert!(
         !a.findings.iter().any(|f| f.lint == "FS002"),
-        "unexpected FS002 outside kernels: {}",
+        "unexpected FS002 outside kernels and nn: {}",
         a.to_text()
     );
 }

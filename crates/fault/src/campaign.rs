@@ -47,7 +47,7 @@ impl std::error::Error for CampaignError {}
 ///
 /// ```rust
 /// # use mpr_fault::{FaultModel, InjectionCampaign, Workload};
-/// # use mpr_fault::hook::FaultHook;
+/// # use mpr_fault::hook::{FaultHook, HookExt};
 /// # use mpr_softfloat::{FloatExt, Precision};
 /// # #[derive(Debug)]
 /// # struct W;

@@ -23,31 +23,30 @@ use mpr_softfloat::FloatExt;
 
 /// Receives every intermediate value of a workload execution.
 ///
-/// Object-safe by operating on raw representation bits; use
-/// [`HookExt::touch`] (blanket-implemented for every hook, concrete or
-/// `dyn`) from generic kernel code. Kernels whose inner loop is generic
-/// over the hook type compile each touch to a static — usually inlined —
-/// call; `dyn FaultHook` remains the boundary type campaigns hold.
+/// Object-safe by operating on raw representation bits, so campaigns
+/// can hold `&mut dyn FaultHook` at the [`Workload::dispatch`]
+/// boundary. Workload code takes the hook generically
+/// (`H: FaultHook + ?Sized`) and touches typed values through
+/// [`HookExt::touch`]: with a concrete hook each touch compiles to a
+/// static — usually inlined — call, and only the `dispatch`
+/// instantiation with `H = dyn FaultHook` pays a virtual call.
+/// [`monomorphic_workload!`](crate::monomorphic_workload) generates
+/// both instantiations from one `run<F, H>`.
+///
+/// [`Workload::dispatch`]: crate::Workload::dispatch
 pub trait FaultHook {
     /// Processes the `width`-bit value `bits`, returning the (possibly
     /// corrupted) replacement.
     fn touch_bits(&mut self, bits: u64, width: u32) -> u64;
 }
 
-impl dyn FaultHook + '_ {
-    /// Typed pass-through: every call advances the dynamic site cursor.
-    #[inline]
-    pub fn touch<F: FloatExt>(&mut self, v: F) -> F {
-        F::from_bits_u64(self.touch_bits(v.to_bits_u64(), F::PRECISION.total_bits()))
-    }
-}
-
-/// Typed touch for any hook, statically dispatched when the hook type is
-/// concrete. This is the monomorphized half of the hook protocol: a
-/// kernel written as `fn run<F: FloatExt, H: FaultHook + ?Sized>` pays a
-/// virtual call per touch only when instantiated with `dyn FaultHook`;
-/// instantiated with [`NullHook`] / [`InjectHook`] / [`GoldenHook`] the
-/// touch inlines to (at most) a cursor increment and a compare.
+/// The one typed touch, blanket-implemented for every hook, concrete or
+/// `dyn`. This is the monomorphized half of the hook protocol: a kernel
+/// or network layer written as `fn f<F: FloatExt, H: FaultHook + ?Sized>`
+/// pays a virtual call per touch only when instantiated with
+/// `dyn FaultHook`; instantiated with [`NullHook`] / [`InjectHook`] /
+/// [`GoldenHook`] the touch inlines to (at most) a cursor increment and
+/// a compare.
 pub trait HookExt: FaultHook {
     /// Typed pass-through: every call advances the dynamic site cursor.
     #[inline]

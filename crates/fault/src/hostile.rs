@@ -22,7 +22,7 @@
 //!   Distinct tags have independent failure schedules, so concurrent
 //!   tests never interfere.
 
-use crate::hook::{FaultHook, GoldenHook};
+use crate::hook::{FaultHook, GoldenHook, HookExt};
 use crate::Workload;
 use mpr_softfloat::{FloatExt, Precision};
 use std::collections::BTreeMap;
@@ -89,7 +89,7 @@ impl HostileWorkload {
         self.mode
     }
 
-    fn kernel<F: FloatExt>(&self, hook: &mut dyn FaultHook) -> Vec<f64> {
+    fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
         // An ordinary fold with tag-dependent but exactly representable
         // coefficients, every intermediate exposed as a fault site.
         let mut acc = F::zero();
@@ -112,11 +112,7 @@ impl Workload for HostileWorkload {
         if let HostileMode::SlowStrike { millis } = self.mode {
             std::thread::sleep(Duration::from_millis(millis));
         }
-        match precision {
-            Precision::Double => self.kernel::<f64>(hook),
-            Precision::Single => self.kernel::<f32>(hook),
-            Precision::Half => self.kernel::<mpr_softfloat::Half>(hook),
-        }
+        crate::dispatch_precision!(self, precision, hook)
     }
 
     /// The fault-free output.

@@ -27,7 +27,7 @@
 //!
 //! ```rust
 //! use mpr_fault::{FaultModel, InjectionCampaign, Workload};
-//! use mpr_fault::hook::FaultHook;
+//! use mpr_fault::hook::{FaultHook, HookExt};
 //! use mpr_softfloat::{FloatExt, Precision};
 //!
 //! /// A toy workload: sum of 1..=8 computed in the requested precision.
@@ -35,7 +35,10 @@
 //! struct Sum8;
 //!
 //! impl Sum8 {
-//!     fn run<F: FloatExt>(&self, hook: &mut dyn FaultHook) -> Vec<f64> {
+//!     // Generic over the hook as well as the format: the campaign's
+//!     // `dyn` boundary and the concrete golden/strike hooks run the
+//!     // same code, the latter without a virtual call per touch.
+//!     fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
 //!         let mut acc = F::zero();
 //!         for i in 1..=8 {
 //!             acc = hook.touch(acc + F::from_f64(i as f64));
@@ -46,13 +49,7 @@
 //!
 //! impl Workload for Sum8 {
 //!     fn name(&self) -> &'static str { "sum8" }
-//!     fn dispatch(&self, p: Precision, hook: &mut dyn FaultHook) -> Vec<f64> {
-//!         match p {
-//!             Precision::Double => self.run::<f64>(hook),
-//!             Precision::Single => self.run::<f32>(hook),
-//!             Precision::Half => self.run::<mpr_softfloat::Half>(hook),
-//!         }
-//!     }
+//!     mpr_fault::monomorphic_workload!();
 //! }
 //!
 //! let report = InjectionCampaign::new(&Sum8, Precision::Single)
@@ -77,8 +74,13 @@ mod workload;
 
 pub use campaign::{CampaignError, InjectionCampaign, InjectionReport};
 pub use model::{FaultModel, ValueFault};
-/// The workspace's one splitmix64 mixer, for workload crates that
-/// synthesize deterministic inputs with it.
-pub use mpr_obs::splitmix64;
+/// The workspace's one splitmix64 mixer and input generator, for
+/// workload crates that synthesize deterministic inputs with them.
+pub use mpr_obs::{gen_value, splitmix64};
 pub use runner::{resolve_threads, StrikeRunner, Strikes};
 pub use workload::Workload;
+
+// The exported macros name the precision and float types through
+// `$crate`, so an expanding crate needs no mpr-softfloat path of its own.
+#[doc(hidden)]
+pub use mpr_softfloat as __softfloat;

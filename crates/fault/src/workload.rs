@@ -10,7 +10,9 @@ use mpr_softfloat::Precision;
 /// Implementors write [`Workload::dispatch`] to route the requested
 /// precision to a generic kernel that threads a [`FaultHook`] through its
 /// computation; the provided methods derive everything the campaigns
-/// need from that single entry point.
+/// need from that single entry point. Workspace workloads write one
+/// `run<F: FloatExt, H: FaultHook + ?Sized>` and expand
+/// [`monomorphic_workload!`](crate::monomorphic_workload) for the rest.
 ///
 /// # Oracle and fast path
 ///
@@ -18,7 +20,7 @@ use mpr_softfloat::Precision;
 ///
 /// * [`Workload::dispatch`] is the **oracle**. `site_count`,
 ///   `run_golden` and `run_with_fault` are conveniences over it (a
-///   [`GoldenHook`], a [`NullHook`], an [`InjectHook`]); kernels may
+///   [`GoldenHook`], a [`NullHook`], an [`InjectHook`]); workloads may
 ///   override them only to monomorphize the same dispatch, never to
 ///   compute anything else.
 /// * [`Workload::run_strike_batch`] is the **fast path** — the only way
@@ -105,9 +107,71 @@ pub trait Workload: Sync {
     }
 }
 
+/// Dispatches a generic `run<F, H>` method on a runtime
+/// [`Precision`](mpr_softfloat::Precision). The hook type is inferred
+/// at the call site, so the same macro serves the `dyn` campaign
+/// boundary and the statically dispatched golden, site-count and
+/// strike runs.
+#[macro_export]
+macro_rules! dispatch_precision {
+    ($self:ident, $precision:expr, $hook:expr) => {
+        match $precision {
+            $crate::__softfloat::Precision::Double => $self.run::<f64, _>($hook),
+            $crate::__softfloat::Precision::Single => $self.run::<f32, _>($hook),
+            $crate::__softfloat::Precision::Half => {
+                $self.run::<$crate::__softfloat::Half, _>($hook)
+            }
+        }
+    };
+}
+
+/// Generates the oracle half of [`Workload`] for a workload whose
+/// `run<F: FloatExt, H: FaultHook + ?Sized>` is generic over both the
+/// float format and the hook type: the `dyn` `dispatch` campaigns hold,
+/// plus `site_count`, `run_golden` and `run_with_fault` overrides that
+/// expand [`dispatch_precision!`] with the concrete hook, so golden
+/// runs and reference strikes compile to static calls instead of one
+/// virtual call per touch. The same `run` executes either way, so the
+/// overrides are bit-identical to the trait defaults. Expand inside an
+/// `impl Workload for ...` block; a fast path (`run_strike_batch`), if
+/// any, is written per workload.
+#[macro_export]
+macro_rules! monomorphic_workload {
+    () => {
+        fn dispatch(
+            &self,
+            precision: $crate::__softfloat::Precision,
+            hook: &mut dyn $crate::hook::FaultHook,
+        ) -> Vec<f64> {
+            $crate::dispatch_precision!(self, precision, hook)
+        }
+
+        fn site_count(&self, precision: $crate::__softfloat::Precision) -> u64 {
+            let mut hook = $crate::hook::GoldenHook::new();
+            let _ = $crate::dispatch_precision!(self, precision, &mut hook);
+            hook.sites()
+        }
+
+        fn run_golden(&self, precision: $crate::__softfloat::Precision) -> Vec<f64> {
+            $crate::dispatch_precision!(self, precision, &mut $crate::hook::NullHook)
+        }
+
+        fn run_with_fault(
+            &self,
+            precision: $crate::__softfloat::Precision,
+            site: u64,
+            fault: $crate::ValueFault,
+        ) -> Vec<f64> {
+            let mut hook = $crate::hook::InjectHook::new(site, fault);
+            $crate::dispatch_precision!(self, precision, &mut hook)
+        }
+    };
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+    use crate::hook::HookExt;
     use mpr_softfloat::FloatExt;
 
     /// A small deterministic workload used by the unit tests: a dot
@@ -116,7 +180,7 @@ pub(crate) mod testutil {
     pub struct Dot(pub usize);
 
     impl Dot {
-        fn run<F: FloatExt>(&self, hook: &mut dyn FaultHook) -> Vec<f64> {
+        fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
             let mut acc = F::zero();
             for i in 0..self.0 {
                 let a = F::from_f64(0.25 + i as f64 * 0.5);
@@ -133,13 +197,7 @@ pub(crate) mod testutil {
             "dot"
         }
 
-        fn dispatch(&self, precision: Precision, hook: &mut dyn FaultHook) -> Vec<f64> {
-            match precision {
-                Precision::Double => self.run::<f64>(hook),
-                Precision::Single => self.run::<f32>(hook),
-                Precision::Half => self.run::<mpr_softfloat::Half>(hook),
-            }
-        }
+        crate::monomorphic_workload!();
     }
 }
 

@@ -1,9 +1,8 @@
 //! The MxM / GEMM kernel.
 
-use crate::monomorphic_workload;
-use crate::util::{gen_value, index_range, strike_each, to_u64, PrecisionCache};
+use crate::util::{index_range, strike_each, to_u64, PrecisionCache};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
-use mpr_fault::{ValueFault, Workload};
+use mpr_fault::{gen_value, monomorphic_workload, ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// Square matrix multiplication `C = A x B`, the paper's MxM benchmark —

@@ -1,10 +1,9 @@
 //! The LavaMD particle-potential kernel.
 
-use crate::monomorphic_workload;
-use crate::util::{gen_value, index_range, strike_each, to_u64, PrecisionCache};
+use crate::util::{index_range, strike_each, to_u64, PrecisionCache};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
-use mpr_fault::{ValueFault, Workload};
-use mpr_softfloat::math::exp_terms;
+use mpr_fault::{gen_value, monomorphic_workload, ValueFault, Workload};
+use mpr_softfloat::math::{exp_horner, exp_terms};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// One particle as the kernel reads it: position `x, y, z`, then charge
@@ -151,13 +150,7 @@ impl LavaMd {
     /// polynomial's convergence range, like real MD inner loops that
     /// inline the reduced kernel.
     pub fn exp_hooked<F: FloatExt, H: FaultHook + ?Sized>(x: F, hook: &mut H) -> F {
-        let terms = exp_terms(F::PRECISION);
-        let mut acc = F::zero();
-        for k in (1..=terms).rev() {
-            let coeff = F::from_f64(1.0 / factorial(k as u32));
-            acc = hook.touch(acc.mul_add(x, coeff));
-        }
-        hook.touch(acc.mul_add(x, F::one()))
+        exp_horner(x, |v| hook.touch(v))
     }
 
     /// Input bits at `F`'s precision, generated once and reused by every
@@ -410,10 +403,6 @@ impl GoldenTerms {
 /// Particle `j`'s state from the cached input bits.
 fn particle<F: FloatExt>(inputs: &[u64], j: usize) -> Particle<F> {
     std::array::from_fn(|c| F::from_bits_u64(inputs[4 * j + c]))
-}
-
-fn factorial(k: u32) -> f64 {
-    (1..=k).map(f64::from).product()
 }
 
 fn neighbor_range(c: usize, nb: usize) -> std::ops::RangeInclusive<usize> {

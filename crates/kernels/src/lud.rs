@@ -1,9 +1,8 @@
 //! The LUD (LU decomposition) kernel.
 
-use crate::monomorphic_workload;
-use crate::util::{gen_value, strike_each, to_u64, PrecisionCache};
+use crate::util::{strike_each, to_u64, PrecisionCache};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
-use mpr_fault::{ValueFault, Workload};
+use mpr_fault::{gen_value, monomorphic_workload, ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// Per-precision replay state: exact input and golden-output bits plus

@@ -1,7 +1,7 @@
-//! Deterministic input generation, per-precision caching, and the
-//! strike loop shared by the kernels.
+//! Per-precision caching, checked index conversions, and the strike
+//! loop shared by the kernels.
 
-use mpr_fault::{splitmix64, ValueFault};
+use mpr_fault::ValueFault;
 use mpr_softfloat::Precision;
 use std::sync::OnceLock;
 
@@ -91,15 +91,6 @@ impl<T> std::fmt::Debug for PrecisionCache<T> {
     }
 }
 
-/// Deterministic value in `[lo, hi)` derived from `(seed, index)`.
-/// All outputs land on a 2^-20 grid, so they are exactly representable in
-/// single and double precision and round once into half.
-pub(crate) fn gen_value(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
-    let bits = splitmix64(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ index);
-    let unit = (bits >> 44) as f64 / (1u64 << 20) as f64; // [0,1) on 2^-20 grid
-    lo + unit * (hi - lo)
-}
-
 /// Runs `strikes` through `w`'s fast path as one batch and checks every
 /// result against the naive injected run, bit for bit. Returns
 /// how many strikes left the output bit-identical to golden.
@@ -131,32 +122,4 @@ pub(crate) fn assert_batch_matches_naive(
         masked += usize::from(*got == bits(&golden));
     }
     masked
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn generator_is_deterministic() {
-        assert_eq!(splitmix64(42), splitmix64(42));
-        assert_eq!(gen_value(1, 2, 0.0, 1.0), gen_value(1, 2, 0.0, 1.0));
-        assert_ne!(gen_value(1, 2, 0.0, 1.0), gen_value(1, 3, 0.0, 1.0));
-        assert_ne!(gen_value(1, 2, 0.0, 1.0), gen_value(2, 2, 0.0, 1.0));
-    }
-
-    #[test]
-    fn values_stay_in_range() {
-        for i in 0..1000 {
-            let v = gen_value(7, i, 0.25, 1.75);
-            assert!((0.25..1.75).contains(&v), "i={i} v={v}");
-        }
-    }
-
-    #[test]
-    fn values_spread_over_the_range() {
-        let n = 1000;
-        let mean: f64 = (0..n).map(|i| gen_value(3, i, 0.0, 1.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.05, "mean={mean}");
-    }
 }

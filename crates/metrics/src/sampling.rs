@@ -114,13 +114,6 @@ pub enum SamplingPlan {
     Adaptive(SamplingConfig),
 }
 
-impl SamplingPlan {
-    /// Whether this plan makes adaptive decisions.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, SamplingPlan::Adaptive(_))
-    }
-}
-
 /// Per-stratum tallies over completed rounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StratumStats {

@@ -9,7 +9,8 @@
 //! output.
 
 use crate::Tensor;
-use mpr_fault::hook::FaultHook;
+use mpr_fault::hook::{FaultHook, HookExt};
+use mpr_softfloat::math::{exp_horner, exp_reduce};
 use mpr_softfloat::FloatExt;
 
 /// Weights of one convolution layer: `out_ch` kernels of
@@ -58,10 +59,10 @@ impl<F: FloatExt> ConvWeights<F> {
 ///
 /// Panics if the input is smaller than the kernel or the channel counts
 /// disagree.
-pub fn conv2d<F: FloatExt>(
+pub fn conv2d<F: FloatExt, H: FaultHook + ?Sized>(
     input: &Tensor<F>,
     w: &ConvWeights<F>,
-    hook: &mut dyn FaultHook,
+    hook: &mut H,
 ) -> Tensor<F> {
     let (in_ch, h, width) = input.shape();
     assert_eq!(in_ch, w.in_ch, "channel mismatch");
@@ -91,7 +92,7 @@ pub fn conv2d<F: FloatExt>(
 }
 
 /// 2x2 max pooling with stride 2 (trailing odd row/column dropped).
-pub fn maxpool2<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Tensor<F> {
+pub fn maxpool2<F: FloatExt, H: FaultHook + ?Sized>(input: &Tensor<F>, hook: &mut H) -> Tensor<F> {
     let (c, h, w) = input.shape();
     let (oh, ow) = (h / 2, w / 2);
     assert!(oh > 0 && ow > 0, "input too small to pool");
@@ -113,7 +114,7 @@ pub fn maxpool2<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Ten
 
 /// ReLU: negatives become exactly zero — with max pooling, the CNN's
 /// main natural fault-masking mechanism (paper Section 4.1).
-pub fn relu<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Tensor<F> {
+pub fn relu<F: FloatExt, H: FaultHook + ?Sized>(input: &Tensor<F>, hook: &mut H) -> Tensor<F> {
     let (c, h, w) = input.shape();
     let mut out = Tensor::zeros(c, h, w);
     for ch in 0..c {
@@ -129,7 +130,10 @@ pub fn relu<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Tensor<
 }
 
 /// Leaky ReLU (slope 0.125 — exactly representable at every precision).
-pub fn leaky_relu<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Tensor<F> {
+pub fn leaky_relu<F: FloatExt, H: FaultHook + ?Sized>(
+    input: &Tensor<F>,
+    hook: &mut H,
+) -> Tensor<F> {
     let (c, h, w) = input.shape();
     let slope = F::from_f64(0.125);
     let mut out = Tensor::zeros(c, h, w);
@@ -150,11 +154,11 @@ pub fn leaky_relu<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> T
 /// # Panics
 ///
 /// Panics if the weight matrix does not match the input length.
-pub fn dense<F: FloatExt>(
+pub fn dense<F: FloatExt, H: FaultHook + ?Sized>(
     input: &[F],
     weights: &[F],
     biases: &[F],
-    hook: &mut dyn FaultHook,
+    hook: &mut H,
 ) -> Vec<F> {
     let n_out = biases.len();
     assert_eq!(weights.len(), n_out * input.len(), "weight matrix shape");
@@ -173,27 +177,11 @@ pub fn dense<F: FloatExt>(
 /// precision and no in-range polynomial executes.
 const EXP_ARG_LIMIT: f64 = 80.0;
 
-/// Cody-Waite two-term split of `ln 2` (`hi` exactly representable at
-/// the target precision, `lo` the residual), per precision.
-fn ln2_split(precision: mpr_softfloat::Precision) -> (f64, f64) {
-    match precision {
-        mpr_softfloat::Precision::Half => (0.693359375, -2.1219444005469057e-4),
-        mpr_softfloat::Precision::Single => (0.693145751953125, 1.4286067653301193e-6),
-        mpr_softfloat::Precision::Double => (0.6931471803691238, 1.9082149292705877e-10),
-    }
-}
-
-/// `1 / k!` in the f64 master domain, for Taylor coefficients.
-fn inv_factorial(k: usize) -> f64 {
-    1.0 / (1..=k as u32).map(f64::from).product::<f64>()
-}
-
 /// In-precision `exp` with every intermediate exposed to the fault hook:
 /// argument reduction, a precision-deep Horner recurrence, and the final
 /// scale. GPUs evaluate transcendentals in software (paper Section 6.3),
 /// so these intermediates are real fault sites.
-pub fn exp_hooked<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
-    use mpr_softfloat::math::exp_terms;
+pub fn exp_hooked<F: FloatExt, H: FaultHook + ?Sized>(x: F, hook: &mut H) -> F {
     if x.is_nan() || x.is_infinite() {
         return x.exp();
     }
@@ -201,25 +189,14 @@ pub fn exp_hooked<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
     if !(-EXP_ARG_LIMIT..=EXP_ARG_LIMIT).contains(&xf) {
         return x.exp(); // saturated: no in-range polynomial executes
     }
-    let log2e = F::from_f64(std::f64::consts::LOG2_E);
-    let n = (x * log2e).to_f64().round() as i32;
-    let nf = F::from_f64(n as f64);
-    let (hi, lo) = ln2_split(F::PRECISION);
-    let r = hook.touch((x - nf * F::from_f64(hi)) - nf * F::from_f64(lo));
-    let terms = exp_terms(F::PRECISION);
-    let mut acc = F::zero();
-    for k in (1..=terms).rev() {
-        let coeff = F::from_f64(inv_factorial(k));
-        acc = hook.touch(acc.mul_add(r, coeff));
-    }
-    let p = hook.touch(acc.mul_add(r, F::one()));
-    p.ldexp(n)
+    let (n, r) = exp_reduce(x);
+    exp_horner(hook.touch(r), |v| hook.touch(v)).ldexp(n)
 }
 
 /// Logistic sigmoid `1 / (1 + exp(-x))`, evaluated in precision with the
 /// exponential's intermediates exposed as fault sites (see
 /// [`exp_hooked`]).
-pub fn sigmoid<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
+pub fn sigmoid<F: FloatExt, H: FaultHook + ?Sized>(x: F, hook: &mut H) -> F {
     let e = exp_hooked(-x, hook);
     let e = hook.touch(e);
     hook.touch(F::one() / (F::one() + e))
@@ -231,7 +208,7 @@ pub fn sigmoid<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
 /// # Panics
 ///
 /// Panics if `logits` is empty.
-pub fn softmax<F: FloatExt>(logits: &[F], hook: &mut dyn FaultHook) -> Vec<F> {
+pub fn softmax<F: FloatExt, H: FaultHook + ?Sized>(logits: &[F], hook: &mut H) -> Vec<F> {
     assert!(!logits.is_empty(), "softmax needs at least one logit");
     let max = logits.iter().fold(logits[0], |m, &v| m.max(v));
     let mut exps = Vec::with_capacity(logits.len());

@@ -49,18 +49,6 @@ mod synth;
 mod tensor;
 mod yolo;
 
-/// Dispatches a generic `run<F>` method on a runtime [`mpr_softfloat::Precision`].
-macro_rules! dispatch_precision {
-    ($self:ident, $precision:ident, $hook:ident) => {
-        match $precision {
-            mpr_softfloat::Precision::Double => $self.run::<f64>($hook),
-            mpr_softfloat::Precision::Single => $self.run::<f32>($hook),
-            mpr_softfloat::Precision::Half => $self.run::<mpr_softfloat::Half>($hook),
-        }
-    };
-}
-pub(crate) use dispatch_precision;
-
 pub use criticality::{
     classify_detections, classify_logits, ClassificationImpact, Detection, DetectionImpact,
 };

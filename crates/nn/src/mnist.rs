@@ -4,7 +4,7 @@ use crate::layers::{conv2d, dense, maxpool2, relu, ConvWeights};
 use crate::synth::{digit_image, gen_weights};
 use crate::Tensor;
 use mpr_fault::hook::FaultHook;
-use mpr_fault::Workload;
+use mpr_fault::{monomorphic_workload, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// A LeNet-style convolutional digit classifier — the CNN the paper
@@ -52,7 +52,7 @@ impl Mnist {
         self
     }
 
-    fn run<F: FloatExt>(&self, hook: &mut dyn FaultHook) -> Vec<f64> {
+    fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
         let input: Tensor<F> = digit_image(self.digit, self.seed ^ 0xD161, 16);
 
         let conv1 = ConvWeights::new(
@@ -136,9 +136,7 @@ impl Workload for Mnist {
         "MNIST"
     }
 
-    fn dispatch(&self, precision: Precision, hook: &mut dyn FaultHook) -> Vec<f64> {
-        crate::dispatch_precision!(self, precision, hook)
-    }
+    monomorphic_workload!();
 }
 
 #[cfg(test)]

@@ -12,16 +12,8 @@
 //! mpr-allow-file: precision-leak -- generators run in the f64 master domain by design; every value crosses into F exactly once at a from_f64 boundary so all precisions see the same inputs
 
 use crate::Tensor;
-use mpr_fault::splitmix64;
+use mpr_fault::{gen_value, splitmix64};
 use mpr_softfloat::FloatExt;
-
-/// Deterministic value in `[lo, hi)` on a 2^-20 grid (exact in single
-/// and double; rounds once into half).
-pub(crate) fn gen_value(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
-    let bits = splitmix64(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ index);
-    let unit = (bits >> 44) as f64 / (1u64 << 20) as f64;
-    lo + unit * (hi - lo)
-}
 
 /// Weight vector scaled by `1/sqrt(fan_in)`, centered on zero.
 pub(crate) fn gen_weights<F: FloatExt>(seed: u64, n: usize, fan_in: usize) -> Vec<F> {

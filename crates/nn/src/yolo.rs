@@ -3,9 +3,9 @@
 use crate::layers::{conv2d, leaky_relu, maxpool2, sigmoid, ConvWeights};
 use crate::synth::{gen_weights, scene_image};
 use crate::{Detection, Tensor};
-use mpr_fault::hook::FaultHook;
-use mpr_fault::Workload;
-use mpr_softfloat::{FloatExt, Precision};
+use mpr_fault::hook::{FaultHook, HookExt};
+use mpr_fault::{monomorphic_workload, Workload};
+use mpr_softfloat::FloatExt;
 
 /// Grid side of the detection head.
 const GRID: usize = 5;
@@ -61,19 +61,13 @@ impl TinyYolo {
         }
     }
 
-    /// Selects a different synthetic scene.
-    pub fn with_scene(mut self, scene: u64) -> TinyYolo {
-        self.scene = scene;
-        self
-    }
-
     /// Overrides the weight seed.
     pub fn with_seed(mut self, seed: u64) -> TinyYolo {
         self.seed = seed;
         self
     }
 
-    fn run<F: FloatExt>(&self, hook: &mut dyn FaultHook) -> Vec<f64> {
+    fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
         let input: Tensor<F> = scene_image(self.scene, 14, 2);
 
         let conv1 = ConvWeights::new(
@@ -201,9 +195,7 @@ impl Workload for TinyYolo {
         "YOLOv3"
     }
 
-    fn dispatch(&self, precision: Precision, hook: &mut dyn FaultHook) -> Vec<f64> {
-        crate::dispatch_precision!(self, precision, hook)
-    }
+    monomorphic_workload!();
 }
 
 #[cfg(test)]
@@ -211,6 +203,7 @@ mod tests {
     use super::*;
     use crate::{classify_detections, DetectionImpact};
     use mpr_fault::ValueFault;
+    use mpr_softfloat::Precision;
 
     #[test]
     fn head_output_has_the_declared_shape() {

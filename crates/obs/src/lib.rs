@@ -51,5 +51,5 @@ mod summary;
 pub use harness::{panic_message, CancelToken};
 pub use jsonl::{parse_line, read_log, JsonlRecorder};
 pub use record::{Counter, Event, Gauge, Metric, NullRecorder, Recorder, Timer, NULL_RECORDER};
-pub use seed::{fnv1a64, mix_seed, splitmix64, SplitMix};
+pub use seed::{fnv1a64, gen_value, mix_seed, splitmix64, SplitMix};
 pub use summary::{summarize, Aggregate, ProfileSummary};

@@ -23,6 +23,16 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Deterministic value in `[lo, hi)` derived from `(seed, index)`, the
+/// workloads' one input generator. Every output lands on a 2^-20 grid,
+/// so it is exact in single and double precision and rounds once into
+/// half.
+pub fn gen_value(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
+    let bits = splitmix64(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ index);
+    let unit = (bits >> 44) as f64 / (1u64 << 20) as f64;
+    lo + unit * (hi - lo)
+}
+
 /// Derives a campaign seed from a base seed and a salt.
 ///
 /// Both inputs are avalanched before combining, so neither
@@ -99,6 +109,28 @@ mod tests {
         let mut g = SplitMix::new(0);
         assert_eq!(g.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(g.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+    }
+
+    #[test]
+    fn generator_is_deterministic() {
+        assert_eq!(gen_value(1, 2, 0.0, 1.0), gen_value(1, 2, 0.0, 1.0));
+        assert_ne!(gen_value(1, 2, 0.0, 1.0), gen_value(1, 3, 0.0, 1.0));
+        assert_ne!(gen_value(1, 2, 0.0, 1.0), gen_value(2, 2, 0.0, 1.0));
+    }
+
+    #[test]
+    fn generated_values_stay_in_range() {
+        for i in 0..1000 {
+            let v = gen_value(7, i, 0.25, 1.75);
+            assert!((0.25..1.75).contains(&v), "i={i} v={v}");
+        }
+    }
+
+    #[test]
+    fn generated_values_spread_over_the_range() {
+        let n = 1000;
+        let mean: f64 = (0..n).map(|i| gen_value(3, i, 0.0, 1.0)).sum::<f64>() / n as f64;
+        assert!((mean - 0.5).abs() < 0.05, "mean={mean}");
     }
 
     #[test]

@@ -219,17 +219,6 @@ impl Half {
         Half(self.0 & 0x7FFF)
     }
 
-    /// Sign of the value: `1.0`, `-1.0`, or NaN for NaN input.
-    pub fn signum(self) -> Half {
-        if self.is_nan() {
-            Half::NAN
-        } else if self.is_sign_negative() {
-            Half::NEG_ONE
-        } else {
-            Half::ONE
-        }
-    }
-
     /// Returns a value with the magnitude of `self` and the sign of `sign`.
     #[inline]
     pub const fn copysign(self, sign: Half) -> Half {

@@ -25,6 +25,58 @@ pub const fn exp_terms(precision: Precision) -> usize {
     }
 }
 
+/// `1/k!` for every Taylor coefficient `exp` evaluates (`k <= 14`), in
+/// the f64 master domain. Each `k!` up to `14!` is below 2^53, so the
+/// running product is exact and every coefficient is `1/k!` rounded
+/// once; [`exp_horner`] rounds it once more into the target format,
+/// like a libm coefficient table.
+const INV_FACTORIAL: [f64; 15] = {
+    let mut table = [1.0; 15];
+    let mut factorial = 1.0;
+    let mut k = 1;
+    while k < table.len() {
+        factorial *= k as f64;
+        table[k] = 1.0 / factorial;
+        k += 1;
+    }
+    table
+};
+
+/// Cody-Waite two-term split of `ln 2` per precision: `hi` is exact in
+/// the target format (top bits only), so `x - n*hi` is computed without
+/// cancellation noise, and `lo` is the residual correction.
+const fn ln2_split(precision: Precision) -> (f64, f64) {
+    match precision {
+        Precision::Half => (0.693359375, -2.1219444005469057e-4),
+        Precision::Single => (0.693145751953125, 1.4286067653301193e-6),
+        Precision::Double => (0.6931471803691238, 1.9082149292705877e-10),
+    }
+}
+
+/// In-precision argument reduction for `exp`: returns `(n, r)` with
+/// `x = n*ln2 + r` and `|r| <= ln2/2`, so `exp(x) = exp(r) * 2^n`.
+pub fn exp_reduce<F: FloatExt>(x: F) -> (i32, F) {
+    let log2e = F::from_f64(std::f64::consts::LOG2_E);
+    let n = (x * log2e).to_f64().round() as i32;
+    let (ln2_hi, ln2_lo) = ln2_split(F::PRECISION);
+    let nf = F::from_f64(n as f64);
+    (n, (x - nf * F::from_f64(ln2_hi)) - nf * F::from_f64(ln2_lo))
+}
+
+/// `exp(r)` for a reduced argument: the truncated Taylor series of
+/// [`exp_terms`] terms by Horner's rule, entirely in `F`. Each of the
+/// `exp_terms + 1` multiply-accumulate results passes through `touch`,
+/// which is how a fault hook exposes the polynomial's intermediates as
+/// fault sites; the identity closure gives the plain polynomial.
+#[inline(always)]
+pub fn exp_horner<F: FloatExt>(r: F, mut touch: impl FnMut(F) -> F) -> F {
+    let mut acc = F::zero();
+    for k in (1..=exp_terms(F::PRECISION)).rev() {
+        acc = touch(acc.mul_add(r, F::from_f64(INV_FACTORIAL[k])));
+    }
+    touch(acc.mul_add(r, F::one()))
+}
+
 /// `exp(x)` by argument reduction and an in-precision Horner polynomial.
 ///
 /// Accuracy: a few ULP of the target precision over the format's finite
@@ -62,137 +114,8 @@ pub fn exp_poly<F: FloatExt>(x: F) -> F {
         return F::zero();
     }
 
-    // Reduction: x = n*ln2 + r, |r| <= ln2/2.
-    let log2e = F::from_f64(std::f64::consts::LOG2_E);
-    let n = (x * log2e).to_f64().round() as i32;
-
-    // Two-part ln2 keeps the reduction accurate in-precision: the hi part
-    // is exact in every format (top bits only), so x - n*hi is computed
-    // without cancellation noise, then the lo correction is applied.
-    let (ln2_hi, ln2_lo) = match F::PRECISION {
-        Precision::Half => (0.693359375, -2.1219444005469057e-4),
-        Precision::Single => (0.693145751953125, 1.4286067653301193e-6),
-        Precision::Double => (0.6931471803691238, 1.9082149292705877e-10),
-    };
-    let nf = F::from_f64(n as f64);
-    let r = (x - nf * F::from_f64(ln2_hi)) - nf * F::from_f64(ln2_lo);
-
-    // Horner evaluation of the truncated Taylor series, entirely in F.
-    let terms = exp_terms(F::PRECISION);
-    let mut acc = F::zero();
-    for k in (1..=terms).rev() {
-        // 1/k! is rounded once into F, like a libm coefficient table.
-        let coeff = F::from_f64(1.0 / factorial(k as u32));
-        acc = acc.mul_add(r, coeff);
-    }
-    let p = acc.mul_add(r, F::one());
-
-    p.ldexp(n)
-}
-
-/// `k!` as an `f64`, exact for every `k` whose factorial fits the
-/// integer path. `1..=20` accumulates in checked `u64` arithmetic
-/// (`20!` is the last factorial below `2^64`); from the first multiply
-/// that would overflow (`k >= 21`) the product continues in `f64`. The
-/// integer prefix keeps every in-range coefficient exactly rounded
-/// instead of compounding `f64` rounding through the running product.
-fn factorial(k: u32) -> f64 {
-    let mut exact: u64 = 1;
-    for m in 1..=u64::from(k) {
-        match exact.checked_mul(m) {
-            Some(next) => exact = next,
-            None => {
-                // Overflow at factor `m`: continue the remaining
-                // product in f64 from the exact prefix.
-                let mut approx = exact as f64;
-                for f in m..=u64::from(k) {
-                    approx *= f as f64;
-                }
-                return approx;
-            }
-        }
-    }
-    exact as f64
-}
-
-/// Number of atanh-series terms the in-precision `ln` evaluates.
-pub const fn ln_terms(precision: Precision) -> usize {
-    match precision {
-        Precision::Half => 3,    // |t| <= 0.172: t^7/7 ~ 2e-6 < 2^-10 comfortably
-        Precision::Single => 6,  // t^13/13 ~ 8e-12 < 2^-23
-        Precision::Double => 10, // t^21/21 ~ 4e-17 < 2^-52
-    }
-}
-
-/// `ln(x)` by exponent extraction and an in-precision atanh series.
-///
-/// Reduction: `x = m * 2^k` with `m` in `[sqrt(2)/2, sqrt(2))`, then
-/// `ln x = k*ln2 + 2*atanh((m-1)/(m+1))` with the series evaluated in
-/// `F`. Domain edges follow IEEE `log`: `ln(0) = -inf`, negative inputs
-/// are NaN.
-///
-/// # Example
-///
-/// ```rust
-/// use mpr_softfloat::{math::ln_poly, Half};
-/// let l = ln_poly(Half::from_f64(2.0)).to_f64();
-/// assert!((l - std::f64::consts::LN_2).abs() < 2e-3);
-/// assert!(ln_poly(0.0f64).is_infinite());
-/// assert!(ln_poly(-1.0f64).is_nan());
-/// ```
-pub fn ln_poly<F: FloatExt>(x: F) -> F {
-    let xf = x.to_f64();
-    if x.is_nan() || xf < 0.0 {
-        return F::from_f64(f64::NAN);
-    }
-    if xf == 0.0 {
-        return F::from_f64(f64::NEG_INFINITY);
-    }
-    if x.is_infinite() {
-        return x;
-    }
-    // Exponent extraction (exact: only powers of two move between m and k).
-    let mut k = xf.log2().floor() as i32;
-    let mut m = x.ldexp(-k);
-    if m.to_f64() >= std::f64::consts::SQRT_2 {
-        m = m.ldexp(-1);
-        k += 1;
-    }
-    // atanh series in precision.
-    let t = (m - F::one()) / (m + F::one());
-    let t2 = t * t;
-    let mut acc = F::zero();
-    for j in (0..ln_terms(F::PRECISION)).rev() {
-        let coeff = F::from_f64(1.0 / (2 * j + 3) as f64);
-        acc = acc.mul_add(t2, coeff);
-    }
-    let series = (acc * t2).mul_add(t, t); // t + t^3/3 + t^5/5 + ...
-    let two = F::from_f64(2.0);
-    let ln2 = F::from_f64(std::f64::consts::LN_2);
-    F::from_f64(k as f64).mul_add(ln2, two * series)
-}
-
-/// `tanh(x)` via the in-precision exponential:
-/// `(exp(2x) - 1) / (exp(2x) + 1)`, saturating to ±1.
-///
-/// ```rust
-/// use mpr_softfloat::math::tanh_poly;
-/// assert!((tanh_poly(1.0f64) - 1.0f64.tanh()).abs() < 1e-12);
-/// assert_eq!(tanh_poly(100.0f32), 1.0);
-/// ```
-pub fn tanh_poly<F: FloatExt>(x: F) -> F {
-    if x.is_nan() {
-        return x;
-    }
-    let xf = x.to_f64();
-    if xf > 20.0 {
-        return F::one();
-    }
-    if xf < -20.0 {
-        return -F::one();
-    }
-    let e2 = exp_poly(x + x);
-    (e2 - F::one()) / (e2 + F::one())
+    let (n, r) = exp_reduce(x);
+    exp_horner(r, |v| v).ldexp(n)
 }
 
 #[cfg(test)]
@@ -264,105 +187,23 @@ mod tests {
     }
 
     #[test]
-    fn factorial_is_exact_through_u64_and_finite_beyond() {
-        // Exact integer region: every value a coefficient table can ask
-        // for (exp uses k <= 14) and the last u64-representable one.
-        assert_eq!(factorial(0), 1.0);
-        assert_eq!(factorial(1), 1.0);
-        assert_eq!(factorial(12), 479_001_600.0);
-        assert_eq!(factorial(14), 87_178_291_200.0);
-        assert_eq!(factorial(20), 2_432_902_008_176_640_000u64 as f64);
-        // Checked-overflow region (k >= 21 overflows u64): the product
-        // continues in f64 without wrapping. 21! = 51090942171709440000.
-        assert_eq!(factorial(21), 2_432_902_008_176_640_000u64 as f64 * 21.0);
-        assert!(factorial(25) > factorial(24));
-        assert!(factorial(170).is_finite());
-        assert_eq!(factorial(171), f64::INFINITY); // beyond f64 range, no panic
-    }
-
-    #[test]
     fn exp_series_terms_are_pinned() {
         // The deepest coefficient any precision evaluates (k = 14 for
-        // double) must stay bit-identical: a factorial change that moved
-        // it would silently move every golden output downstream.
+        // double) must stay bit-identical: a table change that moved it
+        // would silently move every golden output downstream.
         assert_eq!(
-            (1.0 / factorial(14)).to_bits(),
+            INV_FACTORIAL[14].to_bits(),
             (1.0f64 / 87_178_291_200.0).to_bits()
         );
-        assert_eq!((1.0 / factorial(8)).to_bits(), (1.0f64 / 40320.0).to_bits());
-        assert_eq!((1.0 / factorial(5)).to_bits(), (1.0f64 / 120.0).to_bits());
+        assert_eq!(INV_FACTORIAL[8].to_bits(), (1.0f64 / 40320.0).to_bits());
+        assert_eq!(INV_FACTORIAL[5].to_bits(), (1.0f64 / 120.0).to_bits());
+        assert_eq!(INV_FACTORIAL[1], 1.0);
     }
 
     #[test]
     fn term_counts_grow_with_precision() {
         assert!(exp_terms(Precision::Half) < exp_terms(Precision::Single));
         assert!(exp_terms(Precision::Single) < exp_terms(Precision::Double));
-        assert!(ln_terms(Precision::Half) < ln_terms(Precision::Double));
-    }
-
-    #[test]
-    fn ln_double_accuracy() {
-        for i in 1..=400 {
-            let x = i as f64 * 0.11;
-            let got = ln_poly(x);
-            let want = x.ln();
-            assert!(
-                (got - want).abs() < 1e-14 * want.abs().max(1.0),
-                "x={x} got={got} want={want}"
-            );
-        }
-        // Wide dynamic range.
-        for e in [-300, -30, 30, 300] {
-            let x = 2f64.powi(e) * 1.37;
-            assert!((ln_poly(x) - x.ln()).abs() < 1e-12 * x.ln().abs());
-        }
-    }
-
-    #[test]
-    fn ln_half_accuracy() {
-        for i in 1..=40 {
-            let x = Half::from_f64(i as f64 * 0.4);
-            let got = ln_poly(x).to_f64();
-            let want = x.to_f64().ln();
-            assert!(
-                (got - want).abs() < 4e-3 * want.abs().max(1.0),
-                "x={x} got={got} want={want}"
-            );
-        }
-    }
-
-    #[test]
-    fn ln_edge_cases() {
-        assert!(ln_poly(f64::NAN).is_nan());
-        assert!(ln_poly(-2.0f64).is_nan());
-        assert_eq!(ln_poly(0.0f64), f64::NEG_INFINITY);
-        assert_eq!(ln_poly(f64::INFINITY), f64::INFINITY);
-        assert_eq!(ln_poly(1.0f64), 0.0);
-        assert!(ln_poly(Half::ZERO).is_infinite());
-    }
-
-    #[test]
-    fn tanh_accuracy_and_saturation() {
-        for i in -30..=30 {
-            let x = i as f64 * 0.2;
-            assert!((tanh_poly(x) - x.tanh()).abs() < 1e-12, "x={x}");
-        }
-        assert_eq!(tanh_poly(25.0f64), 1.0);
-        assert_eq!(tanh_poly(-25.0f64), -1.0);
-        assert!(tanh_poly(f32::NAN).is_nan());
-        let h = tanh_poly(Half::from_f64(0.5)).to_f64();
-        assert!((h - 0.5f64.tanh()).abs() < 2e-3);
-    }
-
-    #[test]
-    fn tanh_is_odd_to_within_rounding() {
-        // The exp-based formula is not bit-exactly odd (the two
-        // reductions round differently), but must agree to a few ULP.
-        for i in 1..=20 {
-            let x = i as f32 * 0.3;
-            let a = tanh_poly(x);
-            let b = -tanh_poly(-x);
-            assert!(crate::ulp::ulp_distance(a, b) <= 8, "x={x}: {a} vs {b}");
-        }
+        assert!(exp_terms(Precision::Double) < INV_FACTORIAL.len());
     }
 }

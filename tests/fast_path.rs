@@ -31,6 +31,7 @@ use mixed_precision_reliability::exp::{
 use mixed_precision_reliability::fault::hook::FaultHook;
 use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign, ValueFault, Workload};
 use mixed_precision_reliability::kernels::{profiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
+use mixed_precision_reliability::nn::{Mnist, TinyYolo};
 use mixed_precision_reliability::obs::fnv1a64;
 use mixed_precision_reliability::softfloat::Precision;
 use std::collections::BTreeSet;
@@ -169,6 +170,48 @@ fn fast_path_is_bit_identical_to_naive_everywhere() {
     }
 }
 
+#[test]
+fn networks_match_the_naive_oracle() {
+    // The networks run the same generic `run<F, H>` through the `dyn`
+    // oracle and through the monomorphized overrides. Their strikes cost
+    // a whole forward pass, so the sample is trimmed to both ends and
+    // two interior sites, with a low mantissa and a high exponent flip.
+    let mnist = Mnist::new();
+    let yolo = TinyYolo::new();
+    let workloads: [&dyn Workload; 2] = [&mnist, &yolo];
+    for w in workloads {
+        let naive = ForceNaive(w);
+        for p in Precision::ALL {
+            let golden = w.run_golden(p);
+            assert_eq!(
+                bits(&golden),
+                bits(&naive.run_golden(p)),
+                "{} {p}: golden diverged",
+                w.name()
+            );
+            let sc = w.site_count(p);
+            assert_eq!(sc, naive.site_count(p), "{} {p}: site count", w.name());
+            let width = p.total_bits();
+            let strikes: Vec<(u64, ValueFault)> = [0, sc / 3, 2 * sc / 3, sc - 1]
+                .into_iter()
+                .flat_map(|site| {
+                    [ValueFault::BitFlip(0), ValueFault::BitFlip(width - 2)]
+                        .map(|fault| (site, fault))
+                })
+                .collect();
+            let got = run_batch(w, p, &strikes, &golden);
+            for (i, &(site, fault)) in strikes.iter().enumerate() {
+                assert_eq!(
+                    got[i],
+                    bits(&naive.run_with_fault(p, site, fault)),
+                    "{} {p} site {site} {fault:?} (of {sc} sites): strike diverged",
+                    w.name()
+                );
+            }
+        }
+    }
+}
+
 /// Runs `strikes` through `run_strike_batch` and returns each strike's
 /// output bits by index, asserting every index is reported exactly once.
 fn run_batch(
@@ -230,7 +273,9 @@ fn golden_fingerprints_match_the_pre_fast_path_implementation() {
     let lava22 = LavaMd::new(2, 2);
     let lava_knc = LavaMd::new(2, 2).for_knc();
     let micro = Micro::new(MicroKernelOp::Fma, 4, 64);
-    let pins: [(&dyn Workload, Precision, u64, u64); 16] = [
+    let yolo = TinyYolo::new();
+    let mnist = Mnist::new();
+    let pins: [(&dyn Workload, Precision, u64, u64); 22] = [
         (&gemm8, Precision::Double, 640, 0x68eb9f5d04bed2f4),
         (&gemm8, Precision::Single, 640, 0xd9e725cdcb33a068),
         (&gemm8, Precision::Half, 640, 0x0538f3fa9738660d),
@@ -249,6 +294,14 @@ fn golden_fingerprints_match_the_pre_fast_path_implementation() {
         (&lava_knc, Precision::Half, 2224, 0x65db4c428c8fab58),
         (&micro, Precision::Double, 256, 0x455e00df70df99df),
         (&micro, Precision::Single, 256, 0xe28c0925a65abe3b),
+        // The networks, captured before their layers took the hook
+        // generically (still through the `dyn` dispatch at the time).
+        (&yolo, Precision::Double, 59732, 0x37af0853b89e84ac),
+        (&yolo, Precision::Single, 58382, 0x825aba7f61216798),
+        (&yolo, Precision::Half, 57707, 0xa6aa157ef9b823f7),
+        (&mnist, Precision::Double, 20208, 0x39bcdd32a0bb9229),
+        (&mnist, Precision::Single, 20208, 0x43342cb75c0bfbdd),
+        (&mnist, Precision::Half, 20208, 0xb6cdbbcc4dcffce1),
     ];
     for (w, p, sites, hash) in pins {
         assert_eq!(w.site_count(p), sites, "{} {p} site count moved", w.name());
