@@ -1,8 +1,10 @@
 //! Clean twin of `src/bin/bad.rs`: the sanctioned placements. A panic
 //! that is part of a documented contract carries a justified
 //! `#[expect]`, telemetry that reads a clock says why in a module-level
-//! `#[expect]`, results live in ordered collections, and test code
-//! unwraps, expects and panics freely.
+//! `#[expect]`, results live in ordered collections, lookups that may
+//! miss use `get` rather than indexing, and test code unwraps, expects,
+//! panics and indexes freely.
+#![warn(clippy::indexing_slicing)]
 
 use std::collections::BTreeMap;
 
@@ -50,7 +52,8 @@ mod tests {
         let mut table = BTreeMap::new();
         table.insert("gemm".to_string(), 2.5);
         assert_eq!(lookup(&table, "gemm").unwrap(), 2.5);
-        assert_eq!(argmax(&[0.1, 0.7, 0.2]), 1);
+        let logits = [0.1, 0.7, 0.2];
+        assert_eq!(logits[argmax(&logits)], 0.7);
         let parsed: Result<u64, std::num::ParseIntError> = "7".parse();
         if parsed.expect("digits") != 7 {
             panic!("parse changed its mind");

@@ -26,8 +26,7 @@
 //!
 //! The analysis is intraprocedural and flow-sensitive in statement
 //! order; a call to a same-file fn carries its declared return
-//! precision (the workspace call graph handles reachability, see
-//! [`crate::callgraph`]). It is a lint, not a type checker: unknown
+//! precision. It is a lint, not a type checker: unknown
 //! constructs default to untainted, so the cost of imprecision is a
 //! missed finding, never a spurious gate failure from code the parser
 //! cannot see through.

@@ -1,7 +1,7 @@
 //! Token-level lexer over masked source text.
 //!
-//! The flow-sensitive lints (PL005/DT004/PH004) need more structure
-//! than line patterns: identifiers, literals with their suffixes, and
+//! The flow-sensitive lints (PL005/DT004) and PL001's literal scan
+//! need more structure than line patterns: identifiers, literals with their suffixes, and
 //! multi-character operators, each carrying its source position. This
 //! lexer runs over [`SourceFile::masked`] lines — comments are already
 //! blanked and string/char interiors erased — so it only has to

@@ -9,9 +9,8 @@
 //! enforces those conventions in two tiers, wired into the CLI as
 //! `mpr analyze`: line/token pattern lints, and flow-sensitive taint
 //! lints that run a hand-rolled lexer ([`lexer`]), an item-level
-//! parser ([`parse`]), a per-function dataflow pass ([`flow`]), and a
-//! workspace call graph ([`callgraph`]) — still no rustc plugin, no
-//! syn.
+//! parser ([`parse`]) and a per-function dataflow pass ([`flow`]) —
+//! still no rustc plugin, no syn.
 //!
 //! | family                | ids        | scope                        |
 //! |-----------------------|------------|------------------------------|
@@ -19,16 +18,17 @@
 //! | `precision-taint`     | PL005      | `crates/kernels`, `crates/nn` (flow-sensitive: lossy `as` narrowing, cross-width `from_bits`) |
 //! | `fault-site`          | FS001-FS002| `crates/kernels`, `crates/nn` (FS001: generic fn bodies; FS002: any non-test `dyn FaultHook`) |
 //! | `determinism-taint`   | DT004      | `crates/beam`, `crates/fault`, `crates/core`, `crates/exp`, `crates/obs` (flow-sensitive: thread identity, weak seeds, stride schedules) |
-//! | `panic-reachability`  | PH004      | `crates/kernels`, `crates/fault`, `crates/beam`, `crates/exp` (call-graph reachable from the strike fast path) |
-//! | `vfs-bypass`          | FS003      | `crates/exp` (direct `std::fs` traffic outside the `Vfs` layer) |
 //! | `allow-hygiene`       | AH001-AH003| pragma bookkeeping           |
 //!
 //! The bans stock tools can check are not here: `unwrap`/`expect`/
 //! panic macros and clock, hash-ordered collection and `RandomState`
 //! types are workspace clippy lints (`[workspace.lints.clippy]` and
-//! `clippy.toml`), exempted with `#[expect(clippy::…, reason = "…")]`,
-//! and precision mixes in arithmetic, calls, fields and returns are
-//! rustc type errors.
+//! `clippy.toml`); indexing in the campaign crates (mpr-fault,
+//! mpr-beam, mpr-exp) is `clippy::indexing_slicing`, and direct
+//! `std::fs` calls in mpr-exp are `disallowed-methods` in
+//! `crates/exp/clippy.toml`. Each is exempted with
+//! `#[expect(clippy::…, reason = "…")]`. Precision mixes in arithmetic,
+//! calls, fields and returns are rustc type errors.
 //!
 //! Violations are suppressed line-by-line with a justified pragma:
 //!
@@ -43,7 +43,6 @@
 //!
 //! [`FloatExt`]: https://docs.rs/mpr-softfloat
 
-pub mod callgraph;
 pub mod flow;
 // The workspace JSON module, compiled here by path for the whole-study
 // benchmark, which imports `mpr_analyze::json`: a dependency on
@@ -134,10 +133,6 @@ pub fn lint_applies(lint: &str, rel_path: &str) -> bool {
         "precision-leak" | "fault-site" | "precision-taint" => {
             p.starts_with("crates/kernels/src") || p.starts_with("crates/nn/src")
         }
-        // FS003: every byte mpr-exp persists must route through the
-        // `Vfs` seam so chaos injection and the durable-commit
-        // protocol cover it; `vfs.rs` itself carries a file-wide allow.
-        "vfs-bypass" => p.starts_with("crates/exp/src"),
         "determinism-taint" => {
             p.starts_with("crates/beam/src")
                 || p.starts_with("crates/fault/src")
@@ -145,86 +140,50 @@ pub fn lint_applies(lint: &str, rel_path: &str) -> bool {
                 || p.starts_with("crates/exp/src")
                 || p.starts_with("crates/obs/src")
         }
-        // PH004 reports where the strike fast path and the campaign
-        // drivers live; reachability itself crosses every crate.
-        "panic-reachability" => {
-            p.starts_with("crates/kernels/src")
-                || p.starts_with("crates/fault/src")
-                || p.starts_with("crates/beam/src")
-                || p.starts_with("crates/exp/src")
-        }
         _ => false,
     }
 }
 
 /// Analyzes one file's text as if it lived at `rel_path`, applying the
 /// path-scoped lints and the pragma suppressions. This is the unit the
-/// fixture tests use; the flow-sensitive lints run too, with the call
-/// graph restricted to this one file.
+/// fixture tests use; the flow-sensitive lints run too.
 pub fn analyze_source(rel_path: &str, text: &str) -> Vec<Finding> {
     analyze_files(vec![(rel_path.to_string(), text.to_string())]).findings
 }
 
-/// The full analysis pipeline over an in-memory file set: per-file
-/// token lints, per-function flow-sensitive taint lints, the
-/// workspace call graph for panic reachability, then pragma
-/// suppression and allowlist hygiene. Findings come back sorted by
-/// (file, line, lint id) so reports are stable regardless of input
-/// order.
+/// The full analysis pipeline over an in-memory file set: per file,
+/// the token lints and the per-function flow-sensitive taint lints,
+/// then pragma suppression and allowlist hygiene. Findings come back
+/// sorted by (file, line, lint id) so reports are stable regardless of
+/// input order.
 pub fn analyze_files(inputs: Vec<(String, String)>) -> Analysis {
-    let files: Vec<(SourceFile, ParsedFile)> = inputs
-        .into_iter()
-        .map(|(rel, text)| {
-            let sf = SourceFile::parse(&rel, &text);
-            let pf = ParsedFile::parse(&sf);
-            (sf, pf)
-        })
-        .collect();
-    let files_scanned = files.len();
-
-    // Per-file raw findings (token-level and intraprocedural flow).
-    let mut raw: Vec<Vec<Finding>> = files
-        .iter()
-        .map(|(sf, pf)| {
-            let rel = sf.rel_path.clone();
-            let mut out: Vec<Finding> = Vec::new();
-            if lint_applies("precision-leak", &rel) {
-                out.extend(lints::precision_leak(sf));
-            }
-            if lint_applies("fault-site", &rel) {
-                out.extend(lints::fault_site(sf));
-                out.extend(lints::dyn_hook(sf));
-            }
-            if lint_applies("vfs-bypass", &rel) {
-                out.extend(lints::vfs_bypass(sf));
-            }
-            let precision = lint_applies("precision-taint", &rel);
-            let determinism = lint_applies("determinism-taint", &rel);
-            if precision || determinism {
-                out.extend(flow::taint_lints(sf, pf, precision, determinism));
-            }
-            out
-        })
-        .collect();
-
-    // Workspace pass: panic reachability over the whole call graph.
-    for f in callgraph::panic_reachability(&files, &|p| lint_applies("panic-reachability", p)) {
-        if let Some(slot) = files.iter().position(|(sf, _)| sf.rel_path == f.file) {
-            raw[slot].push(f);
-        }
-    }
-
-    // Pragma suppression and allowlist hygiene, per file.
+    let files_scanned = inputs.len();
     let mut findings: Vec<Finding> = Vec::new();
-    for ((sf, _), raw_file) in files.iter().zip(raw) {
+    for (rel, text) in inputs {
+        let sf = SourceFile::parse(&rel, &text);
+        let mut raw: Vec<Finding> = Vec::new();
+        if lint_applies("precision-leak", &rel) {
+            raw.extend(lints::precision_leak(&sf));
+        }
+        if lint_applies("fault-site", &rel) {
+            raw.extend(lints::fault_site(&sf));
+            raw.extend(lints::dyn_hook(&sf));
+        }
+        let precision = lint_applies("precision-taint", &rel);
+        let determinism = lint_applies("determinism-taint", &rel);
+        if precision || determinism {
+            let pf = ParsedFile::parse(&sf);
+            raw.extend(flow::taint_lints(&sf, &pf, precision, determinism));
+        }
+        // Pragma suppression and allowlist hygiene.
         let mut used: Vec<usize> = Vec::new();
-        for f in raw_file {
+        for f in raw {
             match sf.suppressor(&f.name, f.line) {
                 Some(p) => used.push(p.line),
                 None => findings.push(f),
             }
         }
-        findings.extend(lints::allow_hygiene(sf, &used));
+        findings.extend(lints::allow_hygiene(&sf, &used));
     }
     findings.sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
     Analysis {
@@ -312,9 +271,6 @@ mod tests {
         assert!(lint_applies("fault-site", "crates/kernels/src/gemm.rs"));
         assert!(lint_applies("fault-site", "crates/nn/src/layers.rs"));
         assert!(!lint_applies("fault-site", "crates/fault/src/campaign.rs"));
-        assert!(lint_applies("vfs-bypass", "crates/exp/src/store.rs"));
-        assert!(!lint_applies("vfs-bypass", "crates/obs/src/jsonl.rs"));
-        assert!(!lint_applies("vfs-bypass", "crates/cli/src/commands.rs"));
         assert!(lint_applies(
             "determinism-taint",
             "crates/core/src/study.rs"
@@ -353,7 +309,7 @@ mod tests {
             "obs",
             "softfloat",
         ];
-        let families: [(&str, &[&str]); 6] = [
+        let families: [(&str, &[&str]); 4] = [
             ("precision-leak", &["kernels", "nn"]),
             ("precision-taint", &["kernels", "nn"]),
             ("fault-site", &["kernels", "nn"]),
@@ -361,8 +317,6 @@ mod tests {
                 "determinism-taint",
                 &["beam", "core", "exp", "fault", "obs"],
             ),
-            ("panic-reachability", &["beam", "exp", "fault", "kernels"]),
-            ("vfs-bypass", &["exp"]),
         ];
         for (lint, scope) in families {
             for krate in crates {
@@ -376,7 +330,14 @@ mod tests {
         }
         // An unknown or retired family applies nowhere rather than
         // everywhere.
-        for retired in ["no-such-family", "determinism", "panic-hygiene", "dyn-hook"] {
+        for retired in [
+            "no-such-family",
+            "determinism",
+            "panic-hygiene",
+            "dyn-hook",
+            "panic-reachability",
+            "vfs-bypass",
+        ] {
             assert!(!lint_applies(retired, "crates/kernels/src/lib.rs"));
         }
     }

@@ -1,5 +1,5 @@
-//! The token-level domain lints (precision-leak, fault-site,
-//! vfs-bypass) plus allowlist hygiene.
+//! The token-level domain lints (precision-leak, fault-site) plus
+//! allowlist hygiene.
 //!
 //! Every lint is a pure function from a [`SourceFile`] to findings;
 //! path-based scoping (which crates a lint applies to) lives in
@@ -11,13 +11,11 @@ use crate::source::SourceFile;
 use crate::Finding;
 
 /// Lint family names as used in `mpr-allow` pragmas.
-pub const LINT_NAMES: [&str; 6] = [
+pub const LINT_NAMES: [&str; 4] = [
     "precision-leak",
     "fault-site",
     "precision-taint",
     "determinism-taint",
-    "panic-reachability",
-    "vfs-bypass",
 ];
 
 fn finding(
@@ -421,59 +419,6 @@ fn has_operator_arithmetic(stmt: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// vfs-bypass (FS003)
-// ---------------------------------------------------------------------
-
-/// Direct `std::fs` traffic in the experiment engine outside the `Vfs`
-/// implementation layer. Every byte mpr-exp persists must route
-/// through the `Vfs` trait so the chaos layer sees it, the durable
-/// commit protocol covers it, and the crash-consistency property tests
-/// stay exhaustive — an I/O call that bypasses the seam is untestable
-/// under fault injection and silently un-durable. `vfs.rs` itself (the
-/// `RealFs` passthrough) carries a file-wide pragma; tests are exempt.
-pub fn vfs_bypass(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (idx, masked) in file.masked.iter().enumerate() {
-        if file.in_test[idx] {
-            continue;
-        }
-        let line_no = idx + 1;
-        for at in word_positions(masked, "fs") {
-            if masked[at + 2..].starts_with("::") {
-                out.push(finding(
-                    file,
-                    line_no,
-                    "FS003",
-                    "vfs-bypass",
-                    "direct `fs::` call in mpr-exp bypasses the `Vfs` seam; route it through the store's `Vfs` handle so chaos injection and the durable-commit protocol cover it".to_string(),
-                ));
-            }
-        }
-        for at in word_positions(masked, "File") {
-            if masked[at + 4..].starts_with("::") {
-                out.push(finding(
-                    file,
-                    line_no,
-                    "FS003",
-                    "vfs-bypass",
-                    "direct `File::` use in mpr-exp bypasses the `Vfs` seam; add the operation to the `Vfs` trait instead of opening handles inline".to_string(),
-                ));
-            }
-        }
-        if !word_positions(masked, "OpenOptions").is_empty() {
-            out.push(finding(
-                file,
-                line_no,
-                "FS003",
-                "vfs-bypass",
-                "`OpenOptions` in mpr-exp bypasses the `Vfs` seam; add the operation to the `Vfs` trait instead of opening handles inline".to_string(),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // allowlist hygiene (AH)
 // ---------------------------------------------------------------------
 
@@ -497,7 +442,7 @@ pub fn allow_hygiene(file: &SourceFile, used: &[usize]) -> Vec<Finding> {
                 "AH001",
                 "allow-hygiene",
                 format!(
-                    "`mpr-allow` names unknown lint `{}` (known: {}); panic and clock/hash-type bans are clippy lints, exempted with `#[expect(clippy::…, reason = \"…\")]`",
+                    "`mpr-allow` names unknown lint `{}` (known: {}); panic, indexing, clock/hash-type and `std::fs` bans are clippy lints, exempted with `#[expect(clippy::…, reason = \"…\")]`",
                     p.lint,
                     LINT_NAMES.join(", ")
                 ),

@@ -1,7 +1,7 @@
 //! Source model: loads a Rust file and precomputes everything the lints
-//! share — a comment/string-masked copy of the text, test and
-//! documented-panic regions, `F: FloatExt`-generic function bodies, and
-//! the `mpr-allow` suppression pragmas.
+//! share — a comment/string-masked copy of the text, test regions,
+//! `F: FloatExt`-generic function bodies, and the `mpr-allow`
+//! suppression pragmas.
 //!
 //! The scanner is deliberately token-level (no rustc, no syn): it
 //! understands just enough lexical structure (nested block comments,
@@ -26,16 +26,11 @@ pub struct AllowPragma {
 pub struct SourceFile {
     /// Workspace-relative path (forward slashes).
     pub rel_path: String,
-    /// Original lines, as read.
-    pub lines: Vec<String>,
     /// Lines with comments removed and string/char contents blanked;
-    /// same line count and per-line length as `lines`.
+    /// same line count and per-line length as the original text.
     pub masked: Vec<String>,
     /// Per line: inside `#[cfg(test)]` module or `#[test]` function.
     pub in_test: Vec<bool>,
-    /// Per line: inside the body of a fn whose doc comment carries a
-    /// `# Panics` section.
-    pub panic_documented: Vec<bool>,
     /// Per line: inside the body of a fn generic over `F: FloatExt`.
     pub in_generic_kernel: Vec<bool>,
     /// All suppression pragmas found in the file.
@@ -49,14 +44,11 @@ impl SourceFile {
         let masked = mask_lines(text, lines.len());
         let pragmas = collect_pragmas(&lines);
         let in_test = mark_test_regions(&masked);
-        let panic_documented = mark_panic_documented(&lines, &masked);
         let in_generic_kernel = mark_generic_kernels(&masked);
         SourceFile {
             rel_path: rel_path.to_string(),
-            lines,
             masked,
             in_test,
-            panic_documented,
             in_generic_kernel,
             pragmas,
         }
@@ -369,40 +361,6 @@ fn mark_test_regions(masked: &[String]) -> Vec<bool> {
     flags
 }
 
-fn mark_panic_documented(lines: &[String], masked: &[String]) -> Vec<bool> {
-    let mut flags = vec![false; masked.len()];
-    for (idx, line) in lines.iter().enumerate() {
-        let t = line.trim();
-        if !(t.starts_with("///") || t.starts_with("//!")) || !t.contains("# Panics") {
-            continue;
-        }
-        // The documented fn follows the doc block and any attributes,
-        // which may wrap over several lines (`#[expect(\n ..\n)]`).
-        let mut item = idx + 1;
-        let mut attr_depth = 0i32;
-        while item < masked.len() {
-            let s = lines[item].trim();
-            if attr_depth == 0 {
-                if masked[item].contains("fn ") {
-                    break;
-                }
-                if !(s.starts_with("///") || s.starts_with('#') || s.is_empty()) {
-                    break;
-                }
-            }
-            attr_depth += masked[item].matches('[').count() as i32;
-            attr_depth -= masked[item].matches(']').count() as i32;
-            item += 1;
-        }
-        if item >= masked.len() || !masked[item].contains("fn ") {
-            continue;
-        }
-        let close = matching_close(masked, item);
-        mark_span(&mut flags, item, close);
-    }
-    flags
-}
-
 fn mark_generic_kernels(masked: &[String]) -> Vec<bool> {
     let mut flags = vec![false; masked.len()];
     for (idx, line) in masked.iter().enumerate() {
@@ -482,21 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_doc_covers_fn_body() {
-        let src = "/// Does a thing.\n///\n/// # Panics\n///\n/// Panics when weird.\npub fn f() {\n    panic!(\"weird\");\n}\nfn g() {}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.panic_documented[6]);
-        assert!(!f.panic_documented[8]);
-    }
-
-    #[test]
-    fn panic_doc_reaches_past_a_wrapped_attribute() {
-        let src = "/// # Panics\n///\n/// Panics when weird.\n#[expect(\n    clippy::panic,\n    reason = \"documented under `# Panics`\"\n)]\npub fn f() {\n    panic!(\"weird\");\n}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.panic_documented[8]);
-    }
-
-    #[test]
     fn generic_kernel_body_is_marked_signature_excluded() {
         let src = "fn run<F: FloatExt>(&self) -> Vec<f64> {\n    let x = F::zero();\n}\nfn other() {\n    let y = 1.0f64;\n}\n";
         let f = SourceFile::parse("x.rs", src);
@@ -508,7 +451,7 @@ mod tests {
 
     #[test]
     fn pragmas_parse_with_reason() {
-        let src = "// mpr-allow: fault-site -- index setup, not data\nx += 1;\n//! mpr-allow-file: vfs-bypass -- documented\n";
+        let src = "// mpr-allow: fault-site -- index setup, not data\nx += 1;\n//! mpr-allow-file: determinism-taint -- documented\n";
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.pragmas.len(), 2);
         assert_eq!(f.pragmas[0].lint, "fault-site");
@@ -516,6 +459,9 @@ mod tests {
         assert_eq!(f.suppressor("fault-site", 2).map(|p| p.line), Some(1));
         assert!(f.suppressor("fault-site", 3).is_none());
         assert!(f.pragmas[1].file_wide);
-        assert_eq!(f.suppressor("vfs-bypass", 999).map(|p| p.line), Some(3));
+        assert_eq!(
+            f.suppressor("determinism-taint", 999).map(|p| p.line),
+            Some(3)
+        );
     }
 }

@@ -5,7 +5,7 @@ fn configure(&self) -> u64 {
     let a = 1;
     // mpr-allow: fault-site
     let b = 2;
-    // mpr-allow: vfs-bypass -- suppresses nothing below
+    // mpr-allow: precision-leak -- suppresses nothing below
     let c = 3;
     // mpr-allow: panic-hygiene -- a leftover from before the clippy lints
     let d = self.cells.first().expect("nonempty");

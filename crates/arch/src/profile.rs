@@ -147,11 +147,6 @@ impl WorkloadProfile {
             kind: WorkloadKind::Numeric,
         }
     }
-
-    /// Is this one of the synthetic microbenchmarks?
-    pub fn is_micro(&self) -> bool {
-        self.name.starts_with("Micro")
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +174,6 @@ mod tests {
             WorkloadProfile::micro_fma(),
         ] {
             assert_eq!(p.ilp, 1.0);
-            assert!(p.is_micro());
             assert!(p.control_density < 1.0, "micros minimize control flow");
             assert_eq!(p.kind, WorkloadKind::Numeric);
         }

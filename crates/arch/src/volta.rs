@@ -51,11 +51,6 @@ impl VoltaGpu {
         }
     }
 
-    /// Whether register file and caches are ECC protected.
-    pub fn has_ecc(&self) -> bool {
-        self.ecc
-    }
-
     /// Per-active-core datapath exposure (a.u.) for one operation class
     /// at one precision.
     ///
@@ -279,7 +274,6 @@ mod tests {
     fn ecc_ablation_suppresses_array_exposure() {
         let bare = VoltaGpu::titan_v();
         let ecc = VoltaGpu::tesla_v100();
-        assert!(!bare.has_ecc() && ecc.has_ecc());
         // A memory-bound profile loses most of its compute exposure under
         // ECC and gains some DUE exposure.
         let prof = WorkloadProfile {

@@ -170,7 +170,6 @@ impl<'a> BeamCampaign<'a> {
     pub fn run(&self) -> CampaignResult {
         match self.try_run() {
             Ok(result) => result,
-            // mpr-allow: panic-reachability -- this is the documented contract of the convenience wrapper: it fires at the campaign boundary, after all cells drained, never inside a retried cell
             Err(e) => panic!("{e}"),
         }
     }
@@ -422,21 +421,16 @@ impl CampaignResult {
 
     /// Fraction of SDCs carrying each domain label, in first-seen order.
     pub fn label_fractions(&self) -> Vec<(SdcLabel, f64)> {
-        let mut order: Vec<SdcLabel> = Vec::new();
-        let mut counts: Vec<u64> = Vec::new();
+        let mut counts: Vec<(SdcLabel, u64)> = Vec::new();
         for &l in &self.labels {
-            match order.iter().position(|&o| o == l) {
-                Some(i) => counts[i] += 1,
-                None => {
-                    order.push(l);
-                    counts.push(1);
-                }
+            match counts.iter_mut().find(|(o, _)| *o == l) {
+                Some((_, c)) => *c += 1,
+                None => counts.push((l, 1)),
             }
         }
         let total = self.labels.len().max(1) as f64;
-        order
+        counts
             .into_iter()
-            .zip(counts)
             .map(|(l, c)| (l, c as f64 / total))
             .collect()
     }

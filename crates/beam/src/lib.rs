@@ -38,6 +38,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::indexing_slicing)]
 
 mod campaign;
 mod session;

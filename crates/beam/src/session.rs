@@ -51,17 +51,6 @@ impl BeamSession {
         self.target_candidates = n;
         self
     }
-
-    /// Overrides the beam hours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hours` is not strictly positive.
-    pub fn with_hours(mut self, hours: f64) -> BeamSession {
-        assert!(hours > 0.0 && hours.is_finite(), "hours must be positive");
-        self.hours = hours;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -79,11 +68,8 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let s = BeamSession::quick(0)
-            .with_target_candidates(77)
-            .with_hours(5.0);
+        let s = BeamSession::quick(0).with_target_candidates(77);
         assert_eq!(s.target_candidates, 77);
-        assert_eq!(s.hours, 5.0);
     }
 
     #[test]

@@ -497,6 +497,10 @@ mod oracle {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fixtures plant raw, torn and corrupt files beneath the Vfs layer and clean up after themselves"
+)]
 mod tests {
     use super::*;
     use crate::vfs::RealFs;

@@ -12,7 +12,7 @@ use mpr_beam::SdcClassifier;
 use mpr_fault::hostile::{HostileMode, HostileWorkload};
 use mpr_fault::{FaultModel, Workload};
 use mpr_kernels::{profiles as kprofiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
-use mpr_metrics::SamplingPlan;
+use mpr_metrics::sampling::{SamplingPlan, DEFAULT_STRATA, ROUND_STRIKES};
 use mpr_nn::{profiles as nprofiles, ClassificationImpact, DetectionImpact, Mnist, TinyYolo};
 use mpr_obs::{fnv1a64, mix_seed};
 use mpr_softfloat::Precision;
@@ -322,10 +322,8 @@ fn sampling_token(plan: SamplingPlan) -> String {
                 None => "-".to_string(),
             };
             format!(
-                ",a=w:{:016x};b:{budget};s:{};r:{}",
-                c.ci_width.to_bits(),
-                c.strata,
-                c.round
+                ",a=w:{:016x};b:{budget};s:{DEFAULT_STRATA};r:{ROUND_STRIKES}",
+                c.ci_width.to_bits()
             )
         }
     }

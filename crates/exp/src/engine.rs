@@ -290,10 +290,10 @@ impl Engine {
         // request order, and each miss spreads its campaign's strikes
         // over every worker thread. The engine itself spawns nothing.
         let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(unique.len());
-        for (i, key) in unique.iter().enumerate() {
-            outcomes.push(match self.lookup(&store_keys[i], &canonicals[i]) {
+        for ((key, store_key), canonical) in unique.iter().zip(&store_keys).zip(&canonicals) {
+            outcomes.push(match self.lookup(store_key, canonical) {
                 Some(result) => (Ok(result), 0),
-                None => self.execute_and_insert(key, &store_keys[i], &canonicals[i], &wall),
+                None => self.execute_and_insert(key, store_key, canonical, &wall),
             });
         }
 
@@ -310,10 +310,15 @@ impl Engine {
             self.write_manifest(dir, &store_keys, &outcomes);
         }
 
-        request_to_unique
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every request maps to an index of `unique`, and `outcomes` holds one entry per unique cell"
+        )]
+        let results = request_to_unique
             .into_iter()
             .map(|i| outcomes[i].0.clone())
-            .collect()
+            .collect();
+        results
     }
 
     /// Looks a cell up in the store and counts where the answer came
@@ -422,13 +427,13 @@ impl Engine {
             return;
         }
         let mut pool: u64 = 0;
-        // (unique index, effective strike budget, noisiness weight)
-        let mut needy: Vec<(usize, u64, f64)> = Vec::new();
-        for (i, key) in unique.iter().enumerate() {
+        // (outcome slot, cell key, effective strike budget, noisiness weight)
+        let mut needy: Vec<(&mut CellOutcome, &CellKey, u64, f64)> = Vec::new();
+        for (&key, slot) in unique.iter().zip(outcomes.iter_mut()) {
             let SamplingPlan::Adaptive(config) = key.kind.sampling() else {
                 continue;
             };
-            let (Ok(result), _) = &outcomes[i] else {
+            let (Ok(result), _) = &*slot else {
                 continue;
             };
             let (budget, executed, width) = match result {
@@ -456,20 +461,19 @@ impl Engine {
                 // outranks every finite width, which tops out near 3.9
                 // at one observed event.
                 let weight = if width.is_finite() { width } else { 4.0 };
-                needy.push((i, budget, weight));
+                needy.push((slot, key, budget, weight));
             }
         }
         if pool == 0 || needy.is_empty() {
             return;
         }
-        let weights: Vec<f64> = needy.iter().map(|&(_, _, w)| w).collect();
+        let weights: Vec<f64> = needy.iter().map(|&(_, _, _, w)| w).collect();
         let grants = largest_remainder(&weights, pool);
         Counter::new(rec, "plan.realloc_pool", "").add(pool);
-        for (&(i, budget, _), &extra) in needy.iter().zip(&grants) {
+        for ((slot, key, budget, _), extra) in needy.into_iter().zip(grants) {
             if extra == 0 || self.cancel.is_cancelled() {
                 continue;
             }
-            let key = unique[i];
             let boosted = CellKey {
                 kind: key.kind.with_sampling_budget(budget + extra),
                 ..key.clone()
@@ -482,7 +486,7 @@ impl Engine {
                 None => self.execute_and_insert(&boosted, &store_key, &canonical, wall),
             };
             if outcome.0.is_ok() {
-                outcomes[i] = outcome;
+                *slot = outcome;
             }
         }
     }

@@ -60,6 +60,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(clippy::indexing_slicing)]
 
 mod cache;
 mod cell;

@@ -330,6 +330,10 @@ fn decode_tree(bytes: &[u8]) -> Decoded {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fixtures plant raw, torn and corrupt files beneath the Vfs layer and clean up after themselves"
+)]
 mod tests {
     use super::*;
     use mpr_obs::json::MAX_DEPTH;

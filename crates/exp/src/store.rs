@@ -327,6 +327,10 @@ impl ResultStore {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fixtures plant raw, torn and corrupt files beneath the Vfs layer and clean up after themselves"
+)]
 mod tests {
     use super::*;
 

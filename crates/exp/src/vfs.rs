@@ -23,11 +23,12 @@
 //! parent directory, so a committed entry survives a power cut and a
 //! torn write is only ever visible as a stale `*.tmp` the store sweeps
 //! on open.
-// mpr-allow-file: vfs-bypass -- this module IS the Vfs implementation
-// layer; RealFs is the single sanctioned home of direct std::fs calls
-// in mpr-exp.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module is the Vfs layer; RealFs is the one sanctioned home of direct std::fs calls in mpr-exp"
+)]
 
-use mpr_obs::{fnv1a64, mix_seed, splitmix64, Counter, Recorder};
+use mpr_obs::{fnv1a64, mix_seed, splitmix64};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -304,8 +305,8 @@ impl ChaosFs {
             ops: self.ops.load(Ordering::Relaxed),
             injected: FAULT_KINDS
                 .iter()
-                .enumerate()
-                .map(|(i, name)| (*name, self.injected[i].load(Ordering::Relaxed)))
+                .zip(&self.injected)
+                .map(|(name, n)| (*name, n.load(Ordering::Relaxed)))
                 .collect(),
             survived: self.survived.load(Ordering::Relaxed),
             crashed: self.crashed.load(Ordering::Relaxed),
@@ -327,21 +328,6 @@ impl ChaosFs {
         let mut t = self.trace();
         t.sort_unstable();
         t
-    }
-
-    /// Emits the accounting as observability counters:
-    /// `chaos.ops`, `chaos.injected.<kind>`, `chaos.survived`, and
-    /// `chaos.crashed` (0/1).
-    pub fn record_to(&self, rec: &dyn Recorder) {
-        let stats = self.stats();
-        Counter::new(rec, "chaos.ops", "").add(stats.ops);
-        for (kind, n) in &stats.injected {
-            if *n > 0 {
-                Counter::new(rec, "chaos.injected", kind).add(*n);
-            }
-        }
-        Counter::new(rec, "chaos.survived", "").add(stats.survived);
-        Counter::new(rec, "chaos.crashed", "").add(u64::from(stats.crashed));
     }
 
     /// The identity name of a path: its file name, or `<dir>` for
@@ -704,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_recorder_counters_account_for_every_op() {
+    fn stats_account_for_every_op() {
         let dir = temp_dir("stats");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let chaos = ChaosFs::new(ChaosConfig {
@@ -719,12 +705,6 @@ mod tests {
         assert_eq!(stats.ops, 12);
         assert_eq!(stats.survived + stats.injected_total(), 12);
         assert!(stats.injected_total() > 0, "{stats:?}");
-        let rec = mpr_obs::JsonlRecorder::new();
-        chaos.record_to(&rec);
-        let log = rec.to_jsonl();
-        assert!(log.contains("chaos.ops"), "{log}");
-        assert!(log.contains("chaos.injected"), "{log}");
-        assert!(log.contains("chaos.survived"), "{log}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -252,7 +252,6 @@ impl<'a> InjectionCampaign<'a> {
     pub fn run(&self) -> InjectionReport {
         match self.try_run() {
             Ok(report) => report,
-            // mpr-allow: panic-reachability -- this is the documented contract of the convenience wrapper: it fires at the campaign boundary, after all cells drained, never inside a retried cell
             Err(e) => panic!("{e}"),
         }
     }

@@ -129,14 +129,12 @@ impl Workload for HostileWorkload {
     )]
     fn run_golden(&self, precision: Precision) -> Vec<f64> {
         if let HostileMode::FlakyGolden { panics } = self.mode {
-            // mpr-allow: panic-reachability -- a poisoned hostile registry means a staged panic already unwound through the lock; re-propagating is part of the act
             let mut registry = GOLDEN_ATTEMPTS.lock().expect("hostile registry lock");
             let attempt = registry.entry(self.tag).or_insert(0);
             *attempt += 1;
             if *attempt <= panics {
                 let n = *attempt;
                 drop(registry);
-                // mpr-allow: panic-reachability -- staged misbehavior is this type's entire job; the retry budget it burns is exactly what the fault-tolerance tests measure
                 panic!(
                     "hostile workload {:#018x}: staged golden failure {n}/{panics}",
                     self.tag

@@ -64,6 +64,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::indexing_slicing)]
 
 mod campaign;
 pub mod hook;

@@ -143,9 +143,10 @@ impl StrikeRunner<'_> {
                 // Global strike index of the round's slot 0.
                 let mut base = 0u64;
                 while let Some(schedule) = planner.next_round() {
-                    // Schedule entries index the planner's own bounds
-                    // table, and every observation index below lies in
-                    // `base..base + schedule.len()`.
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "`round` asks only for slots below `schedule.len()`, and schedule entries index the planner's own bounds table"
+                    )]
                     let range = |slot: usize| bounds[schedule[slot]];
                     let (round, busy) =
                         self.round(schedule.len(), base, &range, nthreads, &fault, &observe)?;
@@ -155,11 +156,17 @@ impl StrikeRunner<'_> {
                     // stratum through the slot it ran in.
                     let mut executed_by = vec![0u64; bounds.len()];
                     let mut events_by = vec![0u64; bounds.len()];
-                    for &h in &schedule {
-                        executed_by[h] += 1;
-                    }
-                    for &(i, _) in &round {
-                        events_by[schedule[(i - base) as usize]] += 1;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "schedule entries index the bounds table both tallies are sized by, and every observation index lies in `base..base + schedule.len()`"
+                    )]
+                    {
+                        for &h in &schedule {
+                            executed_by[h] += 1;
+                        }
+                        for &(i, _) in &round {
+                            events_by[schedule[(i - base) as usize]] += 1;
+                        }
                     }
                     planner.complete_round(&executed_by, &events_by);
                     tagged.extend(round);
@@ -258,7 +265,10 @@ impl StrikeRunner<'_> {
                                 self.golden,
                                 &mut |b, out| {
                                     if let Some(severity) = sdc_severity(out, self.golden) {
-                                        // mpr-allow: panic-reachability -- the batch contract keys callbacks by batch position (`b < batch.len() == indices.len()`); an out-of-range `b` is a workload-override bug the differential tests pin, not a recoverable strike failure
+                                        #[expect(
+                                            clippy::indexing_slicing,
+                                            reason = "the batch contract keys callbacks by batch position (`b < batch.len() == indices.len()`); an out-of-range `b` is a workload-override bug the differential tests pin, not a recoverable strike failure"
+                                        )]
                                         observed.push((indices[b], observe(out, severity)));
                                     }
                                     if self.cancel.is_cancelled() {

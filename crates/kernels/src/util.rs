@@ -37,7 +37,6 @@ pub(crate) fn strike_each(
 #[inline]
 #[expect(clippy::expect_used, reason = "documented under `# Panics`")]
 pub(crate) fn to_u64(count: usize) -> u64 {
-    // mpr-allow: panic-reachability -- usize -> u64 cannot fail on the 64-bit (and smaller) targets the workspace supports; checked rather than silently truncated
     u64::try_from(count).expect("index space exceeds u64")
 }
 

@@ -55,12 +55,6 @@ impl Mebf {
     pub fn ratio_to(&self, baseline: Mebf) -> f64 {
         self.0 / baseline.0
     }
-
-    /// Relative improvement over a baseline, e.g. `0.33` for "completes
-    /// 33% more executions between failures".
-    pub fn improvement_over(&self, baseline: Mebf) -> f64 {
-        self.ratio_to(baseline) - 1.0
-    }
 }
 
 impl fmt::Display for Mebf {
@@ -91,13 +85,6 @@ mod tests {
     fn zero_fit_means_infinite_mebf() {
         let m = Mebf::from_fit(FitRate::from_au(0.0), 1.0);
         assert!(m.executions().is_infinite());
-    }
-
-    #[test]
-    fn improvement_is_ratio_minus_one() {
-        let a = Mebf::from_fit(FitRate::from_au(1.0), 1.0);
-        let b = Mebf::from_fit(FitRate::from_au(1.0), 1.33);
-        assert!((b.improvement_over(a) - (1.0 / 1.33 - 1.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -92,16 +92,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: Vec<D>) -> &mut Table {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders as CSV (no quoting; cells must not contain commas).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -168,9 +158,8 @@ mod tests {
     #[test]
     fn csv_output() {
         let mut t = Table::new(vec!["x", "y"]);
-        t.row_display(vec![1, 2]);
+        t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
-        assert_eq!(t.row_count(), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::stats::poisson_ci95;
 /// determinism contract — changing it changes adaptive results.
 pub const ROUND_STRIKES: u32 = 32;
 
-/// Default number of contiguous fault-site strata. Site spaces are laid
+/// Number of contiguous fault-site strata. Site spaces are laid
 /// out region-major (operand regions first, then the compute chain), so
 /// equal contiguous ranges track the operand/chain x lane structure.
 pub const DEFAULT_STRATA: u32 = 4;
@@ -44,15 +44,11 @@ pub struct SamplingConfig {
     /// Maximum strikes the cell may execute. `None` leaves the driver's
     /// fixed budget (the candidate count) as the cap.
     pub budget: Option<u64>,
-    /// Number of contiguous site strata.
-    pub strata: u32,
-    /// Strikes per decision round.
-    pub round: u32,
 }
 
 impl SamplingConfig {
-    /// A config with the given CI-width target and default strata/round
-    /// geometry.
+    /// A config with the given CI-width target; strata and rounds are
+    /// always [`DEFAULT_STRATA`] and [`ROUND_STRIKES`].
     ///
     /// # Panics
     ///
@@ -65,8 +61,6 @@ impl SamplingConfig {
         SamplingConfig {
             ci_width,
             budget: None,
-            strata: DEFAULT_STRATA,
-            round: ROUND_STRIKES,
         }
     }
 
@@ -253,7 +247,7 @@ impl Planner {
     /// boosts an unconverged cell past its own candidate count.
     pub fn new(sites: u64, budget: u64, config: SamplingConfig) -> Planner {
         let budget = config.budget.unwrap_or(budget);
-        let bounds = strata_bounds(sites, config.strata);
+        let bounds = strata_bounds(sites, DEFAULT_STRATA);
         let stats = vec![StratumStats::default(); bounds.len()];
         Planner {
             config,
@@ -330,7 +324,7 @@ impl Planner {
         if self.converged() || self.executed >= self.budget {
             return None;
         }
-        let n = u64::from(self.config.round).min(self.budget - self.executed);
+        let n = u64::from(ROUND_STRIKES).min(self.budget - self.executed);
         let weights: Vec<f64> = self
             .bounds
             .iter()

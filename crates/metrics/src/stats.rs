@@ -83,25 +83,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (n-1 denominator). Inputs with fewer than two
-/// elements yield 0.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// Geometric mean of strictly positive values. Empty input yields NaN.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,9 +182,6 @@ mod tests {
     fn descriptive_statistics() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), 2.5);
-        assert!((stddev(&xs) - 1.2909944487358056).abs() < 1e-12);
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!(mean(&[]).is_nan());
-        assert_eq!(stddev(&[1.0]), 0.0);
     }
 }

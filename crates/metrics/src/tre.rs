@@ -1,7 +1,5 @@
 //! Tolerated Relative Error analysis.
 
-use crate::FitRate;
-
 /// The severity distribution of a campaign's SDC events, queried as "what
 /// fraction of errors would a user tolerating relative error `t` still
 /// count as failures?" (paper, Section 3.2 and Figures 4, 8, 11).
@@ -60,20 +58,6 @@ impl TreCurve {
         1.0 - self.surviving_fraction(tre)
     }
 
-    /// The FIT rate that remains when outputs within `tre` are accepted.
-    pub fn surviving_fit(&self, base: FitRate, tre: f64) -> FitRate {
-        base.scaled(self.surviving_fraction(tre))
-    }
-
-    /// Samples the curve on a standard log-spaced tolerance grid
-    /// (the thresholds the paper's figures use: 0, then 10^-6 … 10^-1).
-    pub fn sample_standard_grid(&self) -> Vec<(f64, f64)> {
-        Self::standard_grid()
-            .iter()
-            .map(|&t| (t, self.surviving_fraction(t)))
-            .collect()
-    }
-
     /// The standard tolerance grid: `0` plus six decades from 1e-6 to 0.1.
     pub fn standard_grid() -> [f64; 7] {
         [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
@@ -87,9 +71,9 @@ mod tests {
     #[test]
     fn curve_is_monotone_nonincreasing() {
         let curve = TreCurve::from_errors(vec![1e-6, 5e-4, 5e-4, 0.3, 2.0]);
-        let samples = curve.sample_standard_grid();
+        let samples = TreCurve::standard_grid().map(|t| curve.surviving_fraction(t));
         for w in samples.windows(2) {
-            assert!(w[1].1 <= w[0].1, "survival must not increase with TRE");
+            assert!(w[1] <= w[0], "survival must not increase with TRE");
         }
     }
 
@@ -112,14 +96,6 @@ mod tests {
     fn nan_severity_never_tolerated() {
         let curve = TreCurve::from_errors(vec![f64::NAN]);
         assert_eq!(curve.surviving_fraction(1e9), 1.0);
-    }
-
-    #[test]
-    fn surviving_fit_scales_base() {
-        let curve = TreCurve::from_errors(vec![1e-5, 1e-1]);
-        let base = FitRate::from_au(10.0);
-        assert_eq!(curve.surviving_fit(base, 1e-3).au(), 5.0);
-        assert_eq!(curve.surviving_fit(base, 0.0).au(), 10.0);
     }
 
     #[test]

@@ -16,6 +16,11 @@ const CLASSES: usize = 6;
 const HEAD_CH: usize = 5 + CLASSES;
 /// Detection confidence threshold.
 const SCORE_THRESHOLD: f64 = 0.55;
+// Weight seed and synthetic scene, chosen so the fault-free detector
+// finds the scene's objects identically at all three precisions, with
+// confident objectness and competitive class posteriors.
+const SEED: u64 = 0x3CBF;
+const SCENE: u64 = 5;
 
 /// A compact YOLO-style single-shot detector, the stand-in for the
 /// paper's YOLOv3 runs (Section 3.1).
@@ -43,49 +48,34 @@ const SCORE_THRESHOLD: f64 = 0.55;
 /// let detections = TinyYolo::decode(&out);
 /// assert!(!detections.is_empty(), "the synthetic scene has objects");
 /// ```
-#[derive(Debug, Clone)]
-pub struct TinyYolo {
-    seed: u64,
-    scene: u64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct TinyYolo;
 
 impl TinyYolo {
-    /// The default detector on the default synthetic scene.
+    /// The detector on its synthetic scene.
     pub fn new() -> TinyYolo {
-        // Seed/scene pair chosen so the fault-free detector finds the
-        // scene's objects identically at all three precisions, with
-        // confident objectness and competitive class posteriors.
-        TinyYolo {
-            seed: 0x3CBF,
-            scene: 5,
-        }
-    }
-
-    /// Overrides the weight seed.
-    pub fn with_seed(mut self, seed: u64) -> TinyYolo {
-        self.seed = seed;
-        self
+        TinyYolo
     }
 
     fn run<F: FloatExt, H: FaultHook + ?Sized>(&self, hook: &mut H) -> Vec<f64> {
-        let input: Tensor<F> = scene_image(self.scene, 14, 2);
+        let input: Tensor<F> = scene_image(SCENE, 14, 2);
 
         let conv1 = ConvWeights::new(
-            gen_weights(self.seed ^ 1, 8 * 3 * 9, 27),
-            gen_weights(self.seed ^ 2, 8, 27),
+            gen_weights(SEED ^ 1, 8 * 3 * 9, 27),
+            gen_weights(SEED ^ 2, 8, 27),
             3,
             8,
             3,
         );
         let conv2 = ConvWeights::new(
-            gen_weights(self.seed ^ 3, 16 * 8 * 9, 72),
-            gen_weights(self.seed ^ 4, 16, 72),
+            gen_weights(SEED ^ 3, 16 * 8 * 9, 72),
+            gen_weights(SEED ^ 4, 16, 72),
             8,
             16,
             3,
         );
-        let mut head_kernels: Vec<F> = gen_weights(self.seed ^ 5, HEAD_CH * 16, 16);
-        let mut head_biases: Vec<F> = gen_weights(self.seed ^ 6, HEAD_CH, 16);
+        let mut head_kernels: Vec<F> = gen_weights(SEED ^ 5, HEAD_CH * 16, 16);
+        let mut head_biases: Vec<F> = gen_weights(SEED ^ 6, HEAD_CH, 16);
         // A trained detector is *confident*: objectness saturates toward
         // 0/1 instead of skimming the threshold. Widen the objectness
         // logit range by scaling its head channel; class channels stay at
@@ -181,12 +171,6 @@ impl TinyYolo {
             }
         }
         kept
-    }
-}
-
-impl Default for TinyYolo {
-    fn default() -> Self {
-        TinyYolo::new()
     }
 }
 

@@ -94,23 +94,6 @@ impl ProfileSummary {
             .round() as u64
     }
 
-    /// Per-scope totals of a counter, in scope order.
-    pub fn counter_scopes(&self, name: &str) -> Vec<(&str, u64)> {
-        self.counters.get(name).map_or_else(Vec::new, |scopes| {
-            scopes
-                .iter()
-                .map(|(s, a)| (s.as_str(), a.sum.round() as u64))
-                .collect()
-        })
-    }
-
-    /// Total seconds recorded under a timer name, across all scopes.
-    pub fn time_total(&self, name: &str) -> f64 {
-        self.times
-            .get(name)
-            .map_or(0.0, |scopes| scopes.values().map(|a| a.sum).sum())
-    }
-
     /// Aggregate of timer `name` under one specific `scope`, if present.
     pub fn time_scope(&self, name: &str, scope: &str) -> Option<Aggregate> {
         self.times.get(name).and_then(|s| s.get(scope)).copied()
@@ -137,21 +120,6 @@ impl ProfileSummary {
         self.gauges.get(name).map_or_else(Vec::new, |scopes| {
             scopes.iter().map(|(s, a)| (s.as_str(), *a)).collect()
         })
-    }
-
-    /// All counter names present, in order.
-    pub fn counter_names(&self) -> Vec<&str> {
-        self.counters.keys().map(String::as_str).collect()
-    }
-
-    /// All timer names present, in order.
-    pub fn time_names(&self) -> Vec<&str> {
-        self.times.keys().map(String::as_str).collect()
-    }
-
-    /// All gauge names present, in order.
-    pub fn gauge_names(&self) -> Vec<&str> {
-        self.gauges.keys().map(String::as_str).collect()
     }
 }
 
@@ -195,8 +163,6 @@ mod tests {
         assert_eq!(s.counter_total("cache.mem_hit"), 7);
         assert_eq!(s.counter_total("cache.miss"), 1);
         assert_eq!(s.counter_total("absent"), 0);
-        assert_eq!(s.counter_scopes("cache.mem_hit"), vec![("a", 3), ("b", 4)]);
-        assert_eq!(s.counter_names(), vec!["cache.mem_hit", "cache.miss"]);
         assert_eq!(s.events, 4);
     }
 
@@ -217,7 +183,6 @@ mod tests {
         assert_eq!(ranked[0].1.min, 1.0);
         assert_eq!(ranked[0].1.max, 2.0);
         assert_eq!(ranked[0].1.mean(), 1.5);
-        assert_eq!(s.time_total("cell.exec"), 4.75);
         assert!(s.scopes_by_time("absent").is_empty());
     }
 
@@ -232,7 +197,6 @@ mod tests {
         let g = s.gauge_scopes("beam.strikes_per_s");
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].1.mean(), 20.0);
-        assert_eq!(s.gauge_names(), vec!["beam.strikes_per_s"]);
     }
 
     #[test]
@@ -258,10 +222,10 @@ mod tests {
         let s = summarize(&events);
         for cell in [cell_a, cell_b] {
             let of = |name: &str| {
-                s.counter_scopes(name)
-                    .iter()
-                    .find(|(sc, _)| *sc == cell)
-                    .map_or(0, |(_, n)| *n)
+                s.counters
+                    .get(name)
+                    .and_then(|scopes| scopes.get(cell))
+                    .map_or(0.0, |a| a.sum)
             };
             assert_eq!(
                 of("inject.injections"),
@@ -285,6 +249,6 @@ mod tests {
         assert_eq!(s.events, 0);
         assert_eq!(s.span_s, 0.0);
         assert_eq!(s.counter_total("anything"), 0);
-        assert!(s.time_names().is_empty());
+        assert!(s.scopes_by_time("anything").is_empty());
     }
 }

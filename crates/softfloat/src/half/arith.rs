@@ -78,11 +78,6 @@ impl Half {
         Half::from_f32(self.to_f32().trunc())
     }
 
-    /// Fractional part: `self - self.trunc()`.
-    pub fn fract(self) -> Half {
-        self.sub_impl(self.trunc())
-    }
-
     /// Rounds half-way cases away from zero (like `f32::round`).
     pub fn round(self) -> Half {
         Half::from_f32(self.to_f32().round())
@@ -263,16 +258,6 @@ mod tests {
             assert_eq!(h.trunc().to_f64(), v.trunc(), "trunc {v}");
             assert_eq!(h.round().to_f64(), v.round(), "round {v}");
         }
-    }
-
-    #[test]
-    fn fract_plus_trunc_reassembles() {
-        for v in [2.75f64, -2.75, 0.5, -0.5, 1023.5] {
-            let h = Half::from_f64(v);
-            assert_eq!((h.trunc() + h.fract()).to_f64(), v, "{v}");
-        }
-        assert_eq!(Half::from_f64(2.75).fract().to_f64(), 0.75);
-        assert_eq!(Half::from_f64(-2.75).fract().to_f64(), -0.75);
     }
 
     #[test]

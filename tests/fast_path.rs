@@ -3,7 +3,7 @@
 //! to the naive full rerun through `dispatch`, and must not move any
 //! previously observable bit.
 //!
-//! Four layers of evidence:
+//! Three layers of evidence:
 //!
 //! 1. a differential sweep — every workload x supported precision x a
 //!    deterministic spread of fault sites (region boundaries included)
@@ -14,9 +14,7 @@
 //!    values captured from the pre-fast-path implementation;
 //! 3. the experiment engine's on-disk cache bytes, hashed against the
 //!    pre-fast-path bytes under the unchanged `KEY_VERSION` ("v2") —
-//!    the fast path earns zero cache invalidation;
-//! 4. the PH004 panic-reachability roots name methods the `Workload`
-//!    contract really declares, so a rename cannot empty the root set.
+//!    the fast path earns zero cache invalidation.
 #![expect(
     clippy::panic,
     reason = "test helpers outside `#[test]` fns report a broken fixture by panicking"
@@ -235,30 +233,6 @@ fn run_batch(
             out.unwrap_or_else(|| panic!("{} {p}: strike {index} never reported", w.name()))
         })
         .collect()
-}
-
-#[test]
-fn ph004_roots_are_declared_by_the_workload_contract() {
-    // PH004 roots resolve by simple name: if the contract renamed its
-    // strike method, the root set would silently go empty and the lint
-    // would pass vacuously. Parse the contract with the analyzer's own
-    // parser so "declared" means what the call graph will see.
-    use mpr_analyze::{callgraph::ROOT_FNS, parse::ParsedFile, source::SourceFile};
-    let rel = "crates/fault/src/workload.rs";
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/crates/fault/src/workload.rs"
-    ))
-    .expect("read the Workload contract");
-    let file = SourceFile::parse(rel, &text);
-    let parsed = ParsedFile::parse(&file);
-    for name in ROOT_FNS {
-        let declared = parsed
-            .fns
-            .iter()
-            .any(|f| f.name == name && !file.in_test[f.line - 1]);
-        assert!(declared, "PH004 root `{name}` is not declared in {rel}");
-    }
 }
 
 #[test]
