@@ -2,10 +2,10 @@
 
 use crate::BeamSession;
 use mpr_arch::{Device, WorkloadProfile};
-use mpr_fault::{resolve_threads, CampaignError, FaultModel, StrikeRunner, Workload};
-use mpr_metrics::sampling::{rel_ci_width, SamplingPlan};
+use mpr_fault::{CampaignError, FaultModel, StrikeRunner};
+use mpr_metrics::sampling::rel_ci_width;
 use mpr_metrics::{CrossSection, FitRate, Mebf, TreCurve};
-use mpr_obs::{mix_seed, CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER};
+use mpr_obs::{mix_seed, Counter};
 use mpr_softfloat::Precision;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,313 +18,119 @@ pub type SdcLabel = &'static str;
 /// A domain classifier: maps `(golden, faulty)` outputs to an [`SdcLabel`].
 pub type SdcClassifier = dyn Fn(&[f64], &[f64]) -> SdcLabel + Sync;
 
-/// One beam campaign: device x workload x precision x session.
-pub struct BeamCampaign<'a> {
-    device: &'a dyn Device,
-    workload: &'a dyn Workload,
-    profile: &'a WorkloadProfile,
-    precision: Precision,
+/// Runs a beam campaign on `ctx`: `session` hours of `device` running
+/// the context's workload, whose execution is described by `profile`.
+///
+/// Strikes arrive as a Poisson process over the device's exposure;
+/// each compute strike is resolved by injecting a fault into a live
+/// execution (a stuck bit on the FPGA, whose configuration strikes
+/// persist), each control strike is a DUE. `classifier`, when given,
+/// labels every SDC from its `(golden, corrupted)` outputs. Under an
+/// adaptive plan the candidate count is the strike budget, and the SDC
+/// fluence is rescaled so `events / fluence` stays unbiased.
+///
+/// # Panics
+///
+/// Panics if the device does not support the context's precision, and
+/// as [`StrikeRunner::run`] does.
+///
+/// # Errors
+///
+/// As [`StrikeRunner::run`]: watchdog cancellation and worker panics.
+pub fn expose(
+    ctx: &StrikeRunner<'_>,
+    device: &dyn Device,
+    profile: &WorkloadProfile,
     session: BeamSession,
-    strike_batch: usize,
-    sampling: SamplingPlan,
-    classifier: Option<&'a SdcClassifier>,
-    golden: Option<&'a [f64]>,
-    recorder: &'a dyn Recorder,
-    scope: String,
-    cancel: CancelToken,
-}
+    classifier: Option<&SdcClassifier>,
+) -> Result<CampaignResult, CampaignError> {
+    let precision = ctx.precision;
+    assert!(
+        device.supports(precision),
+        "{} has no {precision}-precision hardware",
+        device.name()
+    );
+    let exec_time = device.exec_time(profile, precision);
+    let exposure = device.exposure(profile, precision);
+    let (seconds, fluence, compute_mean, due_mean) = session.dose(&exposure);
+    let width = precision.total_bits();
+    let model = FaultModel::pipeline(exposure.pipeline_fraction);
+    let persistent = exposure.persistence.is_some();
 
-impl std::fmt::Debug for BeamCampaign<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BeamCampaign")
-            .field("device", &self.device.name())
-            .field("workload", &self.workload.name())
-            .field("precision", &self.precision)
-            .field("session", &self.session)
-            .field("strike_batch", &self.strike_batch)
-            .field("sampling", &self.sampling)
-            .field("has_classifier", &self.classifier.is_some())
-            .finish()
-    }
-}
+    // Campaign-level sampling stream: a full splitmix64 avalanche
+    // of (seed, salt), not the old collision-prone `seed ^ salt`.
+    let mut rng = StdRng::seed_from_u64(mix_seed(ctx.seed, 0xBEA0_0000));
+    let candidates = poisson(compute_mean, &mut rng);
+    let due_events = poisson(due_mean, &mut rng);
 
-impl<'a> BeamCampaign<'a> {
-    /// Stages a campaign with the paper-scale session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device or workload does not support the precision.
-    pub fn new(
-        device: &'a dyn Device,
-        workload: &'a dyn Workload,
-        profile: &'a WorkloadProfile,
-        precision: Precision,
-    ) -> BeamCampaign<'a> {
-        assert!(
-            device.supports(precision),
-            "{} has no {precision}-precision hardware",
-            device.name()
-        );
-        assert!(
-            workload.supports(precision),
-            "{} has no {precision}-precision implementation",
-            workload.name()
-        );
-        BeamCampaign {
-            device,
-            workload,
-            profile,
-            precision,
-            session: BeamSession::paper(0),
-            strike_batch: 64,
-            sampling: SamplingPlan::Fixed,
-            classifier: None,
-            golden: None,
-            recorder: &NULL_RECORDER,
-            scope: String::new(),
-            cancel: CancelToken::unlimited(),
-        }
-    }
+    // Resolve candidate strikes by injection, in parallel.
+    let strikes = ctx.run(
+        "beam",
+        candidates,
+        due_events,
+        |rng| {
+            Some(if persistent {
+                // FPGA configuration strike: a rewired LUT or routing
+                // pip acts as a stuck bit on one operation slot. The
+                // paper reprograms at each observed error and runs are
+                // deterministic, so one run decides the strike's fate.
+                FaultModel::StuckBit.sample(width, rng)
+            } else {
+                // Transient strike in a live register / datapath value.
+                model.sample(width, rng)
+            })
+        },
+        |out, severity| {
+            (
+                severity,
+                classifier.map(|classify| classify(ctx.golden, out)),
+            )
+        },
+    )?;
+    Counter::new(ctx.recorder, "beam.candidates", ctx.scope).add(candidates);
+    Counter::new(ctx.recorder, "beam.due", ctx.scope).add(due_events);
+    let executed = strikes.executed;
+    let sdc_events = strikes.observed.len() as u64;
+    let severities: Vec<f64> = strikes.observed.iter().map(|&(s, _)| s).collect();
+    let labels: Vec<SdcLabel> = strikes.observed.iter().filter_map(|&(_, l)| l).collect();
 
-    /// Sets the beam session.
-    pub fn session(mut self, session: BeamSession) -> Self {
-        self.session = session;
-        self
-    }
-
-    /// Sets how many candidate strikes a worker hands to
-    /// [`Workload::run_strike_batch`] per kernel pass (default 64).
-    /// Batch size never changes results: per-strike RNG streams are
-    /// derived from `(seed, strike index)` and every observation is
-    /// tagged with its index, so any batch size is byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn strike_batch(mut self, batch: usize) -> Self {
-        assert!(batch > 0, "strike batch must be at least 1");
-        self.strike_batch = batch;
-        self
-    }
-
-    /// Selects the sampling plan (default [`SamplingPlan::Fixed`], the
-    /// reference oracle). Under [`SamplingPlan::Adaptive`] the campaign
-    /// proceeds in fixed-size decision rounds: strikes are allocated
-    /// across contiguous site strata by Neyman allocation from the
-    /// observed per-stratum SDC variance, and the cell stops as soon as
-    /// the relative `poisson_ci95` width of its SDC count crosses the
-    /// configured target. Every decision is a pure function of
-    /// completed-round statistics keyed by strike index, so adaptive
-    /// results stay byte-identical across `--threads` and
-    /// `strike_batch` (DESIGN.md §4k).
-    pub fn sampling(mut self, plan: SamplingPlan) -> Self {
-        self.sampling = plan;
-        self
-    }
-
-    /// Attaches a domain classifier labelling each SDC from
-    /// `(golden, corrupted)` outputs.
-    pub fn classifier(mut self, classifier: &'a SdcClassifier) -> Self {
-        self.classifier = Some(classifier);
-        self
-    }
-
-    /// Supplies a precomputed golden output, skipping the internal
-    /// golden run. The caller must pass exactly
-    /// `workload.run_golden(precision)` — the engine memoizes this per
-    /// (workload × precision) so shared cells pay for it once.
-    pub fn golden(mut self, golden: &'a [f64]) -> Self {
-        self.golden = Some(golden);
-        self
-    }
-
-    /// Attaches an observability recorder; every event this campaign
-    /// records carries `scope` (typically the canonical cell key).
-    /// Telemetry is read-only metadata — it never perturbs the
-    /// campaign's RNG streams or results.
-    pub fn telemetry(mut self, recorder: &'a dyn Recorder, scope: impl Into<String>) -> Self {
-        self.recorder = recorder;
-        self.scope = scope.into();
-        self
-    }
-
-    /// Attaches a watchdog token (defaults to unlimited). Workers poll
-    /// it at every batch boundary and again after every reported strike
-    /// (so slow workloads on the default strike-at-a-time path keep
-    /// per-strike granularity) and bail out cooperatively when it
-    /// fires; [`BeamCampaign::try_run`] then reports
-    /// [`CampaignError::Cancelled`]. No thread is ever detached.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Runs the campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the campaign is cancelled by its watchdog token or a
-    /// worker panics; callers that need to survive either use
-    /// [`BeamCampaign::try_run`].
-    #[expect(clippy::panic, reason = "documented under `# Panics`")]
-    pub fn run(&self) -> CampaignResult {
-        match self.try_run() {
-            Ok(result) => result,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the campaign, reporting watchdog cancellation and worker
-    /// panics as structured errors instead of unwinding. On `Err` all
-    /// partial work is discarded; a retried campaign with the same seed
-    /// is byte-identical to an untroubled first run.
-    pub fn try_run(&self) -> Result<CampaignResult, CampaignError> {
-        let rec = self.recorder;
-        let wall = Timer::start(rec, "campaign.wall", self.scope.clone());
-        let exec_time = self.device.exec_time(self.profile, self.precision);
-        let exposure = self.device.exposure(self.profile, self.precision);
-        let seconds = self.session.hours * 3600.0;
-        // Flux chosen so the expected compute-strike count hits the
-        // session target; the cross section (events / fluence) does not
-        // depend on it.
-        let flux = self.session.target_candidates as f64 / (exposure.compute * seconds);
-        let fluence = flux * seconds;
-
-        let golden_owned;
-        let golden: &[f64] = match self.golden {
-            Some(g) => g,
-            None => {
-                golden_owned = self.workload.run_golden(self.precision);
-                &golden_owned
+    // The SDC cross section always reads `events / fluence`. On the
+    // fixed path the full fluence applies. On the adaptive path the
+    // raw event count reflects a stratified, early-stopped sample,
+    // so the stored fluence is adjusted until `events / fluence`
+    // equals the unbiased estimate scaled to the full candidate
+    // population: `rate * candidates / session_fluence`. Keeping the
+    // raw integer count means `fit_ci95` still sees the true number
+    // of observations.
+    let sdc_fluence = match strikes.rate {
+        None => fluence,
+        Some(rate) => {
+            if sdc_events > 0 && rate > 0.0 && candidates > 0 {
+                sdc_events as f64 * fluence / (rate * candidates as f64)
+            } else if executed > 0 && candidates > 0 {
+                // No SDCs observed: scale the exposure to the strikes
+                // actually spent, preserving the zero-event upper bound.
+                fluence * executed as f64 / candidates as f64
+            } else {
+                fluence
             }
-        };
-        let width = self.precision.total_bits();
-        let model = FaultModel::pipeline(exposure.pipeline_fraction);
-        let persistent = exposure.persistence.is_some();
-
-        // Campaign-level sampling stream: a full splitmix64 avalanche
-        // of (seed, salt), not the old collision-prone `seed ^ salt`.
-        let mut rng = StdRng::seed_from_u64(mix_seed(self.session.seed, 0xBEA0_0000));
-        let candidates = poisson(flux * exposure.compute * seconds, &mut rng);
-        let due_events = poisson(flux * exposure.due * seconds, &mut rng);
-
-        // Resolve candidate strikes by injection, in parallel.
-        let runner = StrikeRunner {
-            workload: self.workload,
-            precision: self.precision,
-            golden,
-            seed: self.session.seed,
-            budget: candidates,
-            sampling: self.sampling,
-            threads: resolve_threads(self.session.threads),
-            strike_batch: self.strike_batch,
-            cancel: &self.cancel,
-            recorder: rec,
-            busy_timer: "beam.worker_busy",
-            scope: &self.scope,
-        };
-        let strikes = runner.run(
-            |rng| {
-                Some(if persistent {
-                    // FPGA configuration strike: a rewired LUT or routing
-                    // pip acts as a stuck bit on one operation slot. The
-                    // paper reprograms at each observed error and runs are
-                    // deterministic, so one run decides the strike's fate.
-                    FaultModel::StuckBit.sample(width, rng)
-                } else {
-                    // Transient strike in a live register / datapath value.
-                    model.sample(width, rng)
-                })
-            },
-            |out, severity| {
-                let label = self.classifier.map(|classify| classify(golden, out));
-                (severity, label)
-            },
-        );
-        let strikes = match strikes {
-            Ok(s) => s,
-            Err(e) => {
-                wall.cancel();
-                return Err(e);
-            }
-        };
-        let executed = strikes.executed;
-        let sdc_events = strikes.observed.len() as u64;
-        let severities: Vec<f64> = strikes.observed.iter().map(|&(s, _)| s).collect();
-        let labels: Vec<SdcLabel> = strikes.observed.iter().filter_map(|&(_, l)| l).collect();
-
-        Counter::new(rec, "beam.candidates", &self.scope).add(candidates);
-        Counter::new(rec, "beam.executed", &self.scope).add(executed);
-        Counter::new(rec, "beam.sdc", &self.scope).add(sdc_events);
-        Counter::new(rec, "beam.due", &self.scope).add(due_events);
-        // The masked tally covers the executed strikes only, and DUEs
-        // come out of it rather than hiding inside it (they used to be
-        // counted as masked). The DUE cross section is drawn from an
-        // independent control-logic exposure, so in rare quick-scale
-        // sessions the draw exceeds the quiet pool — the tally clamps
-        // so the fates always partition the executed strikes.
-        let quiet = executed - sdc_events;
-        let due_tally = due_events.min(quiet);
-        let masked = quiet - due_tally;
-        assert_eq!(
-            masked + sdc_events + due_tally,
-            executed,
-            "strike fates must sum to the executed strikes"
-        );
-        Counter::new(rec, "beam.masked", &self.scope).add(masked);
-        Counter::new(rec, "beam.strikes_saved", &self.scope)
-            .add(candidates.saturating_sub(executed));
-        let width_now = rel_ci_width(sdc_events);
-        if width_now.is_finite() {
-            Gauge::new(rec, "beam.ci_width", &self.scope).set(width_now);
         }
-        let wall_s = wall.stop();
-        if wall_s > 0.0 {
-            // Executed strikes, not candidates: under early stopping the
-            // two diverge and the old formula overstated throughput.
-            Gauge::new(rec, "beam.strikes_per_s", &self.scope).set(executed as f64 / wall_s);
-            Gauge::new(rec, "beam.utilization", &self.scope)
-                .set(strikes.busy_s / (strikes.workers as f64 * wall_s));
-        }
+    };
 
-        // The SDC cross section always reads `events / fluence`. On the
-        // fixed path the full fluence applies. On the adaptive path the
-        // raw event count reflects a stratified, early-stopped sample,
-        // so the stored fluence is adjusted until `events / fluence`
-        // equals the unbiased estimate scaled to the full candidate
-        // population: `rate * candidates / session_fluence`. Keeping the
-        // raw integer count means `fit_ci95` still sees the true number
-        // of observations.
-        let sdc_fluence = match strikes.rate {
-            None => fluence,
-            Some(rate) => {
-                if sdc_events > 0 && rate > 0.0 && candidates > 0 {
-                    sdc_events as f64 * fluence / (rate * candidates as f64)
-                } else if executed > 0 && candidates > 0 {
-                    // No SDCs observed: scale the exposure to the strikes
-                    // actually spent, preserving the zero-event upper bound.
-                    fluence * executed as f64 / candidates as f64
-                } else {
-                    fluence
-                }
-            }
-        };
-
-        Ok(CampaignResult {
-            device: self.device.name().to_string(),
-            workload: self.workload.name().to_string(),
-            precision: self.precision,
-            exec_time_s: exec_time,
-            runs: seconds / exec_time,
-            fluence,
-            candidates,
-            executed,
-            sdc: CrossSection::new(sdc_events, sdc_fluence),
-            due: CrossSection::new(due_events, fluence),
-            severities,
-            labels,
-        })
-    }
+    Ok(CampaignResult {
+        device: device.name().to_string(),
+        workload: ctx.workload.name().to_string(),
+        precision,
+        exec_time_s: exec_time,
+        runs: seconds / exec_time,
+        fluence,
+        candidates,
+        executed,
+        sdc: CrossSection::new(sdc_events, sdc_fluence),
+        due: CrossSection::new(due_events, fluence),
+        severities,
+        labels,
+    })
 }
 
 /// Poisson sample via inversion for small means and normal approximation
@@ -408,11 +214,6 @@ impl CampaignResult {
         TreCurve::from_errors(self.severities.clone())
     }
 
-    /// Strikes the sampling plan saved against the fixed budget.
-    pub fn strikes_saved(&self) -> u64 {
-        self.candidates.saturating_sub(self.executed)
-    }
-
     /// Relative 95% CI width over the observed SDC count (infinite for
     /// a zero-event campaign).
     pub fn ci_width(&self) -> f64 {
@@ -440,8 +241,28 @@ impl CampaignResult {
 mod tests {
     use super::*;
     use mpr_arch::{Fpga, VoltaGpu, XeonPhiKnc};
+    use mpr_fault::Workload;
     use mpr_kernels::{profiles, Gemm, Lud, Micro, MicroKernelOp};
     use mpr_softfloat::ulp::max_relative_error;
+
+    /// A quick-session campaign expecting `target` compute strikes.
+    fn campaign(
+        device: &dyn Device,
+        workload: &dyn Workload,
+        profile: &WorkloadProfile,
+        precision: Precision,
+        seed: u64,
+        target: u64,
+        classifier: Option<&SdcClassifier>,
+    ) -> CampaignResult {
+        let golden = workload.run_golden(precision);
+        let ctx = StrikeRunner {
+            seed,
+            ..StrikeRunner::new(workload, precision, &golden)
+        };
+        let session = BeamSession::quick().with_target_candidates(target);
+        expose(&ctx, device, profile, session, classifier).expect("clean run")
+    }
 
     #[test]
     fn poisson_small_and_large_means() {
@@ -464,11 +285,7 @@ mod tests {
         let gpu = VoltaGpu::titan_v();
         let micro = Micro::new(MicroKernelOp::Add, 16, 64);
         let profile = profiles::micro(MicroKernelOp::Add);
-        let run = |seed| {
-            BeamCampaign::new(&gpu, &micro, &profile, Precision::Single)
-                .session(BeamSession::quick(seed).with_target_candidates(120))
-                .run()
-        };
+        let run = |seed| campaign(&gpu, &micro, &profile, Precision::Single, seed, 120, None);
         let a = run(5);
         let b = run(5);
         assert_eq!(a.sdc.events(), b.sdc.events());
@@ -487,12 +304,8 @@ mod tests {
         let gpu = VoltaGpu::titan_v();
         let micro = Micro::new(MicroKernelOp::Mul, 16, 64);
         let profile = profiles::micro(MicroKernelOp::Mul);
-        let lo = BeamCampaign::new(&gpu, &micro, &profile, Precision::Half)
-            .session(BeamSession::quick(3).with_target_candidates(400))
-            .run();
-        let hi = BeamCampaign::new(&gpu, &micro, &profile, Precision::Half)
-            .session(BeamSession::quick(3).with_target_candidates(1600))
-            .run();
+        let lo = campaign(&gpu, &micro, &profile, Precision::Half, 3, 400, None);
+        let hi = campaign(&gpu, &micro, &profile, Precision::Half, 3, 1600, None);
         let ratio = lo.fit_sdc().au() / hi.fit_sdc().au();
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
     }
@@ -502,9 +315,7 @@ mod tests {
         let knc = XeonPhiKnc::coprocessor_3120a();
         let lud = Lud::new(16);
         let profile = profiles::lud_knc();
-        let r = BeamCampaign::new(&knc, &lud, &profile, Precision::Double)
-            .session(BeamSession::quick(7).with_target_candidates(200))
-            .run();
+        let r = campaign(&knc, &lud, &profile, Precision::Double, 7, 200, None);
         assert!(r.sdc.events() > 0);
         assert!(r.due.events() > 0, "KNC control strikes cause DUEs");
         assert_eq!(r.severities.len() as u64, r.sdc.events());
@@ -515,9 +326,7 @@ mod tests {
         let fpga = Fpga::zynq7000();
         let gemm = Gemm::new(12);
         let profile = profiles::mxm_fpga();
-        let r = BeamCampaign::new(&fpga, &gemm, &profile, Precision::Half)
-            .session(BeamSession::quick(11).with_target_candidates(150))
-            .run();
+        let r = campaign(&fpga, &gemm, &profile, Precision::Half, 11, 150, None);
         assert_eq!(r.due.events(), 0, "no DUEs observed on the FPGA");
         // Stuck-at faults are sensitized by roughly half the operand
         // patterns; MxM has no structural masking beyond that.
@@ -531,7 +340,7 @@ mod tests {
         let knc = XeonPhiKnc::coprocessor_3120a();
         let lud = Lud::new(8);
         let profile = profiles::lud_knc();
-        let _ = BeamCampaign::new(&knc, &lud, &profile, Precision::Half);
+        let _ = campaign(&knc, &lud, &profile, Precision::Half, 0, 50, None);
     }
 
     #[test]
@@ -546,10 +355,15 @@ mod tests {
                 "small"
             }
         };
-        let r = BeamCampaign::new(&gpu, &gemm, &profile, Precision::Single)
-            .session(BeamSession::quick(13).with_target_candidates(200))
-            .classifier(&classify)
-            .run();
+        let r = campaign(
+            &gpu,
+            &gemm,
+            &profile,
+            Precision::Single,
+            13,
+            200,
+            Some(&classify),
+        );
         assert_eq!(r.labels.len() as u64, r.sdc.events());
         let fractions = r.label_fractions();
         let total: f64 = fractions.iter().map(|(_, f)| f).sum();
@@ -561,9 +375,7 @@ mod tests {
         let gpu = VoltaGpu::titan_v();
         let micro = Micro::new(MicroKernelOp::Fma, 16, 64);
         let profile = profiles::micro(MicroKernelOp::Fma);
-        let r = BeamCampaign::new(&gpu, &micro, &profile, Precision::Double)
-            .session(BeamSession::quick(17).with_target_candidates(150))
-            .run();
+        let r = campaign(&gpu, &micro, &profile, Precision::Double, 17, 150, None);
         let expect = Mebf::from_fit(r.fit_total(), r.exec_time_s);
         assert_eq!(r.mebf(), expect);
         assert!(r.runs > 0.0);

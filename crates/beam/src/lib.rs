@@ -3,9 +3,10 @@
 //! The accelerated neutron-beam campaign simulator — the stand-in for
 //! the paper's ChipIR irradiation (Section 3.2).
 //!
-//! A campaign pairs a [`mpr_arch::Device`] with a
-//! [`mpr_fault::Workload`] at one precision and simulates `hours` of
-//! beam time: strikes arrive as a Poisson process over the device's
+//! The [`expose`] driver pairs a [`mpr_arch::Device`] with the
+//! workload and precision of a campaign context
+//! ([`mpr_fault::StrikeRunner`]) and simulates a [`BeamSession`]'s
+//! hours of beam time: strikes arrive as a Poisson process over the device's
 //! exposed resources; each *compute* strike is resolved by injecting a
 //! fault into a live execution and comparing against the golden output
 //! (SDC or masked), each *control* strike is a DUE, and on the FPGA
@@ -22,18 +23,23 @@
 //!
 //! ```rust
 //! use mpr_arch::VoltaGpu;
-//! use mpr_beam::{BeamCampaign, BeamSession};
+//! use mpr_beam::{expose, BeamSession};
+//! use mpr_fault::{StrikeRunner, Workload};
 //! use mpr_kernels::{profiles, Micro, MicroKernelOp};
 //! use mpr_softfloat::Precision;
 //!
 //! let gpu = VoltaGpu::titan_v();
 //! let micro = Micro::new(MicroKernelOp::Mul, 32, 256);
 //! let profile = profiles::micro(MicroKernelOp::Mul);
-//! let result = BeamCampaign::new(&gpu, &micro, &profile, Precision::Half)
-//!     .session(BeamSession::quick(42))
-//!     .run();
+//! let golden = micro.run_golden(Precision::Half);
+//! let ctx = StrikeRunner {
+//!     seed: 42,
+//!     ..StrikeRunner::new(&micro, Precision::Half, &golden)
+//! };
+//! let result = expose(&ctx, &gpu, &profile, BeamSession::quick(), None)?;
 //! assert!(result.sdc.events() > 0, "strikes must produce some SDCs");
 //! assert!(result.fit_sdc().au() > 0.0);
+//! # Ok::<(), mpr_fault::CampaignError>(())
 //! ```
 
 #![deny(missing_docs)]
@@ -43,5 +49,5 @@
 mod campaign;
 mod session;
 
-pub use campaign::{BeamCampaign, CampaignResult, SdcClassifier, SdcLabel};
+pub use campaign::{expose, CampaignResult, SdcClassifier, SdcLabel};
 pub use session::BeamSession;

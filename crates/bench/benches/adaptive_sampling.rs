@@ -29,8 +29,8 @@
 )]
 
 use mpr_arch::Fpga;
-use mpr_beam::{BeamCampaign, BeamSession};
-use mpr_fault::InjectionCampaign;
+use mpr_beam::{expose, BeamSession};
+use mpr_fault::{inject, FaultModel, StrikeRunner, Workload};
 use mpr_kernels::{profiles, Gemm};
 use mpr_metrics::{SamplingConfig, SamplingPlan};
 use mpr_obs::json::{self, Value};
@@ -72,13 +72,16 @@ fn measure_beam(budget: u64, config: SamplingConfig) -> Measurement {
     let gemm8 = Gemm::new(8);
     let fpga = Fpga::zynq7000();
     let profile = profiles::mxm_fpga();
-    let run = |plan: SamplingPlan| {
-        let mut session = BeamSession::quick(11).with_target_candidates(budget);
-        session.threads = 2;
-        BeamCampaign::new(&fpga, &gemm8, &profile, Precision::Half)
-            .session(session)
-            .sampling(plan)
-            .run()
+    let golden = gemm8.run_golden(Precision::Half);
+    let run = |sampling: SamplingPlan| {
+        let ctx = StrikeRunner {
+            seed: 11,
+            sampling,
+            threads: 2,
+            ..StrikeRunner::new(&gemm8, Precision::Half, &golden)
+        };
+        let session = BeamSession::quick().with_target_candidates(budget);
+        expose(&ctx, &fpga, &profile, session, None).expect("beam campaign")
     };
     let fixed = run(SamplingPlan::Fixed);
     let adaptive = run(SamplingPlan::Adaptive(config));
@@ -96,13 +99,15 @@ fn measure_beam(budget: u64, config: SamplingConfig) -> Measurement {
 /// The CAROL-FI style GEMM injection campaign, fixed vs adaptive.
 fn measure_inject(budget: u64, config: SamplingConfig) -> Measurement {
     let gemm10 = Gemm::new(10);
-    let run = |plan: SamplingPlan| {
-        InjectionCampaign::new(&gemm10, Precision::Single)
-            .injections(budget)
-            .seed(42)
-            .threads(2)
-            .sampling(plan)
-            .run()
+    let golden = gemm10.run_golden(Precision::Single);
+    let run = |sampling: SamplingPlan| {
+        let ctx = StrikeRunner {
+            seed: 42,
+            sampling,
+            threads: 2,
+            ..StrikeRunner::new(&gemm10, Precision::Single, &golden)
+        };
+        inject(&ctx, budget, FaultModel::SingleBit, 1.0).expect("injection campaign")
     };
     let fixed = run(SamplingPlan::Fixed);
     let adaptive = run(SamplingPlan::Adaptive(config));

@@ -276,6 +276,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     .unwrap_or(2000),
                 sampling(&f, StudyScale::Quick)?,
             );
+            if !key.session_runs() {
+                return Err(ParseError(format!(
+                    "`--hours` expects beam hours with a finite fluence and strike count, got `{}`",
+                    f.get("--hours").unwrap_or_default()
+                )));
+            }
             return cell(key, &f);
         }
         "inject" => {
@@ -952,6 +958,25 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn hours_must_leave_a_finite_session() {
+        for hours in ["1e305", "5e-324"] {
+            let err = parse_err(&format!(
+                "campaign --device gpu --workload mxm --precision half --strikes 10 --hours {hours}"
+            ));
+            assert!(err.0.contains("`--hours`"), "{hours}: {err:?}");
+            assert!(err.0.contains(hours), "{hours}: {err:?}");
+        }
+        // Every device runs the hours the tests, CI and the study use.
+        for device in ["gpu", "gpu-ecc", "knc", "zynq"] {
+            for hours in ["0.5", "4", "10", "100"] {
+                parse_ok(&format!(
+                    "campaign --device {device} --workload mxm --precision single --hours {hours}"
+                ));
+            }
+        }
     }
 
     #[test]

@@ -267,15 +267,8 @@ fn print_convergence(store: &ResultStore) {
         .with_title("per-cell convergence".to_string());
     let mut rows = 0u32;
     for (key, result) in store.snapshot() {
-        let (budget, executed, width) = match &result {
-            CellResult::Beam(r) => (r.candidates, r.executed, r.ci_width()),
-            CellResult::Inject(r) => {
-                let Some(budget) = inject_budget(&key) else {
-                    continue;
-                };
-                (budget, r.counts.total(), rel_ci_width(r.counts.sdc))
-            }
-            CellResult::Accumulate(_) => continue,
+        let Some((budget, executed, width)) = convergence(&key, &result) else {
+            continue;
         };
         t.row(vec![
             cell_label(&key),
@@ -306,17 +299,28 @@ fn cell_label(store_key: &str) -> String {
         .to_string()
 }
 
-/// The strike budget of an injection cell, recovered from its store
-/// key: the adaptive `b:` override when present (a reallocation-boosted
-/// rerun), otherwise the `n=` request. `None` when the key doesn't
-/// carry either token.
-fn inject_budget(store_key: &str) -> Option<u64> {
+/// A campaign cell's strike budget, executed strikes and SDC CI width.
+/// The budget is the one the sampling planner ran with: the adaptive
+/// `b:` override when the key carries one (a reallocation-boosted rerun
+/// or `--strike-budget`), otherwise the cell's default, which is a beam
+/// cell's candidate count and an injection cell's `n=` request. `None`
+/// for accumulation cells, which have no strike budget.
+fn convergence(key: &str, result: &CellResult) -> Option<(u64, u64, f64)> {
     let field = |marker: &str| -> Option<u64> {
-        let rest = store_key.split(marker).nth(1)?;
+        let rest = key.split(marker).nth(1)?;
         let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
         digits.parse().ok()
     };
-    field(";b:").or_else(|| field("inj:n="))
+    let (default, executed, width) = match result {
+        CellResult::Beam(r) => (Some(r.candidates), r.executed, r.ci_width()),
+        CellResult::Inject(r) => (
+            field("inj:n="),
+            r.counts.total(),
+            rel_ci_width(r.counts.sdc),
+        ),
+        CellResult::Accumulate(_) => return None,
+    };
+    Some((field(";b:").or(default)?, executed, width))
 }
 
 /// Exit 0 on a clean tree, 1 on any finding, 2 when the tree cannot
@@ -456,13 +460,14 @@ fn run_cell(key: CellKey, engine: Engine) -> i32 {
     };
     match key.kind {
         CellKind::Inject { model, .. } => print_inject(cell.inject(), key.precision, model),
-        _ => print_beam(&cell, key.precision),
+        _ => print_beam(&key, &cell),
     }
     0
 }
 
-fn print_beam(cell: &CellResult, precision: Precision) {
+fn print_beam(key: &CellKey, cell: &CellResult) {
     let result = cell.beam();
+    let precision = key.precision;
     let mut t = Table::new(vec!["quantity", "value"]).with_title(format!(
         "{} / {} / {precision}",
         result.device, result.workload
@@ -477,10 +482,11 @@ fn print_beam(cell: &CellResult, precision: Precision) {
         result.candidates.to_string(),
     ]);
     if result.executed != result.candidates {
+        let budget = convergence(&key.canonical(), cell).map_or(result.candidates, |(b, ..)| b);
         t.row(vec!["executed strikes".into(), result.executed.to_string()]);
         t.row(vec![
             "strikes saved".into(),
-            result.strikes_saved().to_string(),
+            budget.saturating_sub(result.executed).to_string(),
         ]);
     }
     t.row(vec!["SDC events".into(), result.sdc.events().to_string()]);
@@ -526,22 +532,120 @@ fn print_inject(report: &InjectionReport, precision: Precision, model: FaultMode
 
 #[cfg(test)]
 mod tests {
-    use super::{cell_label, inject_budget, run_analyze};
+    use super::{cell_label, convergence, run_analyze};
+    use mpr_beam::CampaignResult;
+    use mpr_exp::{
+        AccumulateOutcome, CellKey, CellKind, CellResult, ClassifierId, DeviceId, Engine,
+        ExperimentPlan, ResultStore, SamplingConfig, SamplingPlan, WorkloadId,
+    };
+    use mpr_fault::{FaultModel, InjectionReport};
+    use mpr_metrics::{CrossSection, OutcomeCounts};
+    use mpr_softfloat::Precision;
+    use std::sync::Arc;
+
+    fn budget(key: &str, result: &CellResult) -> Option<u64> {
+        convergence(key, result).map(|(budget, ..)| budget)
+    }
 
     #[test]
-    fn inject_budget_reads_request_and_adaptive_override() {
+    fn strike_budget_reads_request_and_adaptive_override() {
+        let inject = CellResult::Inject(InjectionReport {
+            workload: "gemm".to_string(),
+            precision: Precision::Half,
+            counts: OutcomeCounts {
+                masked: 1,
+                sdc: 63,
+                due: 0,
+            },
+            severities: vec![1.0; 63],
+        });
         let fixed = "seed=00000000000007e3;v2;dev=knc;wl=gemm:12;p=half;\
                      k=inj:n=400,m=sb,lf=3ff0000000000000";
-        assert_eq!(inject_budget(fixed), Some(400));
+        assert_eq!(budget(fixed, &inject), Some(400));
         // The adaptive `b:` override (a reallocation-boosted rerun)
         // wins over the `n=` request; `b:-` means no override.
         let boosted = "seed=00000000000007e3;v2;dev=knc;wl=gemm:12;p=half;\
                        k=inj:n=400,m=sb,lf=3ff0000000000000,\
                        a=w:3fe999999999999a;b:512;s:4;r:32";
-        assert_eq!(inject_budget(boosted), Some(512));
+        assert_eq!(budget(boosted, &inject), Some(512));
         let unboosted = "k=inj:n=400,m=sb,a=w:3fe999999999999a;b:-;s:4;r:32";
-        assert_eq!(inject_budget(unboosted), Some(400));
-        assert_eq!(inject_budget("k=acc:k=3,t=40"), None);
+        assert_eq!(budget(unboosted, &inject), Some(400));
+        let accumulate = CellResult::Accumulate(AccumulateOutcome {
+            sdc_probability: 0.5,
+            corruption_extent: 0.1,
+            trials: 40,
+        });
+        assert_eq!(budget("k=acc:k=3,t=40", &accumulate), None);
+
+        // A beam cell's default budget is its candidate count; the
+        // override wins there too.
+        let beam = CellResult::Beam(CampaignResult {
+            device: "Titan V".to_string(),
+            workload: "gemm".to_string(),
+            precision: Precision::Half,
+            exec_time_s: 1.0,
+            runs: 10.0,
+            fluence: 1.0,
+            candidates: 236,
+            executed: 288,
+            sdc: CrossSection::new(3, 1.0),
+            due: CrossSection::new(0, 1.0),
+            severities: vec![1.0; 3],
+            labels: Vec::new(),
+        });
+        assert_eq!(budget("k=beam:h=4,t=150;b:-;s:4;r:32", &beam), Some(236));
+        assert_eq!(budget("k=beam:h=4,t=150;b:928;s:4;r:32", &beam), Some(928));
+    }
+
+    #[test]
+    fn a_boosted_beam_row_reports_its_own_budget() {
+        // A converged injection cell donates its spare strikes; the
+        // unconverged beam cell reruns under a boosted `b:` budget,
+        // which its convergence row must report rather than the
+        // session's candidate count.
+        let config = SamplingConfig::quick().with_ci_width(0.3);
+        let rich = CellKey::inject(
+            WorkloadId::Gemm { dim: 10 },
+            Precision::Single,
+            600,
+            FaultModel::SingleBit,
+            1.0,
+            SamplingPlan::Adaptive(config),
+        );
+        let noisy = CellKey {
+            device: DeviceId::Zynq7000,
+            workload: WorkloadId::Gemm { dim: 8 },
+            precision: Precision::Half,
+            kind: CellKind::Beam {
+                hours: 4.0,
+                target_candidates: 150,
+                classifier: ClassifierId::None,
+                sampling: SamplingPlan::Adaptive(config),
+            },
+        };
+        let store = Arc::new(ResultStore::in_memory());
+        let engine = Engine::new(99).with_threads(2).with_store(store.clone());
+        let mut plan = ExperimentPlan::new();
+        plan.push(rich);
+        plan.push(noisy);
+        engine.run(&plan);
+        let boosted: Vec<(String, CellResult)> = store
+            .snapshot()
+            .into_iter()
+            .filter(|(key, _)| key.contains("k=beam") && !key.contains(";b:-"))
+            .collect();
+        assert_eq!(boosted.len(), 1, "one boosted beam cell");
+        let (key, result) = &boosted[0];
+        let b: u64 = key
+            .split(";b:")
+            .nth(1)
+            .and_then(|rest| rest.split(';').next())
+            .and_then(|digits| digits.parse().ok())
+            .expect("a `b:` budget");
+        let (budget, executed, _) = convergence(key, result).expect("a beam row");
+        assert_eq!(budget, b, "{key}");
+        assert_ne!(budget, result.beam().candidates, "{key}");
+        assert!(executed <= budget, "executed {executed} of {budget}");
     }
 
     #[test]

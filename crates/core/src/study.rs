@@ -241,7 +241,7 @@ impl Study {
 
     /// An injection cell at this study's scale, with the given fault
     /// model and live fraction (blind injections land in dead state
-    /// the rest of the time — see `InjectionCampaign::live_fraction`).
+    /// the rest of the time — see `mpr_fault::inject`).
     pub(crate) fn inject_cell(
         &self,
         workload: WorkloadId,

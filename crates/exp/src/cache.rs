@@ -10,10 +10,10 @@
 //! (which is part of every store key) to invalidate all entries when
 //! execution semantics change.
 
-use crate::store::{AccumulateOutcome, CellResult};
+use crate::store::CellResult;
 use crate::vfs::{commit_durable, Vfs};
 use mpr_beam::{CampaignResult, SdcLabel};
-use mpr_fault::InjectionReport;
+use mpr_fault::{AccumulateOutcome, InjectionReport};
 use mpr_metrics::{CrossSection, OutcomeCounts};
 use mpr_obs::fnv1a64;
 use mpr_obs::json::{str_json, Reader};

@@ -8,7 +8,7 @@
 //! the cell's RNG seed is derived.
 
 use mpr_arch::{Device, Fpga, VoltaGpu, WorkloadProfile, XeonPhiKnc};
-use mpr_beam::SdcClassifier;
+use mpr_beam::{BeamSession, SdcClassifier};
 use mpr_fault::hostile::{HostileMode, HostileWorkload};
 use mpr_fault::{FaultModel, Workload};
 use mpr_kernels::{profiles as kprofiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
@@ -508,6 +508,29 @@ impl CellKey {
             _ => true,
         };
         dev_ok && self.workload.build().supports(self.precision)
+    }
+
+    /// Whether a beam cell's session can run on its device
+    /// ([`BeamSession::runs_on`]): hours near the ends of the `f64`
+    /// range leave no finite fluence or strike count. Other kinds, and
+    /// beam cells the device has no hardware for, pass.
+    pub fn session_runs(&self) -> bool {
+        let CellKind::Beam {
+            hours,
+            target_candidates,
+            ..
+        } = self.kind
+        else {
+            return true;
+        };
+        let device = self.device.build();
+        let session = BeamSession {
+            hours,
+            target_candidates,
+        };
+        !device.supports(self.precision)
+            || session
+                .runs_on(&device.exposure(&self.workload.profile(self.device), self.precision))
     }
 }
 

@@ -6,13 +6,12 @@
 use crate::cell::{CellKey, CellKind};
 use crate::failure::{failure_table, CellFailure, FailureKind};
 use crate::manifest::{CellState, CellStatus, Manifest};
-use crate::store::{AccumulateOutcome, CellResult, LookupSource, ResultStore};
-use mpr_beam::{BeamCampaign, BeamSession};
-use mpr_fault::hook::MultiStrikeHook;
-use mpr_fault::{resolve_threads, CampaignError, InjectionCampaign, ValueFault};
+use crate::store::{CellResult, LookupSource, ResultStore};
+use mpr_beam::{expose, BeamSession};
+use mpr_fault::{accumulate, inject, CampaignError, StrikeRunner};
 use mpr_metrics::sampling::{largest_remainder, rel_ci_width, SamplingPlan};
 use mpr_obs::{
-    fnv1a64, panic_message, CancelToken, Counter, Metric, NullRecorder, Recorder, SplitMix, Timer,
+    fnv1a64, panic_message, CancelToken, Counter, Metric, NullRecorder, Recorder, Timer,
 };
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
@@ -208,11 +207,6 @@ impl Engine {
         self.cell_timeout
     }
 
-    /// The resolved worker-thread count.
-    pub fn threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
-
     /// Runs a plan: dedups the requested cells, executes the unique
     /// misses one after another (each on every worker thread), and
     /// returns one result per request, in request order.
@@ -255,8 +249,8 @@ impl Engine {
     /// manifest is updated with every cell's status.
     ///
     /// Unique cells resolve one at a time, in request order: a store hit
-    /// is served as is, and a miss runs its campaign with
-    /// [`Engine::threads`] strike workers before the next cell starts.
+    /// is served as is, and a miss runs its campaign on the engine's
+    /// worker threads before the next cell starts.
     pub fn try_run(&self, plan: &ExperimentPlan) -> Vec<Result<CellResult, CellFailure>> {
         let rec = &*self.recorder;
         let wall = Timer::start(rec, "plan.wall", "");
@@ -626,9 +620,10 @@ impl Engine {
         }
     }
 
-    /// Executes one cell, its campaign's strikes spread over every
-    /// worker thread. This is the only place campaigns are constructed;
-    /// the watchdog token is threaded into every campaign driver.
+    /// Executes one cell: builds its one campaign context (memoized
+    /// golden run, cell seed, sampling plan, worker threads, telemetry
+    /// scope and the attempt's watchdog token) and hands it to the
+    /// cell kind's driver.
     fn execute(
         &self,
         key: &CellKey,
@@ -636,118 +631,58 @@ impl Engine {
         token: &CancelToken,
     ) -> Result<CellResult, CampaignError> {
         let rec = &*self.recorder;
-        let seed = key.cell_seed(self.seed);
         let workload = key.workload.build();
         let golden_key = key.workload.golden_key(key.precision);
-        let memoized_golden = |store: &ResultStore| {
-            let computed = AtomicBool::new(false);
-            let golden = store.golden(&golden_key, || {
-                computed.store(true, Ordering::Relaxed);
-                workload.run_golden(key.precision)
-            });
-            let counter = if computed.load(Ordering::Relaxed) {
-                "golden.compute"
-            } else {
-                "golden.reuse"
-            };
-            Counter::new(rec, counter, &golden_key).incr();
-            golden
+        let computed = AtomicBool::new(false);
+        let golden = self.store.golden(&golden_key, || {
+            computed.store(true, Ordering::Relaxed);
+            workload.run_golden(key.precision)
+        });
+        let counter = if computed.load(Ordering::Relaxed) {
+            "golden.compute"
+        } else {
+            "golden.reuse"
+        };
+        Counter::new(rec, counter, &golden_key).incr();
+        let ctx = StrikeRunner {
+            seed: key.cell_seed(self.seed),
+            sampling: key.kind.sampling(),
+            threads: self.threads,
+            recorder: rec,
+            scope: canonical,
+            cancel: token.clone(),
+            ..StrikeRunner::new(workload.as_ref(), key.precision, &golden)
         };
         match key.kind {
             CellKind::Beam {
                 hours,
                 target_candidates,
                 classifier,
-                sampling,
+                ..
             } => {
                 let device = key.device.build();
                 let profile = key.workload.profile(key.device);
-                let golden = memoized_golden(&self.store);
                 let session = BeamSession {
                     hours,
                     target_candidates,
-                    seed,
-                    threads: self.threads(),
                 };
-                let mut campaign =
-                    BeamCampaign::new(device.as_ref(), workload.as_ref(), &profile, key.precision)
-                        .session(session)
-                        .sampling(sampling)
-                        .golden(&golden)
-                        .telemetry(rec, canonical)
-                        .cancel_token(token.clone());
-                if let Some(classify) = classifier.classifier() {
-                    campaign = campaign.classifier(classify);
-                }
-                campaign.try_run().map(CellResult::Beam)
+                expose(
+                    &ctx,
+                    device.as_ref(),
+                    &profile,
+                    session,
+                    classifier.classifier(),
+                )
+                .map(CellResult::Beam)
             }
             CellKind::Inject {
                 injections,
                 model,
                 live_fraction,
-                sampling,
-            } => {
-                let golden = memoized_golden(&self.store);
-                InjectionCampaign::new(workload.as_ref(), key.precision)
-                    .injections(injections)
-                    .seed(seed)
-                    .model(model)
-                    .live_fraction(live_fraction)
-                    .sampling(sampling)
-                    .threads(self.threads())
-                    .golden(&golden)
-                    .telemetry(rec, canonical)
-                    .cancel_token(token.clone())
-                    .try_run()
-                    .map(CellResult::Inject)
-            }
+                ..
+            } => inject(&ctx, injections, model, live_fraction).map(CellResult::Inject),
             CellKind::Accumulate { faults, trials } => {
-                let golden = memoized_golden(&self.store);
-                let sites = workload.site_count(key.precision);
-                let width = key.precision.total_bits();
-                let mut rng = SplitMix::new(seed);
-                let mut sdc = 0u64;
-                let mut corrupted_sum = 0.0;
-                for _ in 0..trials {
-                    // Watchdog poll at trial granularity — one trial is
-                    // a full workload run, the accumulation loop's
-                    // strike batch.
-                    if token.is_cancelled() {
-                        return Err(CampaignError::Cancelled);
-                    }
-                    let strikes: Vec<(u64, ValueFault)> = (0..faults)
-                        .map(|_| {
-                            let site = rng.next_u64() % sites;
-                            let bit = (rng.next_u64() % width as u64) as u32;
-                            let fault = if rng.next_u64().is_multiple_of(2) {
-                                ValueFault::StuckHigh(bit)
-                            } else {
-                                ValueFault::StuckLow(bit)
-                            };
-                            (site, fault)
-                        })
-                        .collect();
-                    let mut hook = MultiStrikeHook::new(strikes);
-                    let out = workload.dispatch(key.precision, &mut hook);
-                    let corrupted = out
-                        .iter()
-                        .zip(golden.iter())
-                        .filter(|(a, b)| a.to_bits() != b.to_bits())
-                        .count();
-                    if corrupted > 0 {
-                        sdc += 1;
-                        corrupted_sum += corrupted as f64 / golden.len().max(1) as f64;
-                    }
-                }
-                Ok(CellResult::Accumulate(AccumulateOutcome {
-                    sdc_probability: sdc as f64 / trials.max(1) as f64,
-                    corruption_extent: if sdc > 0 {
-                        corrupted_sum / sdc as f64
-                    } else {
-                        0.0
-                    },
-                    trials,
-                }))
+                accumulate(&ctx, faults, trials).map(CellResult::Accumulate)
             }
         }
     }

@@ -74,11 +74,13 @@ pub use cell::{CellKey, CellKind, ClassifierId, DeviceId, WorkloadId, KEY_VERSIO
 pub use engine::{Engine, ExperimentPlan};
 pub use failure::{failure_table, CellFailure, FailureKind};
 pub use manifest::{manifest_path, CellState, CellStatus, Manifest, MANIFEST_FILE};
+/// Re-exported from [`mpr_fault`], whose accumulation driver produces it.
+pub use mpr_fault::AccumulateOutcome;
 /// Re-exported from [`mpr_metrics::sampling`] so plan builders can pick a
 /// strike-sampling strategy without depending on the metrics crate directly.
 pub use mpr_metrics::{SamplingConfig, SamplingPlan};
 /// Re-exported from [`mpr_obs::seed`], the workspace's shared
 /// seed-derivation scheme (kept here for backwards compatibility).
 pub use mpr_obs::{fnv1a64, mix_seed, splitmix64, SplitMix};
-pub use store::{AccumulateOutcome, CellResult, LookupSource, ResultStore};
+pub use store::{CellResult, LookupSource, ResultStore};
 pub use vfs::{commit_durable, ChaosConfig, ChaosFs, ChaosStats, RealFs, Vfs};

@@ -5,23 +5,11 @@ use crate::cache;
 use crate::cell::CellKey;
 use crate::vfs::{RealFs, Vfs};
 use mpr_beam::CampaignResult;
-use mpr_fault::InjectionReport;
+use mpr_fault::{AccumulateOutcome, InjectionReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// The outcome of an FPGA error-accumulation cell: `trials` runs with
-/// `faults` stuck-at configuration upsets piled up in each.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccumulateOutcome {
-    /// Fraction of trials whose output was corrupted.
-    pub sdc_probability: f64,
-    /// Mean fraction of output elements corrupted, among SDC trials.
-    pub corruption_extent: f64,
-    /// Number of trials behind the estimate.
-    pub trials: u32,
-}
 
 /// The result of one executed (or cached) experiment cell.
 #[derive(Debug, Clone)]

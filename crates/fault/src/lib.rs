@@ -16,17 +16,22 @@
 //! * [`hook`] — the instrumentation used by kernels to expose every
 //!   intermediate value as a fault site with a single code path for
 //!   golden, counting, and injected runs.
-//! * [`StrikeRunner`] — the one strike loop behind injection and beam
-//!   campaigns: seeded draws, batched parallel execution, cancellation,
-//!   panic capture and the strike-index merge, fixed or adaptive.
-//! * [`InjectionCampaign`] — N seeded injections on the runner, producing
-//!   outcome counts, AVF/PVF estimates, and the per-SDC severity list that
-//!   feeds the TRE analysis.
+//! * [`StrikeRunner`] — one campaign's context (workload, precision,
+//!   golden run, seed, sampling plan, threads, batching, telemetry,
+//!   watchdog) and the one strike loop behind every driver: seeded
+//!   draws, batched parallel execution, cancellation, panic capture,
+//!   the strike-index merge, fixed or adaptive, and the shared
+//!   telemetry tail.
+//! * [`inject`] — the injection driver: N seeded injections on the
+//!   context, producing outcome counts, AVF/PVF estimates, and the
+//!   per-SDC severity list that feeds the TRE analysis.
+//! * [`accumulate`] — the error-accumulation driver: serial trials with
+//!   several stuck-at faults piled up in each.
 //!
 //! # Example
 //!
 //! ```rust
-//! use mpr_fault::{FaultModel, InjectionCampaign, Workload};
+//! use mpr_fault::{inject, FaultModel, StrikeRunner, Workload};
 //! use mpr_fault::hook::{FaultHook, HookExt};
 //! use mpr_softfloat::{FloatExt, Precision};
 //!
@@ -52,14 +57,16 @@
 //!     mpr_fault::monomorphic_workload!();
 //! }
 //!
-//! let report = InjectionCampaign::new(&Sum8, Precision::Single)
-//!     .injections(200)
-//!     .seed(7)
-//!     .model(FaultModel::single_bit())
-//!     .run();
+//! let golden = Sum8.run_golden(Precision::Single);
+//! let ctx = StrikeRunner {
+//!     seed: 7,
+//!     ..StrikeRunner::new(&Sum8, Precision::Single, &golden)
+//! };
+//! let report = inject(&ctx, 200, FaultModel::single_bit(), 1.0)?;
 //! assert_eq!(report.counts.total(), 200);
 //! // Most single-bit flips in a live accumulator reach the output.
 //! assert!(report.vulnerability().factor() > 0.5);
+//! # Ok::<(), mpr_fault::CampaignError>(())
 //! ```
 
 #![deny(missing_docs)]
@@ -73,12 +80,12 @@ mod model;
 mod runner;
 mod workload;
 
-pub use campaign::{CampaignError, InjectionCampaign, InjectionReport};
+pub use campaign::{accumulate, inject, AccumulateOutcome, CampaignError, InjectionReport};
 pub use model::{FaultModel, ValueFault};
 /// The workspace's one splitmix64 mixer and input generator, for
 /// workload crates that synthesize deterministic inputs with them.
 pub use mpr_obs::{gen_value, splitmix64};
-pub use runner::{resolve_threads, StrikeRunner, Strikes};
+pub use runner::{StrikeRunner, Strikes};
 pub use workload::Workload;
 
 // The exported macros name the precision and float types through

@@ -49,15 +49,23 @@ fn severity_histograms_expose_the_mantissa_floor() {
     // A half-precision campaign cannot produce relative errors below
     // ~2^-11; the histogram's low decades must be empty.
     use mixed_precision_reliability::arch::VoltaGpu;
-    use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
+    use mixed_precision_reliability::beam::{expose, BeamSession, CampaignResult};
+    use mixed_precision_reliability::fault::{StrikeRunner, Workload};
     use mixed_precision_reliability::kernels::{profiles, Gemm};
 
     let gpu = VoltaGpu::titan_v();
     let gemm = Gemm::new(12);
     let prof = profiles::mxm_gpu();
-    let result = BeamCampaign::new(&gpu, &gemm, &prof, Precision::Half)
-        .session(BeamSession::quick(63).with_target_candidates(400))
-        .run();
+    let campaign = |precision: Precision| -> CampaignResult {
+        let golden = gemm.run_golden(precision);
+        let ctx = StrikeRunner {
+            seed: 63,
+            ..StrikeRunner::new(&gemm, precision, &golden)
+        };
+        let session = BeamSession::quick().with_target_candidates(400);
+        expose(&ctx, &gpu, &prof, session, None).expect("clean run")
+    };
+    let result = campaign(Precision::Half);
     let hist = SeverityHistogram::from_errors(&result.severities);
     let empty_low_decades: u64 = hist
         .decades()
@@ -67,9 +75,7 @@ fn severity_histograms_expose_the_mantissa_floor() {
         .sum();
     assert_eq!(empty_low_decades, 0, "half has no sub-1e-5 severities");
     // Whereas double populates them.
-    let result_d = BeamCampaign::new(&gpu, &gemm, &prof, Precision::Double)
-        .session(BeamSession::quick(63).with_target_candidates(400))
-        .run();
+    let result_d = campaign(Precision::Double);
     let hist_d = SeverityHistogram::from_errors(&result_d.severities);
     let low_d: u64 = hist_d
         .decades()

@@ -23,14 +23,16 @@
     reason = "test helpers outside `#[test]` fns report a broken fixture by panicking"
 )]
 
-use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
-use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
+use mixed_precision_reliability::arch::{Device, Fpga, VoltaGpu, WorkloadProfile};
+use mixed_precision_reliability::beam::{expose, BeamSession, CampaignResult};
 use mixed_precision_reliability::core::Study;
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, ClassifierId, DeviceId, Engine, ExperimentPlan, ResultStore, SamplingConfig,
     SamplingPlan, WorkloadId,
 };
-use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign};
+use mixed_precision_reliability::fault::{
+    inject, FaultModel, InjectionReport, StrikeRunner, Workload,
+};
 use mixed_precision_reliability::kernels::{profiles, Gemm};
 use mixed_precision_reliability::obs::{fnv1a64, JsonlRecorder, Metric};
 use mixed_precision_reliability::softfloat::Precision;
@@ -45,19 +47,60 @@ fn hash_f64s(v: &[f64]) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// A beam campaign of GEMM-8 at `precision`: a quick session expecting
+/// 150 compute strikes, on `threads` workers in batches of `batch`.
+fn beam(
+    device: &dyn Device,
+    profile: &WorkloadProfile,
+    precision: Precision,
+    seed: u64,
+    sampling: SamplingPlan,
+    threads: usize,
+    batch: usize,
+) -> CampaignResult {
+    let gemm8 = Gemm::new(8);
+    let golden = gemm8.run_golden(precision);
+    let ctx = StrikeRunner {
+        seed,
+        sampling,
+        threads,
+        strike_batch: batch,
+        ..StrikeRunner::new(&gemm8, precision, &golden)
+    };
+    let session = BeamSession::quick().with_target_candidates(150);
+    expose(&ctx, device, profile, session, None).expect("clean run")
+}
+
+/// 300 single-bit injections into single-precision GEMM-8, seed 42, on
+/// `threads` workers in batches of `batch`.
+fn inject300(sampling: SamplingPlan, threads: usize, batch: usize) -> InjectionReport {
+    let gemm8 = Gemm::new(8);
+    let golden = gemm8.run_golden(Precision::Single);
+    let ctx = StrikeRunner {
+        seed: 42,
+        sampling,
+        threads,
+        strike_batch: batch,
+        ..StrikeRunner::new(&gemm8, Precision::Single, &golden)
+    };
+    inject(&ctx, 300, FaultModel::SingleBit, 1.0).expect("clean run")
+}
+
 #[test]
 fn adaptive_beam_is_thread_and_batch_invariant() {
-    let gemm8 = Gemm::new(8);
     let fpga = Fpga::zynq7000();
     let profile = profiles::mxm_fpga();
+    let adaptive = SamplingPlan::Adaptive(SamplingConfig::quick());
     let run = |threads: usize, batch: usize| {
-        let mut session = BeamSession::quick(11).with_target_candidates(150);
-        session.threads = threads;
-        BeamCampaign::new(&fpga, &gemm8, &profile, Precision::Half)
-            .session(session)
-            .strike_batch(batch)
-            .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
-            .run()
+        beam(
+            &fpga,
+            &profile,
+            Precision::Half,
+            11,
+            adaptive,
+            threads,
+            batch,
+        )
     };
     let baseline = run(1, 64);
     assert!(
@@ -95,15 +138,12 @@ fn adaptive_beam_is_thread_and_batch_invariant() {
 
 #[test]
 fn adaptive_inject_is_thread_and_batch_invariant() {
-    let gemm8 = Gemm::new(8);
     let run = |threads: usize, batch: usize| {
-        InjectionCampaign::new(&gemm8, Precision::Single)
-            .injections(300)
-            .seed(42)
-            .threads(threads)
-            .strike_batch(batch)
-            .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
-            .run()
+        inject300(
+            SamplingPlan::Adaptive(SamplingConfig::quick()),
+            threads,
+            batch,
+        )
     };
     let baseline = run(1, 64);
     assert!(
@@ -132,29 +172,21 @@ fn adaptive_inject_is_thread_and_batch_invariant() {
 fn fixed_path_still_matches_pre_adaptive_pins() {
     // The fixed path is the reference oracle: introducing the adaptive
     // engine must not move a single previously observable bit.
-    let gemm8 = Gemm::new(8);
+    let fixed = SamplingPlan::Fixed;
     let fpga = Fpga::zynq7000();
     let profile = profiles::mxm_fpga();
-    let r = BeamCampaign::new(&fpga, &gemm8, &profile, Precision::Half)
-        .session(BeamSession::quick(11).with_target_candidates(150))
-        .run();
+    let r = beam(&fpga, &profile, Precision::Half, 11, fixed, 0, 64);
     assert_eq!((r.candidates, r.sdc.events()), (140, 57));
     assert_eq!(r.executed, r.candidates, "fixed path executes everything");
     assert_eq!(hash_f64s(&r.severities), 0xd45db3cac3cc6f2f);
 
     let gpu = VoltaGpu::titan_v();
     let profile = profiles::mxm_gpu();
-    let r = BeamCampaign::new(&gpu, &gemm8, &profile, Precision::Single)
-        .session(BeamSession::quick(13).with_target_candidates(150))
-        .run();
+    let r = beam(&gpu, &profile, Precision::Single, 13, fixed, 0, 64);
     assert_eq!((r.candidates, r.sdc.events()), (141, 140));
     assert_eq!(hash_f64s(&r.severities), 0x6082250a062807dd);
 
-    let r = InjectionCampaign::new(&gemm8, Precision::Single)
-        .injections(300)
-        .seed(42)
-        .threads(3)
-        .run();
+    let r = inject300(fixed, 3, 64);
     assert_eq!((r.counts.masked, r.counts.sdc, r.counts.due), (7, 293, 0));
     assert_eq!(hash_f64s(&r.severities), 0x956ad637fbb2021f);
 
@@ -162,21 +194,14 @@ fn fixed_path_still_matches_pre_adaptive_pins() {
     // strike loop is checked against fixed values rather than only
     // against itself across threads x batch.
     let profile = profiles::mxm_fpga();
-    let r = BeamCampaign::new(&fpga, &gemm8, &profile, Precision::Half)
-        .session(BeamSession::quick(11).with_target_candidates(150))
-        .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
-        .run();
+    let adaptive = SamplingPlan::Adaptive(SamplingConfig::quick());
+    let r = beam(&fpga, &profile, Precision::Half, 11, adaptive, 0, 64);
     assert_eq!((r.executed, r.sdc.events()), (64, 25));
     assert_eq!(hash_f64s(&r.severities), 0xf42f981702878d1a);
     // The stratified rate rescales the SDC fluence; pin its bits too.
     assert_eq!(r.sdc.fluence().to_bits(), 4544921889275888042);
 
-    let r = InjectionCampaign::new(&gemm8, Precision::Single)
-        .injections(300)
-        .seed(42)
-        .threads(3)
-        .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
-        .run();
+    let r = inject300(adaptive, 3, 64);
     assert_eq!((r.counts.total(), r.counts.sdc), (32, 32));
     assert_eq!(hash_f64s(&r.severities), 0x997748504385431f);
 }

@@ -10,8 +10,8 @@
 //! therefore the cached campaign bytes cannot depend on it.
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
-use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
-use mixed_precision_reliability::fault::{InjectionCampaign, Workload};
+use mixed_precision_reliability::beam::{expose, BeamSession};
+use mixed_precision_reliability::fault::{inject, FaultModel, StrikeRunner, Workload};
 use mixed_precision_reliability::kernels::{profiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
 use mixed_precision_reliability::obs::fnv1a64;
 use mixed_precision_reliability::softfloat::Precision;
@@ -51,24 +51,25 @@ fn injection_results_are_invariant_to_batch_size_and_threads() {
         ),
     ];
     for (name, build, precision) in cases {
-        let baseline = InjectionCampaign::new(build().as_ref(), precision)
-            .injections(220)
-            .seed(42)
-            .threads(1)
-            .strike_batch(1)
-            .run();
+        let campaign = |threads: usize, batch: usize| {
+            let workload = build();
+            let golden = workload.run_golden(precision);
+            let ctx = StrikeRunner {
+                seed: 42,
+                threads,
+                strike_batch: batch,
+                ..StrikeRunner::new(workload.as_ref(), precision, &golden)
+            };
+            inject(&ctx, 220, FaultModel::SingleBit, 1.0).expect("clean run")
+        };
+        let baseline = campaign(1, 1);
         assert!(
             baseline.counts.sdc > 0,
             "{name}: cell must observe SDCs for the order to matter"
         );
         for threads in THREADS {
             for batch in BATCHES {
-                let r = InjectionCampaign::new(build().as_ref(), precision)
-                    .injections(220)
-                    .seed(42)
-                    .threads(threads)
-                    .strike_batch(batch)
-                    .run();
+                let r = campaign(threads, batch);
                 assert_eq!(
                     (r.counts.masked, r.counts.sdc, r.counts.due),
                     (
@@ -95,27 +96,32 @@ fn beam_results_are_invariant_to_batch_size_and_threads() {
     let gpu = VoltaGpu::titan_v();
     let fpga_profile = profiles::mxm_fpga();
     let gpu_profile = profiles::mxm_gpu();
+    let golden_half = gemm.run_golden(Precision::Half);
+    let golden_single = gemm.run_golden(Precision::Single);
+    let session = BeamSession::quick().with_target_candidates(150);
 
     // One persistent-fault (FPGA) and one transient (GPU) campaign:
     // the two fault-draw branches of the gather phase.
     type CampaignFn<'a> = &'a dyn Fn(usize, usize) -> (u64, u64, u64);
     let runs: [(&str, CampaignFn); 2] = [
         ("fpga half", &|threads, batch| {
-            let mut session = BeamSession::quick(11).with_target_candidates(150);
-            session.threads = threads;
-            let r = BeamCampaign::new(&fpga, &gemm, &fpga_profile, Precision::Half)
-                .session(session)
-                .strike_batch(batch)
-                .run();
+            let ctx = StrikeRunner {
+                seed: 11,
+                threads,
+                strike_batch: batch,
+                ..StrikeRunner::new(&gemm, Precision::Half, &golden_half)
+            };
+            let r = expose(&ctx, &fpga, &fpga_profile, session, None).expect("clean run");
             (r.candidates, r.sdc.events(), hash_f64s(&r.severities))
         }),
         ("gpu single", &|threads, batch| {
-            let mut session = BeamSession::quick(13).with_target_candidates(150);
-            session.threads = threads;
-            let r = BeamCampaign::new(&gpu, &gemm, &gpu_profile, Precision::Single)
-                .session(session)
-                .strike_batch(batch)
-                .run();
+            let ctx = StrikeRunner {
+                seed: 13,
+                threads,
+                strike_batch: batch,
+                ..StrikeRunner::new(&gemm, Precision::Single, &golden_single)
+            };
+            let r = expose(&ctx, &gpu, &gpu_profile, session, None).expect("clean run");
             (r.candidates, r.sdc.events(), hash_f64s(&r.severities))
         }),
     ];

@@ -2,9 +2,9 @@
 //! seed, across thread counts and repeated runs.
 
 use mixed_precision_reliability::arch::VoltaGpu;
-use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
+use mixed_precision_reliability::beam::{expose, BeamSession};
 use mixed_precision_reliability::fault::Workload;
-use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign};
+use mixed_precision_reliability::fault::{inject, FaultModel, StrikeRunner};
 use mixed_precision_reliability::kernels::{profiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
 use mixed_precision_reliability::softfloat::Precision;
 
@@ -33,13 +33,14 @@ fn golden_runs_are_bit_identical() {
 #[test]
 fn injection_campaigns_replay_exactly() {
     let gemm = Gemm::new(10);
+    let golden = gemm.run_golden(Precision::Half);
     let run = |threads| {
-        InjectionCampaign::new(&gemm, Precision::Half)
-            .injections(150)
-            .seed(99)
-            .model(FaultModel::pipeline(0.2))
-            .threads(threads)
-            .run()
+        let ctx = StrikeRunner {
+            seed: 99,
+            threads,
+            ..StrikeRunner::new(&gemm, Precision::Half, &golden)
+        };
+        inject(&ctx, 150, FaultModel::pipeline(0.2), 1.0).expect("clean run")
     };
     let a = run(1);
     let b = run(4);
@@ -53,12 +54,15 @@ fn beam_campaigns_replay_exactly() {
     let gpu = VoltaGpu::titan_v();
     let micro = Micro::new(MicroKernelOp::Add, 8, 64);
     let prof = profiles::micro(MicroKernelOp::Add);
+    let golden = micro.run_golden(Precision::Single);
     let run = |threads: usize| {
-        let mut s = BeamSession::quick(7).with_target_candidates(200);
-        s.threads = threads;
-        BeamCampaign::new(&gpu, &micro, &prof, Precision::Single)
-            .session(s)
-            .run()
+        let ctx = StrikeRunner {
+            seed: 7,
+            threads,
+            ..StrikeRunner::new(&micro, Precision::Single, &golden)
+        };
+        let s = BeamSession::quick().with_target_candidates(200);
+        expose(&ctx, &gpu, &prof, s, None).expect("clean run")
     };
     let a = run(1);
     let b = run(8);

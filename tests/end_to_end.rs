@@ -1,9 +1,10 @@
 //! End-to-end integration: soft-float substrate -> kernel -> fault
 //! injection -> beam campaign -> metrics, through the public facade.
 
+use mixed_precision_reliability::arch::WorkloadProfile;
 use mixed_precision_reliability::arch::{Device, Fpga, VoltaGpu, XeonPhiKnc};
-use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
-use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign, Workload};
+use mixed_precision_reliability::beam::{expose, BeamSession, CampaignResult};
+use mixed_precision_reliability::fault::{inject, FaultModel, StrikeRunner, Workload};
 use mixed_precision_reliability::kernels::{profiles, Gemm, LavaMd, Micro, MicroKernelOp};
 use mixed_precision_reliability::metrics::{Mebf, TreCurve};
 use mixed_precision_reliability::softfloat::{Half, Precision};
@@ -23,11 +24,12 @@ fn half_precision_arithmetic_reaches_the_campaign_layer() {
 #[test]
 fn injection_report_feeds_metrics_types() {
     let micro = Micro::new(MicroKernelOp::Mul, 8, 64);
-    let report = InjectionCampaign::new(&micro, Precision::Single)
-        .injections(200)
-        .seed(1)
-        .model(FaultModel::single_bit())
-        .run();
+    let golden = micro.run_golden(Precision::Single);
+    let ctx = StrikeRunner {
+        seed: 1,
+        ..StrikeRunner::new(&micro, Precision::Single, &golden)
+    };
+    let report = inject(&ctx, 200, FaultModel::single_bit(), 1.0).expect("clean run");
     let v = report.vulnerability();
     let (lo, hi) = v.ci95();
     assert!(lo <= v.factor() && v.factor() <= hi);
@@ -38,25 +40,27 @@ fn injection_report_feeds_metrics_types() {
 #[test]
 fn beam_campaign_on_every_device_family() {
     let gemm = Gemm::new(10);
-    let session = BeamSession::quick(5).with_target_candidates(120);
+    let session = BeamSession::quick().with_target_candidates(120);
+    let campaign = |device: &dyn Device, profile: &WorkloadProfile, precision| -> CampaignResult {
+        let golden = gemm.run_golden(precision);
+        let ctx = StrikeRunner {
+            seed: 5,
+            ..StrikeRunner::new(&gemm, precision, &golden)
+        };
+        expose(&ctx, device, profile, session, None).expect("clean run")
+    };
 
     let gpu = VoltaGpu::titan_v();
-    let g = BeamCampaign::new(&gpu, &gemm, &profiles::mxm_gpu(), Precision::Half)
-        .session(session)
-        .run();
+    let g = campaign(&gpu, &profiles::mxm_gpu(), Precision::Half);
     assert!(g.fit_sdc().au() > 0.0);
 
     let knc = XeonPhiKnc::coprocessor_3120a();
-    let k = BeamCampaign::new(&knc, &gemm, &profiles::mxm_knc(), Precision::Single)
-        .session(session)
-        .run();
+    let k = campaign(&knc, &profiles::mxm_knc(), Precision::Single);
     assert!(k.fit_sdc().au() > 0.0);
     assert!(k.due.events() > 0);
 
     let fpga = Fpga::zynq7000();
-    let f = BeamCampaign::new(&fpga, &gemm, &profiles::mxm_fpga(), Precision::Double)
-        .session(session)
-        .run();
+    let f = campaign(&fpga, &profiles::mxm_fpga(), Precision::Double);
     assert_eq!(f.due.events(), 0);
 
     // MEBF is comparable across configurations of the same device.
@@ -73,8 +77,10 @@ fn knc_rejects_half_everywhere() {
     // blocks the campaign.
     assert!(lavamd.supports(Precision::Half));
     let profile = profiles::lavamd_knc();
+    let golden = lavamd.run_golden(Precision::Half);
     let result = std::panic::catch_unwind(|| {
-        let _ = BeamCampaign::new(&knc, &lavamd, &profile, Precision::Half);
+        let ctx = StrikeRunner::new(&lavamd, Precision::Half, &golden);
+        let _ = expose(&ctx, &knc, &profile, BeamSession::quick(), None);
     });
     assert!(result.is_err());
 }

@@ -21,13 +21,15 @@
 )]
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
-use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
+use mixed_precision_reliability::beam::{expose, BeamSession};
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, ClassifierId, DeviceId, Engine, ResultStore, SamplingPlan, WorkloadId,
     KEY_VERSION,
 };
 use mixed_precision_reliability::fault::hook::FaultHook;
-use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign, ValueFault, Workload};
+use mixed_precision_reliability::fault::{
+    inject, FaultModel, InjectionReport, StrikeRunner, ValueFault, Workload,
+};
 use mixed_precision_reliability::kernels::{profiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
 use mixed_precision_reliability::nn::{Mnist, TinyYolo};
 use mixed_precision_reliability::obs::fnv1a64;
@@ -294,13 +296,26 @@ fn golden_fingerprints_match_the_pre_fast_path_implementation() {
 
 #[test]
 fn injection_campaigns_reproduce_pinned_results_across_threads() {
+    let campaign =
+        |workload: &dyn Workload, precision, n, seed, model, threads| -> InjectionReport {
+            let golden = workload.run_golden(precision);
+            let ctx = StrikeRunner {
+                seed,
+                threads,
+                ..StrikeRunner::new(workload, precision, &golden)
+            };
+            inject(&ctx, n, model, 1.0).expect("clean run")
+        };
     let gemm8 = Gemm::new(8);
     for threads in [1usize, 2, 5] {
-        let r = InjectionCampaign::new(&gemm8, Precision::Single)
-            .injections(300)
-            .seed(42)
-            .threads(threads)
-            .run();
+        let r = campaign(
+            &gemm8,
+            Precision::Single,
+            300,
+            42,
+            FaultModel::SingleBit,
+            threads,
+        );
         assert_eq!(
             (r.counts.masked, r.counts.sdc, r.counts.due),
             (7, 293, 0),
@@ -313,20 +328,19 @@ fn injection_campaigns_reproduce_pinned_results_across_threads() {
         );
     }
 
-    let r = InjectionCampaign::new(&LavaMd::new(2, 2), Precision::Half)
-        .injections(200)
-        .seed(7)
-        .model(FaultModel::RandomByte)
-        .threads(3)
-        .run();
+    let lavamd = LavaMd::new(2, 2);
+    let r = campaign(&lavamd, Precision::Half, 200, 7, FaultModel::RandomByte, 3);
     assert_eq!((r.counts.masked, r.counts.sdc), (87, 113));
     assert_eq!(hash_f64s(&r.severities), 0x4c1685803a1d8676);
 
-    let r = InjectionCampaign::new(&Lud::new(8), Precision::Double)
-        .injections(200)
-        .seed(9)
-        .threads(2)
-        .run();
+    let r = campaign(
+        &Lud::new(8),
+        Precision::Double,
+        200,
+        9,
+        FaultModel::SingleBit,
+        2,
+    );
     assert_eq!((r.counts.masked, r.counts.sdc), (0, 200));
     assert_eq!(hash_f64s(&r.severities), 0x1797c5f0e286734b);
 }
@@ -334,14 +348,17 @@ fn injection_campaigns_reproduce_pinned_results_across_threads() {
 #[test]
 fn beam_campaigns_reproduce_pinned_results_across_threads() {
     let gemm8 = Gemm::new(8);
+    let session = BeamSession::quick().with_target_candidates(150);
     let fpga = Fpga::zynq7000();
     let profile = profiles::mxm_fpga();
+    let golden = gemm8.run_golden(Precision::Half);
     for threads in [1usize, 2, 5] {
-        let mut session = BeamSession::quick(11).with_target_candidates(150);
-        session.threads = threads;
-        let r = BeamCampaign::new(&fpga, &gemm8, &profile, Precision::Half)
-            .session(session)
-            .run();
+        let ctx = StrikeRunner {
+            seed: 11,
+            threads,
+            ..StrikeRunner::new(&gemm8, Precision::Half, &golden)
+        };
+        let r = expose(&ctx, &fpga, &profile, session, None).expect("clean run");
         assert_eq!(
             (r.candidates, r.sdc.events()),
             (140, 57),
@@ -356,9 +373,12 @@ fn beam_campaigns_reproduce_pinned_results_across_threads() {
 
     let gpu = VoltaGpu::titan_v();
     let profile = profiles::mxm_gpu();
-    let r = BeamCampaign::new(&gpu, &gemm8, &profile, Precision::Single)
-        .session(BeamSession::quick(13).with_target_candidates(150))
-        .run();
+    let golden = gemm8.run_golden(Precision::Single);
+    let ctx = StrikeRunner {
+        seed: 13,
+        ..StrikeRunner::new(&gemm8, Precision::Single, &golden)
+    };
+    let r = expose(&ctx, &gpu, &profile, session, None).expect("clean run");
     assert_eq!((r.candidates, r.sdc.events()), (141, 140));
     assert_eq!(hash_f64s(&r.severities), 0x6082250a062807dd);
 }
