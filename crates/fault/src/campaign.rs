@@ -3,7 +3,7 @@
 use crate::hook::MultiStrikeHook;
 use crate::{FaultModel, StrikeRunner, ValueFault};
 use mpr_metrics::{OutcomeCounts, TreCurve, Vulnerability};
-use mpr_obs::{Counter, SplitMix};
+use mpr_obs::{Counter, SplitMix, Timer};
 use mpr_softfloat::Precision;
 use rand::Rng;
 
@@ -133,7 +133,13 @@ pub fn inject(
 /// observed error, Section 4). Trials run one after another, and every
 /// site, bit and polarity comes from one sequential [`SplitMix`]
 /// stream of the context's seed; the context's sampling plan, threads
-/// and batching do not apply.
+/// and batching do not apply. A trial runs through
+/// [`Workload::dispatch`](crate::Workload::dispatch) with a
+/// [`MultiStrikeHook`], which lets every fault-free span of sites pass
+/// untouched ([`FaultHook::skip`](crate::hook::FaultHook::skip)).
+///
+/// Records `campaign.wall` (unless cancelled), `accumulate.trials` and
+/// `accumulate.sdc` under the context's scope.
 ///
 /// # Panics
 ///
@@ -147,6 +153,7 @@ pub fn accumulate(
     faults: u32,
     trials: u32,
 ) -> Result<AccumulateOutcome, CampaignError> {
+    let wall = Timer::start(ctx.recorder, "campaign.wall", ctx.scope);
     let sites = ctx.workload.site_count(ctx.precision);
     let width = ctx.precision.total_bits();
     let mut rng = SplitMix::new(ctx.seed);
@@ -156,6 +163,7 @@ pub fn accumulate(
         // Watchdog poll at trial granularity: one trial is a full
         // workload run, the accumulation loop's strike batch.
         if ctx.cancel.is_cancelled() {
+            wall.cancel();
             return Err(CampaignError::Cancelled);
         }
         let strikes: Vec<(u64, ValueFault)> = (0..faults)
@@ -183,6 +191,9 @@ pub fn accumulate(
             corrupted_sum += corrupted as f64 / ctx.golden.len().max(1) as f64;
         }
     }
+    Counter::new(ctx.recorder, "accumulate.trials", ctx.scope).add(u64::from(trials));
+    Counter::new(ctx.recorder, "accumulate.sdc", ctx.scope).add(sdc);
+    wall.stop();
     Ok(AccumulateOutcome {
         sdc_probability: sdc as f64 / trials.max(1) as f64,
         corruption_extent: if sdc > 0 {

@@ -17,6 +17,10 @@
 //!   with `P`-way hardware parallelism, PE `p` executes the operations
 //!   whose dynamic index is congruent to `p` mod `P`, and a corrupted PE
 //!   mangles all of them until the device is reprogrammed).
+//!
+//! A kernel with a faster hook-free form of a span of sites asks
+//! [`FaultHook::skip`] first and touches the span one value at a time
+//! only when the hook refuses.
 
 use crate::ValueFault;
 use mpr_softfloat::FloatExt;
@@ -38,6 +42,23 @@ pub trait FaultHook {
     /// Processes the `width`-bit value `bits`, returning the (possibly
     /// corrupted) replacement.
     fn touch_bits(&mut self, bits: u64, width: u32) -> u64;
+
+    /// Asks to advance past the next `n` sites as if each were touched
+    /// and passed through unchanged. On `true` the hook has done so and
+    /// the caller computes the span without touching it; on `false`
+    /// nothing changed and the caller touches the span as usual.
+    ///
+    /// A hook accepts only when it would return every one of those
+    /// values unchanged and needs none of them: [`NullHook`] and
+    /// [`GoldenHook`] always (the latter counts the `n` sites),
+    /// [`InjectHook`] and [`MultiStrikeHook`] when no pending strike
+    /// lies in the span. [`PeriodicHook`] and [`TracingHook`] keep this
+    /// default. A refusal is always safe: the touched path is the
+    /// oracle, and a kernel's skipped path must match it bit for bit.
+    fn skip(&mut self, n: u64) -> bool {
+        let _ = n;
+        false
+    }
 }
 
 /// The one typed touch, blanket-implemented for every hook, concrete or
@@ -68,6 +89,11 @@ impl FaultHook for NullHook {
     fn touch_bits(&mut self, bits: u64, _width: u32) -> u64 {
         bits
     }
+
+    #[inline]
+    fn skip(&mut self, _n: u64) -> bool {
+        true
+    }
 }
 
 /// Counts sites and never corrupts: produces the golden output and the
@@ -94,6 +120,12 @@ impl FaultHook for GoldenHook {
     fn touch_bits(&mut self, bits: u64, _width: u32) -> u64 {
         self.sites += 1;
         bits
+    }
+
+    #[inline]
+    fn skip(&mut self, n: u64) -> bool {
+        self.sites += n;
+        true
     }
 }
 
@@ -135,6 +167,21 @@ impl FaultHook for InjectHook {
             bits
         }
     }
+
+    #[inline]
+    fn skip(&mut self, n: u64) -> bool {
+        let clear = !span(self.cursor, n).contains(&self.target);
+        if clear {
+            self.cursor += n;
+        }
+        clear
+    }
+}
+
+/// The sites `[cursor, cursor + n)` a skip would pass over.
+#[inline]
+fn span(cursor: u64, n: u64) -> std::ops::Range<u64> {
+    cursor..cursor.saturating_add(n)
 }
 
 /// Corrupts every site executed by one physical processing element — the
@@ -232,6 +279,20 @@ impl FaultHook for MultiStrikeHook {
         }
         out
     }
+
+    /// Strikes fire in site order, so the next pending one is the only
+    /// one that can lie in the span.
+    #[inline]
+    fn skip(&mut self, n: u64) -> bool {
+        let clear = self
+            .strikes
+            .get(self.fired)
+            .is_none_or(|&(site, _)| !span(self.cursor, n).contains(&site));
+        if clear {
+            self.cursor += n;
+        }
+        clear
+    }
 }
 
 /// Observes values without corrupting them: collects the magnitude
@@ -318,6 +379,96 @@ mod tests {
             acc = hook.touch(acc + i as f64);
         }
         acc
+    }
+
+    /// `run_chain`, asking to skip each `span`-site stretch first and
+    /// summing an accepted stretch untouched. Returns the result and
+    /// the number of accepted skips.
+    fn run_chain_skipping(hook: &mut dyn FaultHook, span: u64) -> (f64, u64) {
+        let mut acc = 0.0f64;
+        let mut accepted = 0;
+        let mut first = 1;
+        while first <= 10 {
+            let stretch = first..(first + span).min(11);
+            if hook.skip(stretch.end - stretch.start) {
+                accepted += 1;
+                for i in stretch.clone() {
+                    acc += i as f64;
+                }
+            } else {
+                for i in stretch.clone() {
+                    acc = hook.touch(acc + i as f64);
+                }
+            }
+            first = stretch.end;
+        }
+        (acc, accepted)
+    }
+
+    #[test]
+    fn pass_through_hooks_accept_every_skip() {
+        assert_eq!(run_chain_skipping(&mut NullHook, 3), (55.0, 4));
+        let mut golden = GoldenHook::new();
+        assert_eq!(run_chain_skipping(&mut golden, 3), (55.0, 4));
+        assert_eq!(golden.sites(), 10, "skipped sites are counted");
+    }
+
+    #[test]
+    fn inject_hook_refuses_a_skip_over_its_target() {
+        let mut hook = InjectHook::new(4, ValueFault::BitFlip(63));
+        assert!(!hook.skip(5), "sites 0..5 hold the target");
+        assert!(hook.skip(4), "the refusal left the cursor at 0");
+        assert!(!hook.skip(1));
+        let _ = hook.touch(15.0f64);
+        assert!(hook.fired(), "the next touch is site 4");
+        assert!(hook.skip(1_000), "nothing is pending once fired");
+        // Stretches 0..3 and 6..10 skip; 3..6 runs touched and fires.
+        let mut hook = InjectHook::new(4, ValueFault::BitFlip(63));
+        assert_eq!(run_chain_skipping(&mut hook, 3), (25.0, 3));
+        let mut past = InjectHook::new(1000, ValueFault::BitFlip(0));
+        assert_eq!(run_chain_skipping(&mut past, 3), (55.0, 4));
+        assert!(!past.fired());
+    }
+
+    #[test]
+    fn multi_strike_refuses_a_skip_over_any_pending_strike() {
+        let strikes = vec![(2, ValueFault::BitFlip(63)), (7, ValueFault::BitFlip(63))];
+        let mut hook = MultiStrikeHook::new(strikes.clone());
+        assert!(!hook.skip(3));
+        assert!(hook.skip(2), "the refusal left the cursor at 0");
+        assert!(!hook.skip(1));
+        let _ = hook.touch(6.0f64);
+        assert_eq!(hook.fired(), 1);
+        assert!(hook.skip(4), "sites 3..7 are clear");
+        assert!(!hook.skip(1));
+        let _ = hook.touch(24.0f64);
+        assert!(hook.skip(1_000), "nothing is pending once both fired");
+        // Stretches 2..4 and 6..8 run touched; the result matches the
+        // touch-by-touch chain.
+        let mut hook = MultiStrikeHook::new(strikes);
+        assert_eq!(run_chain_skipping(&mut hook, 2), (-5.0, 3));
+        assert_eq!(hook.fired(), 2);
+        // Two strikes on one site: both fire in the touched stretch.
+        let mut hook = MultiStrikeHook::new(vec![
+            (4, ValueFault::BitFlip(63)),
+            (4, ValueFault::BitFlip(63)),
+        ]);
+        assert_eq!(run_chain_skipping(&mut hook, 5), (55.0, 1));
+        assert_eq!(hook.fired(), 2);
+    }
+
+    #[test]
+    fn periodic_and_tracing_hooks_refuse_every_skip() {
+        let mut periodic = PeriodicHook::new(0, 2, ValueFault::BitFlip(63));
+        let mut plain = PeriodicHook::new(0, 2, ValueFault::BitFlip(63));
+        assert_eq!(
+            run_chain_skipping(&mut periodic, 3),
+            (run_chain(&mut plain), 0)
+        );
+        assert_eq!(periodic.hits(), 5);
+        let mut tracing = TracingHook::new();
+        assert_eq!(run_chain_skipping(&mut tracing, 3), (55.0, 0));
+        assert_eq!(tracing.sites(), 10);
     }
 
     #[test]

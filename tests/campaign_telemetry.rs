@@ -4,12 +4,13 @@
 //! campaign drivers must leave them where they are.
 //!
 //! One fixed beam cell, one fixed injection cell and one adaptive
-//! injection cell run through an `Engine` at two worker threads. Every
-//! `Count` event is pinned with its value; every `Time` and `Gauge`
-//! event by name and scope (their values are timings).
+//! injection cell run through an `Engine` at two worker threads, and an
+//! accumulation cell in a plan of its own. Every `Count` event is
+//! pinned with its value; every `Time` and `Gauge` event by name and
+//! scope (their values are timings).
 
 use mixed_precision_reliability::exp::{
-    CellKey, DeviceId, Engine, ExperimentPlan, SamplingConfig, SamplingPlan, WorkloadId,
+    CellKey, CellKind, DeviceId, Engine, ExperimentPlan, SamplingConfig, SamplingPlan, WorkloadId,
 };
 use mixed_precision_reliability::fault::FaultModel;
 use mixed_precision_reliability::obs::{JsonlRecorder, Metric};
@@ -53,10 +54,60 @@ fn campaign_events_keep_their_names_scopes_and_counts() {
             ),
         ),
     ];
+    let (counts, timed) = events_of(&cells);
+    assert_eq!(counts, COUNTS, "count events moved");
+    assert_eq!(timed, TIMED, "time or gauge events moved");
+}
+
+#[test]
+fn accumulation_cells_record_a_campaign_span() {
+    let cells = [(
+        "accumulate",
+        CellKey {
+            device: DeviceId::Zynq7000,
+            workload: WorkloadId::Gemm { dim: 8 },
+            precision: Precision::Double,
+            kind: CellKind::Accumulate {
+                faults: 4,
+                trials: 30,
+            },
+        },
+    )];
+    let (counts, timed) = events_of(&cells);
+    assert_eq!(
+        counts,
+        [
+            "accumulate.sdc <accumulate> 27",
+            "accumulate.trials <accumulate> 30",
+            "cache.miss <accumulate> 1",
+            "golden.compute gemm:8@double 1",
+            "plan.requests  1",
+            "plan.unique  1",
+        ],
+        "count events moved"
+    );
+    assert_eq!(
+        timed,
+        [
+            "time campaign.wall <accumulate>",
+            "time cell.exec <accumulate>",
+            "time cell.queue <accumulate>",
+            "time cell.total <accumulate>",
+            "time plan.wall ",
+        ],
+        "time or gauge events moved"
+    );
+}
+
+/// Runs the named `cells` as one plan through an `Engine` at two worker
+/// threads and returns the sorted `name scope count` lines of its
+/// `Count` events and `kind name scope` lines of its `Time` and `Gauge`
+/// events, with each cell's scope shown as `<name>`.
+fn events_of(cells: &[(&str, CellKey)]) -> (Vec<String>, Vec<String>) {
     let rec = Arc::new(JsonlRecorder::new());
     let engine = Engine::new(2019).with_threads(2).with_recorder(rec.clone());
     let mut plan = ExperimentPlan::new();
-    for (_, key) in &cells {
+    for (_, key) in cells {
         plan.push(key.clone());
     }
     assert_eq!(engine.run(&plan).len(), cells.len());
@@ -80,8 +131,7 @@ fn campaign_events_keep_their_names_scopes_and_counts() {
     }
     counts.sort();
     timed.sort();
-    assert_eq!(counts, COUNTS, "count events moved");
-    assert_eq!(timed, TIMED, "time or gauge events moved");
+    (counts, timed)
 }
 
 /// `name scope count` of every `Count` event, sorted. A zero count
