@@ -10,7 +10,7 @@ use mpr_fault::{FaultModel, InjectionReport};
 use mpr_kernels::MicroKernelOp;
 use mpr_metrics::sampling::rel_ci_width;
 use mpr_metrics::{SeverityHistogram, Table};
-use mpr_obs::{JsonlRecorder, Recorder};
+use mpr_obs::{Gauge, JsonlRecorder, Recorder};
 use mpr_softfloat::Precision;
 use std::io::{ErrorKind, Write};
 use std::sync::Arc;
@@ -404,11 +404,15 @@ fn study_with_profile(opts: &StudyOpts) -> (Study, Option<Arc<JsonlRecorder>>) {
     (study, rec)
 }
 
-/// Flushes the profile log (if any) and prints its rendered summary.
-/// Returns the exit-code contribution: 0 normally, 1 if the log could
-/// not be written back or parsed.
+/// Records the process's peak RSS, flushes the profile log (if any)
+/// and prints its rendered summary. Returns the exit-code
+/// contribution: 0 normally, 1 if the log could not be written back or
+/// parsed.
 fn finish_profile(rec: Option<Arc<JsonlRecorder>>) -> i32 {
     let Some(rec) = rec else { return 0 };
+    if let Some(mb) = crate::profile::peak_rss_mb() {
+        Gauge::new(&*rec, crate::profile::PEAK_RSS, "").set(mb);
+    }
     rec.flush();
     let Some(path) = rec.path() else { return 0 };
     out!("profile log: {}", path.display());
@@ -549,7 +553,7 @@ mod tests {
 
     #[test]
     fn strike_budget_reads_request_and_adaptive_override() {
-        let inject = CellResult::Inject(InjectionReport {
+        let inject = CellResult::Inject(Arc::new(InjectionReport {
             workload: "gemm".to_string(),
             precision: Precision::Half,
             counts: OutcomeCounts {
@@ -558,7 +562,7 @@ mod tests {
                 due: 0,
             },
             severities: vec![1.0; 63],
-        });
+        }));
         let fixed = "seed=00000000000007e3;v2;dev=knc;wl=gemm:12;p=half;\
                      k=inj:n=400,m=sb,lf=3ff0000000000000";
         assert_eq!(budget(fixed, &inject), Some(400));
@@ -579,7 +583,7 @@ mod tests {
 
         // A beam cell's default budget is its candidate count; the
         // override wins there too.
-        let beam = CellResult::Beam(CampaignResult {
+        let beam = CellResult::Beam(Arc::new(CampaignResult {
             device: "Titan V".to_string(),
             workload: "gemm".to_string(),
             precision: Precision::Half,
@@ -592,7 +596,7 @@ mod tests {
             due: CrossSection::new(0, 1.0),
             severities: vec![1.0; 3],
             labels: Vec::new(),
-        });
+        }));
         assert_eq!(budget("k=beam:h=4,t=150;b:-;s:4;r:32", &beam), Some(236));
         assert_eq!(budget("k=beam:h=4,t=150;b:928;s:4;r:32", &beam), Some(928));
     }

@@ -13,6 +13,28 @@ use std::path::Path;
 /// Maximum number of cells shown in the "slowest cells" table.
 const MAX_CELL_ROWS: usize = 12;
 
+/// The gauge holding the process's peak resident set size in MB
+/// (MiB), recorded once when a profiled run finishes.
+pub const PEAK_RSS: &str = "process.peak_rss_mb";
+
+/// This process's peak resident set size (`VmHWM`) in MB, or `None`
+/// where `/proc/self/status` cannot be read.
+pub fn peak_rss_mb() -> Option<f64> {
+    parse_vm_hwm_mb(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM` line of a `/proc/<pid>/status` text, KiB to MB.
+fn parse_vm_hwm_mb(status: &str) -> Option<f64> {
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kb as f64 / 1024.0)
+}
+
 /// Reads the JSONL log at `path` and prints a profile summary.
 ///
 /// Returns `false` (with a message on stderr) if the log cannot be read
@@ -65,6 +87,9 @@ fn overview(summary: &ProfileSummary) -> Table {
         ("golden reused", "golden.reuse"),
     ] {
         t.row(vec![label.into(), summary.counter_total(name).to_string()]);
+    }
+    if let Some((_, peak)) = summary.gauge_scopes(PEAK_RSS).first() {
+        t.row(vec!["peak RSS".into(), format!("{:.1} MB", peak.max)]);
     }
     t
 }
@@ -158,6 +183,7 @@ mod tests {
         let t = Timer::start(&rec, "phase", "fig3_fpga_fit");
         t.stop();
         Gauge::new(&rec, "beam.strikes_per_s", "dev=a").set(123.4);
+        Gauge::new(&rec, PEAK_RSS, "").set(37.26);
         rec
     }
 
@@ -172,6 +198,16 @@ mod tests {
         assert!(out.contains("campaign throughput"));
         assert!(out.contains("beam strikes/s"));
         assert!(out.contains("cells dedup-saved"));
+        assert!(out.contains("peak RSS"));
+        assert!(out.contains("37.3 MB"), "{out}");
+    }
+
+    #[test]
+    fn peak_rss_reads_vm_hwm() {
+        let status = "Name:\tmpr\nVmPeak:\t  123456 kB\nVmHWM:\t   38912 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(parse_vm_hwm_mb(status), Some(38.0));
+        assert_eq!(parse_vm_hwm_mb("Name:\tmpr\n"), None);
+        assert_eq!(parse_vm_hwm_mb("VmHWM:\t n/a kB\n"), None);
     }
 
     #[test]
@@ -181,6 +217,7 @@ mod tests {
         assert!(!out.contains("study phases"));
         assert!(!out.contains("slowest cells"));
         assert!(!out.contains("campaign throughput"));
+        assert!(!out.contains("peak RSS"), "no gauge, no row");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use mpr_obs::json::{str_json, Reader};
 use mpr_softfloat::Precision;
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Identifies the file layout, independent of the cell-key version.
 const FORMAT: &str = "mpr-exp-cache-v1";
@@ -194,7 +195,7 @@ impl Fields<'_> {
             "beam" => {
                 let fluence = self.fluence?;
                 let candidates = self.candidates?;
-                Some(CellResult::Beam(CampaignResult {
+                Some(CellResult::Beam(Arc::new(CampaignResult {
                     device: self.device?.into_owned(),
                     workload: self.workload?.into_owned(),
                     precision: self.precision?,
@@ -213,14 +214,14 @@ impl Fields<'_> {
                     due: cross_section(self.due_events?, fluence)?,
                     severities: self.severities?,
                     labels: self.labels?,
-                }))
+                })))
             }
-            "inject" => Some(CellResult::Inject(InjectionReport {
+            "inject" => Some(CellResult::Inject(Arc::new(InjectionReport {
                 workload: self.workload?.into_owned(),
                 precision: self.precision?,
                 counts: OutcomeCounts::new(self.masked?, self.sdc?, self.due?),
                 severities: self.severities?,
-            })),
+            }))),
             "accumulate" => Some(CellResult::Accumulate(AccumulateOutcome {
                 sdc_probability: self.sdc_probability?,
                 corruption_extent: self.corruption_extent?,
@@ -445,7 +446,7 @@ mod oracle {
             result.get(k)?.as_arr()?.iter().map(hex_f64).collect()
         };
         match str_of("kind")? {
-            "beam" => Some(CellResult::Beam(CampaignResult {
+            "beam" => Some(CellResult::Beam(Arc::new(CampaignResult {
                 device: str_of("device")?.to_string(),
                 workload: str_of("workload")?.to_string(),
                 precision: parse_precision(str_of("precision")?)?,
@@ -472,13 +473,13 @@ mod oracle {
                     .iter()
                     .map(|l| l.as_str().and_then(intern_label))
                     .collect::<Option<Vec<_>>>()?,
-            })),
-            "inject" => Some(CellResult::Inject(InjectionReport {
+            }))),
+            "inject" => Some(CellResult::Inject(Arc::new(InjectionReport {
                 workload: str_of("workload")?.to_string(),
                 precision: parse_precision(str_of("precision")?)?,
                 counts: OutcomeCounts::new(u64_of("masked")?, u64_of("sdc")?, u64_of("due")?),
                 severities: f64s_of("severities")?,
-            })),
+            }))),
             "accumulate" => Some(CellResult::Accumulate(AccumulateOutcome {
                 sdc_probability: f64_of("sdc_probability")?,
                 corruption_extent: f64_of("corruption_extent")?,
@@ -507,7 +508,11 @@ mod tests {
     use mpr_obs::json::{self, Value, MAX_DEPTH};
 
     fn sample_beam() -> CellResult {
-        CellResult::Beam(CampaignResult {
+        CellResult::Beam(Arc::new(sample_campaign()))
+    }
+
+    fn sample_campaign() -> CampaignResult {
+        CampaignResult {
             device: "NVIDIA Titan V".to_string(),
             workload: "MxM".to_string(),
             precision: Precision::Single,
@@ -520,7 +525,7 @@ mod tests {
             due: CrossSection::new(5, 1.25e9),
             severities: vec![1e-8, 0.25, f64::INFINITY],
             labels: vec!["tolerable", "critical"],
-        })
+        }
     }
 
     #[test]
@@ -560,7 +565,7 @@ mod tests {
         // An adaptive result (early-stopped, reweighted cross section)
         // round-trips both extra fields bit-exactly.
         let dir = std::env::temp_dir().join("mpr-exp-cache-test-adaptive");
-        let adaptive = CellResult::Beam(CampaignResult {
+        let adaptive = CellResult::Beam(Arc::new(CampaignResult {
             device: "NVIDIA Titan V".to_string(),
             workload: "MxM".to_string(),
             precision: Precision::Single,
@@ -573,7 +578,7 @@ mod tests {
             due: CrossSection::new(5, 1.25e9),
             severities: vec![0.25],
             labels: vec![],
-        });
+        }));
         let body = serialize(key, &adaptive);
         assert!(body.contains("\"executed\": 64"));
         assert!(body.contains("sdc_fluence"));
@@ -682,12 +687,12 @@ mod tests {
     fn inject_round_trips() {
         let dir = std::env::temp_dir().join("mpr-exp-cache-test-inject");
         let key = "seed=0000000000000002;v1;dev=knc-3120a;wl=lud:16;p=double;k=inj";
-        let orig = CellResult::Inject(InjectionReport {
+        let orig = CellResult::Inject(Arc::new(InjectionReport {
             workload: "LUD".to_string(),
             precision: Precision::Double,
             counts: OutcomeCounts::new(300, 99, 1),
             severities: vec![0.001, 2.0],
-        });
+        }));
         save(&RealFs, &dir, key, &orig).expect("save");
         let LoadOutcome::Hit(CellResult::Inject(got)) = load(&RealFs, &entry_path(&dir, key), key)
         else {
@@ -703,11 +708,10 @@ mod tests {
         // String decoding is linear: a 1 MiB device name is an ordinary hit.
         let dir = std::env::temp_dir().join("mpr-exp-cache-test-wide");
         let key = "seed=0000000000000005;v2;dev=é;wl=gemm:12;p=single;k=beam";
-        let CellResult::Beam(mut wide) = sample_beam() else {
-            panic!("sample is a beam result");
-        };
+        let mut wide = sample_campaign();
         wide.device = "é".repeat(512 * 1024);
-        save(&RealFs, &dir, key, &CellResult::Beam(wide.clone())).expect("save");
+        let wide = Arc::new(wide);
+        save(&RealFs, &dir, key, &CellResult::Beam(Arc::clone(&wide))).expect("save");
         let LoadOutcome::Hit(CellResult::Beam(got)) = load(&RealFs, &entry_path(&dir, key), key)
         else {
             panic!("wide beam entry failed to load");
@@ -722,9 +726,7 @@ mod tests {
 
     /// One entry of each shape a run writes, under its store key.
     fn fixtures() -> Vec<(&'static str, CellResult)> {
-        let CellResult::Beam(mut adaptive) = sample_beam() else {
-            panic!("sample is a beam result");
-        };
+        let mut adaptive = sample_campaign();
         adaptive.executed = 64;
         adaptive.sdc = CrossSection::new(37, 2.17e8);
         adaptive.device = "Titan \"V\" \\ é 😀\n\t\u{1}".to_string();
@@ -735,16 +737,16 @@ mod tests {
             ),
             (
                 "seed=0000000000000007;v2;dev=\"titan-v\";wl=gemm:12;p=single;k=beam;b:64",
-                CellResult::Beam(adaptive),
+                CellResult::Beam(Arc::new(adaptive)),
             ),
             (
                 "seed=0000000000000002;v2;dev=knc-3120a;wl=lud:16;p=double;k=inj",
-                CellResult::Inject(InjectionReport {
+                CellResult::Inject(Arc::new(InjectionReport {
                     workload: "LUD".to_string(),
                     precision: Precision::Half,
                     counts: OutcomeCounts::new(300, 99, 1),
                     severities: vec![0.001, -0.0, f64::NAN],
-                }),
+                })),
             ),
             (
                 "seed=0000000000000001;v2;dev=zynq;wl=gemm:8;p=half;k=acc:k=4,t=6",

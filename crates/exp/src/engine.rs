@@ -24,7 +24,8 @@ use std::time::Duration;
 ///
 /// Push every cell a figure needs — duplicates are welcome and cheap:
 /// the engine executes each *unique* cell once and hands every
-/// requester a copy. Results come back in request order.
+/// requester a handle to that one result. Results come back in request
+/// order.
 #[derive(Debug, Default, Clone)]
 pub struct ExperimentPlan {
     cells: Vec<CellKey>,
@@ -673,14 +674,15 @@ impl Engine {
                     session,
                     classifier.classifier(),
                 )
-                .map(CellResult::Beam)
+                .map(|r| CellResult::Beam(Arc::new(r)))
             }
             CellKind::Inject {
                 injections,
                 model,
                 live_fraction,
                 ..
-            } => inject(&ctx, injections, model, live_fraction).map(CellResult::Inject),
+            } => inject(&ctx, injections, model, live_fraction)
+                .map(|r| CellResult::Inject(Arc::new(r))),
             CellKind::Accumulate { faults, trials } => {
                 accumulate(&ctx, faults, trials).map(CellResult::Accumulate)
             }
@@ -731,6 +733,41 @@ mod tests {
             results[0].beam().sdc.events(),
             results[1].beam().sdc.events()
         );
+    }
+
+    #[test]
+    fn duplicate_requests_share_one_stored_payload() {
+        let engine = Engine::new(3);
+        let inject = CellKey {
+            device: DeviceId::Knc3120a,
+            workload: WorkloadId::Lud { dim: 10 },
+            precision: Precision::Double,
+            kind: CellKind::Inject {
+                injections: 40,
+                model: FaultModel::SingleBit,
+                live_fraction: 1.0,
+                sampling: SamplingPlan::Fixed,
+            },
+        };
+        let mut plan = ExperimentPlan::new();
+        plan.push(micro_cell(Precision::Single));
+        plan.push(inject.clone());
+        plan.push(micro_cell(Precision::Single));
+        plan.push(inject.clone());
+        let cold = engine.run(&plan);
+        // The second run is served from memory.
+        let warm = engine.run(&plan);
+        let snapshot = engine.store().snapshot();
+        for (i, key) in plan.cells().iter().enumerate() {
+            let store_key = ResultStore::store_key(3, key);
+            let (_, stored) = snapshot
+                .iter()
+                .find(|(k, _)| *k == store_key)
+                .expect("cell in snapshot");
+            assert!(cold[i].shares_payload(stored), "cold request {i}");
+            assert!(warm[i].shares_payload(stored), "warm request {i}");
+        }
+        assert_eq!(engine.store().executed(), 2);
     }
 
     #[test]

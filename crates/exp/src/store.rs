@@ -12,12 +12,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The result of one executed (or cached) experiment cell.
+///
+/// A cheap handle: beam and injection payloads, which carry the
+/// per-strike severity vectors, sit behind an [`Arc`], so a clone only
+/// bumps a reference count. The store, the engine's duplicate requests
+/// and [`ResultStore::snapshot`] all share the one payload a cell
+/// produced (or the one its disk entry decoded to). The accumulation
+/// outcome is three scalars and travels by value.
 #[derive(Debug, Clone)]
 pub enum CellResult {
     /// A beam campaign outcome.
-    Beam(CampaignResult),
+    Beam(Arc<CampaignResult>),
     /// A fault-injection campaign outcome.
-    Inject(InjectionReport),
+    Inject(Arc<InjectionReport>),
     /// An error-accumulation sweep point.
     Accumulate(AccumulateOutcome),
 }
@@ -59,6 +66,17 @@ impl CellResult {
         match self {
             CellResult::Accumulate(r) => r,
             other => panic!("expected an accumulation result, got {other:?}"),
+        }
+    }
+
+    /// Whether both handles point at one shared beam or injection
+    /// payload (never true for the by-value accumulation outcome).
+    #[cfg(test)]
+    pub(crate) fn shares_payload(&self, other: &CellResult) -> bool {
+        match (self, other) {
+            (CellResult::Beam(a), CellResult::Beam(b)) => Arc::ptr_eq(a, b),
+            (CellResult::Inject(a), CellResult::Inject(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
@@ -188,6 +206,11 @@ impl ResultStore {
 
     /// [`ResultStore::lookup`], additionally reporting where the answer
     /// came from so callers can record cache telemetry.
+    ///
+    /// A hit hands out a clone of the stored [`CellResult`] handle, so
+    /// it shares the stored payload rather than copying it. A disk hit
+    /// is decoded once and promoted to memory; later lookups of the same
+    /// key share that decoded payload.
     #[expect(
         clippy::expect_used,
         reason = "a poisoned store lock means a worker already panicked; propagating is the only sound option"
@@ -250,7 +273,8 @@ impl ResultStore {
     /// store-key order (deterministic across thread schedules and
     /// cache temperatures). Reports use this to enumerate what a study
     /// actually executed — e.g. the per-cell convergence table —
-    /// without re-threading results through every figure.
+    /// without re-threading results through every figure. Each entry
+    /// shares its payload with the store; only the keys are copied.
     pub fn snapshot(&self) -> Vec<(String, CellResult)> {
         #[expect(
             clippy::expect_used,
@@ -355,6 +379,64 @@ mod tests {
         assert_eq!(store.executed(), 1);
         assert_eq!(store.mem_hits(), 1);
         assert_eq!(store.disk_hits(), 0);
+    }
+
+    fn sample_inject() -> CellResult {
+        CellResult::Inject(Arc::new(InjectionReport {
+            workload: "LUD".to_string(),
+            precision: mpr_softfloat::Precision::Double,
+            counts: mpr_metrics::OutcomeCounts::new(30, 9, 1),
+            severities: vec![1e-3; 9],
+        }))
+    }
+
+    /// The payload of the store's own entry for `key`, read through
+    /// `snapshot`.
+    fn snapshot_entry(store: &ResultStore, key: &str) -> CellResult {
+        let snapshot = store.snapshot();
+        let (_, entry) = snapshot
+            .iter()
+            .find(|(k, _)| k == key)
+            .expect("key in snapshot");
+        entry.clone()
+    }
+
+    #[test]
+    fn memory_hits_and_snapshots_share_the_inserted_payload() {
+        let store = ResultStore::in_memory();
+        let key = "seed=0000000000000005;v2;dev=x;wl=y;p=double;k=inj:n=40";
+        let inserted = sample_inject();
+        store.insert(key, inserted.clone()).expect("insert");
+        let (first, source) = store.lookup_traced(key);
+        assert_eq!(source, LookupSource::Memory);
+        let (second, _) = store.lookup_traced(key);
+        let (first, second) = (first.expect("hit"), second.expect("hit"));
+        assert!(first.shares_payload(&inserted));
+        assert!(second.shares_payload(&inserted));
+        assert!(snapshot_entry(&store, key).shares_payload(&inserted));
+    }
+
+    #[test]
+    fn a_promoted_disk_hit_is_decoded_once_and_shared() {
+        let dir =
+            std::env::temp_dir().join(format!("mpr-exp-store-test-promote-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = "seed=0000000000000006;v2;dev=x;wl=y;p=double;k=inj:n=40";
+        ResultStore::with_cache_dir(&dir)
+            .insert(key, sample_inject())
+            .expect("insert");
+
+        let store = ResultStore::with_cache_dir(&dir);
+        let (promoted, source) = store.lookup_traced(key);
+        assert_eq!(source, LookupSource::Disk);
+        let (again, source) = store.lookup_traced(key);
+        assert_eq!(source, LookupSource::Memory);
+        let (promoted, again) = (promoted.expect("disk hit"), again.expect("memory hit"));
+        assert_eq!(promoted.inject().severities, vec![1e-3; 9]);
+        assert!(again.shares_payload(&promoted));
+        assert!(snapshot_entry(&store, key).shares_payload(&promoted));
+        assert_eq!((store.disk_hits(), store.mem_hits()), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
