@@ -2,6 +2,7 @@
 //! public experiment API. Each test names the paper artifact it checks.
 
 use mixed_precision_reliability::core::Study;
+use mixed_precision_reliability::obs::fnv1a64;
 use std::sync::OnceLock;
 
 /// One shared quick study; every shape below must hold at this seed.
@@ -152,4 +153,30 @@ fn discussion_yolo_half_is_reliable_but_slow() {
         yolo[1] > yolo[2],
         "single-precision YOLO wins MEBF {yolo:?}"
     );
+}
+
+/// The four tables the TRE curves render (Figs. 4, 8, 11 and the
+/// fault-model ablation), pinned as the `fnv1a64` of their text at this
+/// quick study's seed: any change to how a curve answers a threshold
+/// query that moves a printed digit fails here.
+#[test]
+fn tre_tables_render_their_pinned_text() {
+    let study = study();
+    let got = [
+        ("fig4_fpga_tre", study.fig4_fpga_tre().to_table()),
+        ("fig8_knc_tre", study.fig8_knc_tre().to_table()),
+        ("fig11_gpu_tre", study.fig11_gpu_tre().to_table()),
+        (
+            "ablation_fault_models",
+            study.ablation_fault_models().to_table(),
+        ),
+    ]
+    .map(|(name, table)| (name, fnv1a64(table.to_string().as_bytes())));
+    let want = [
+        ("fig4_fpga_tre", 0xE419_F667_F084_CC9F),
+        ("fig8_knc_tre", 0xD8EE_934C_0F0B_3B57),
+        ("fig11_gpu_tre", 0xDCF6_DE44_03BA_EFEB),
+        ("ablation_fault_models", 0xD1D4_C881_C48E_F6D2),
+    ];
+    assert_eq!(got, want, "{got:#018x?}");
 }
