@@ -7,7 +7,7 @@
 //! effectiveness, and campaign throughput as [`mpr_metrics::Table`]s.
 
 use mpr_metrics::Table;
-use mpr_obs::{read_log, summarize, ProfileSummary};
+use mpr_obs::{read_log, summarize, Aggregate, ProfileSummary};
 use std::path::Path;
 
 /// Maximum number of cells shown in the "slowest cells" table.
@@ -88,6 +88,19 @@ fn overview(summary: &ProfileSummary) -> Table {
     ] {
         t.row(vec![label.into(), summary.counter_total(name).to_string()]);
     }
+    // Disk-cache traffic, timed only when the run has a cache dir.
+    for (label, name) in [
+        ("cache reads", "cache.read"),
+        ("cache writes", "cache.write"),
+    ] {
+        let (count, sum) = totals(&summary.scopes_by_time(name));
+        if count > 0 {
+            t.row(vec![
+                label.into(),
+                format!("{count} in {:.3} ms", sum * 1e3),
+            ]);
+        }
+    }
     if let Some((_, peak)) = summary.gauge_scopes(PEAK_RSS).first() {
         t.row(vec!["peak RSS".into(), format!("{:.1} MB", peak.max)]);
     }
@@ -144,9 +157,7 @@ fn throughput(summary: &ProfileSummary) -> Option<Table> {
         if scopes.is_empty() {
             continue;
         }
-        let (count, sum) = scopes
-            .iter()
-            .fold((0u64, 0.0), |(c, s), (_, a)| (c + a.count, s + a.sum));
+        let (count, sum) = totals(&scopes);
         let mean = if count == 0 { 0.0 } else { sum / count as f64 };
         rows.push(vec![label.into(), count.to_string(), format!("{mean:.3}")]);
     }
@@ -160,6 +171,13 @@ fn throughput(summary: &ProfileSummary) -> Option<Table> {
     Some(t)
 }
 
+/// Event count and value sum over every scope of one metric.
+fn totals(scopes: &[(&str, Aggregate)]) -> (u64, f64) {
+    scopes
+        .iter()
+        .fold((0, 0.0), |(c, s), (_, a)| (c + a.count, s + a.sum))
+}
+
 /// Total recorded seconds of timer `name` under `scope` (0 if absent).
 fn scoped_time(summary: &ProfileSummary, name: &str, scope: &str) -> f64 {
     summary.time_scope(name, scope).map_or(0.0, |agg| agg.sum)
@@ -168,7 +186,7 @@ fn scoped_time(summary: &ProfileSummary, name: &str, scope: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpr_obs::{summarize, Counter, Gauge, JsonlRecorder, Timer};
+    use mpr_obs::{summarize, Counter, Gauge, JsonlRecorder, Metric, Recorder, Timer};
 
     fn sample_recorder() -> JsonlRecorder {
         let rec = JsonlRecorder::new();
@@ -184,6 +202,9 @@ mod tests {
         t.stop();
         Gauge::new(&rec, "beam.strikes_per_s", "dev=a").set(123.4);
         Gauge::new(&rec, PEAK_RSS, "").set(37.26);
+        rec.record("cache.read", "dev=a", Metric::Time(0.0015));
+        rec.record("cache.read", "dev=b", Metric::Time(0.0005));
+        rec.record("cache.write", "dev=a", Metric::Time(0.004));
         rec
     }
 
@@ -200,6 +221,9 @@ mod tests {
         assert!(out.contains("cells dedup-saved"));
         assert!(out.contains("peak RSS"));
         assert!(out.contains("37.3 MB"), "{out}");
+        assert!(out.contains("cache reads"), "{out}");
+        assert!(out.contains("2 in 2.000 ms"), "{out}");
+        assert!(out.contains("1 in 4.000 ms"), "{out}");
     }
 
     #[test]
@@ -218,6 +242,7 @@ mod tests {
         assert!(!out.contains("slowest cells"));
         assert!(!out.contains("campaign throughput"));
         assert!(!out.contains("peak RSS"), "no gauge, no row");
+        assert!(!out.contains("cache reads"), "no cache dir, no row");
     }
 
     #[test]

@@ -175,7 +175,7 @@ fn read_result(r: &mut Reader<'_>) -> Result<Option<CellResult>, String> {
             "sdc_fluence" => f.sdc_fluence = Some(hex_f64(r)?),
             "sdc_events" => f.sdc_events = r.u64()?,
             "due_events" => f.due_events = r.u64()?,
-            "severities" => f.severities = array_of(r, hex_f64)?,
+            "severities" => f.severities = hex_f64s(r)?,
             "labels" => f.labels = array_of(r, |r| Ok(r.str()?.and_then(|l| intern_label(&l))))?,
             "masked" => f.masked = r.u64()?,
             "sdc" => f.sdc = r.u64()?,
@@ -243,12 +243,21 @@ fn cross_section(events: u64, fluence: f64) -> Option<CrossSection> {
 /// the rest of the array still checked) otherwise.
 fn array_of<'a, T>(
     r: &mut Reader<'a>,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<Option<T>, String>,
+    item: impl FnMut(&mut Reader<'a>) -> Result<Option<T>, String>,
 ) -> Result<Option<Vec<T>>, String> {
     if !r.array()? {
         return Ok(None);
     }
-    let mut out = Some(Vec::new());
+    rest_of_array(r, Some(Vec::new()), item)
+}
+
+/// The remaining elements of an open array, appended to `out` while
+/// every one reads well-typed.
+fn rest_of_array<'a, T>(
+    r: &mut Reader<'a>,
+    mut out: Option<Vec<T>>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<Option<T>, String>,
+) -> Result<Option<Vec<T>>, String> {
     while r.next_item()? {
         match (item(r)?, &mut out) {
             (Some(v), Some(items)) => items.push(v),
@@ -256,6 +265,27 @@ fn array_of<'a, T>(
         }
     }
     Ok(out)
+}
+
+/// An array of hex floats, as [`array_of`] with [`hex_f64`] reads it.
+/// The serializer writes each element as a quoted 16-digit string right
+/// after the `[` or `,`, so elements of that shape are taken at a fixed
+/// stride; from the first one that deviates (whitespace, an escape,
+/// another length or type, the closing `]`), the rest of the array goes
+/// through the generic reader, so the values, the errors and a
+/// decode's Hit / Miss / Corrupt answer are the same.
+fn hex_f64s(r: &mut Reader<'_>) -> Result<Option<Vec<f64>>, String> {
+    if !r.array()? {
+        return Ok(None);
+    }
+    let mut out = Some(Vec::new());
+    while let Some(digits) = r.next_str_of_len(16) {
+        match (f64_of_hex(digits), &mut out) {
+            (Some(v), Some(items)) => items.push(v),
+            _ => out = None,
+        }
+    }
+    rest_of_array(r, out, hex_f64)
 }
 
 /// Floats are stored as quoted bit-hex strings of exactly 16 hex digits.
@@ -853,7 +883,62 @@ mod tests {
                     agrees(&swapped, key);
                 }
             }
+            let text = String::from_utf8(body).expect("entries are UTF-8");
+            let Some(at) = text.find("\"severities\": [") else {
+                continue;
+            };
+            let start = at + "\"severities\": ".len();
+            let end = start + text[start..].find(']').expect("a closed array") + 1;
+            for array in hex_array_mutations(&text[start..end]) {
+                let mutated = format!("{}{array}{}", &text[..start], &text[end..]);
+                agrees(mutated.as_bytes(), key);
+                // Cut anywhere in the array, mid-element included.
+                for cut in start..start + array.len() {
+                    agrees(&mutated.as_bytes()[..cut], key);
+                }
+            }
         }
+    }
+
+    /// Rewrites of a hex-float array aimed at each exit from the
+    /// decoder's fixed-stride path, each at every element position:
+    /// whitespace after a `[` or `,`, upper-case digits, 15 and 17
+    /// digits, an escaped digit, a multi-byte character, a number,
+    /// `null` or nested-array element, an element cut short so its
+    /// string runs on, a trailing comma, and `[]`.
+    fn hex_array_mutations(array: &str) -> Vec<String> {
+        let inner = &array[1..array.len() - 1];
+        let items: Vec<&str> = inner.split(',').filter(|i| !i.is_empty()).collect();
+        let mut out = vec![
+            "[]".to_string(),
+            format!("[{inner},]"),
+            format!("[{inner} ]"),
+            array.replace(',', ", "),
+            array.replace(',', ",\n"),
+            array.to_uppercase(),
+        ];
+        for (k, item) in items.iter().enumerate() {
+            let digits = &item[1..item.len() - 1];
+            let escaped = format!("\\u{:04x}{}", digits.as_bytes()[0], &digits[1..]);
+            for element in [
+                format!("\"{}\"", &digits[..15]),
+                format!("\"{digits}0\""),
+                format!("\"{escaped}\""),
+                format!("\"{}\"", digits.to_uppercase()),
+                format!("\"{}\"", "é".repeat(8)),
+                format!(" {item}"),
+                format!("\n{item}"),
+                format!("[{item}]"),
+                format!("\"{}", &digits[..6]),
+                "1".to_string(),
+                "null".to_string(),
+            ] {
+                let mut rewritten = items.clone();
+                rewritten[k] = &element;
+                out.push(format!("[{}]", rewritten.join(",")));
+            }
+        }
+        out
     }
 
     #[test]
@@ -903,6 +988,18 @@ mod tests {
                 let mut dropped = inner.clone();
                 dropped.remove(i);
                 texts.push(entry_text(&top, &dropped));
+            }
+            // Hex-float arrays the fixed-stride path must hand over.
+            if let Some((at, (_, array))) = inner
+                .iter()
+                .enumerate()
+                .find(|(_, (name, _))| name == "severities")
+            {
+                for mutated in hex_array_mutations(array) {
+                    let mut rewritten = inner.clone();
+                    rewritten[at].1 = mutated;
+                    texts.push(entry_text(&top, &rewritten));
+                }
             }
             // Escapes where the writer put literal characters.
             let escaped = entry_text(&top, &inner)

@@ -318,10 +318,19 @@ impl Engine {
 
     /// Looks a cell up in the store and counts where the answer came
     /// from under the cell's canonical key. A corrupt entry is
-    /// quarantined and counted as a miss.
+    /// quarantined and counted as a miss. A lookup that goes to the
+    /// disk cache (hit, miss or quarantine) is timed as `cache.read`.
     fn lookup(&self, store_key: &str, canonical: &str) -> Option<CellResult> {
         let rec = &*self.recorder;
+        let read = self.cache_timer("cache.read", canonical);
         let (hit, source) = self.store.lookup_traced(store_key);
+        if let Some(read) = read {
+            if source == LookupSource::Memory {
+                read.cancel();
+            } else {
+                read.stop();
+            }
+        }
         let counter = match source {
             LookupSource::Memory => "cache.mem_hit",
             LookupSource::Disk => "cache.disk_hit",
@@ -368,12 +377,24 @@ impl Engine {
             rec.record("cell.total", canonical, Metric::Time(queued_s + exec_s));
         }
         if let (Ok(result), _) = &outcome {
-            if let Err(e) = self.store.insert(store_key, result.clone()) {
+            let write = self.cache_timer("cache.write", canonical);
+            let saved = self.store.insert(store_key, result.clone());
+            drop(write);
+            if let Err(e) = saved {
                 Counter::new(rec, "engine.cache_write_failed", canonical).incr();
                 eprintln!("mpr-exp: failed to write cache entry for {canonical}: {e}");
             }
         }
         outcome
+    }
+
+    /// A timer for disk-cache traffic under a cell's canonical key, or
+    /// `None` (no clock read, no allocation) without a cache dir or an
+    /// enabled recorder.
+    fn cache_timer(&self, name: &'static str, canonical: &str) -> Option<Timer<'_>> {
+        let rec = &*self.recorder;
+        (rec.enabled() && self.store.cache_dir().is_some())
+            .then(|| Timer::start(rec, name, canonical))
     }
 
     /// Convenience: runs a single cell through the store.
@@ -790,6 +811,52 @@ mod tests {
                 .count();
             assert_eq!(busy, 3, "{scope}");
         }
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fixture clears its temporary cache dir beneath the Vfs layer"
+    )]
+    fn disk_traffic_is_timed_per_cell_only_with_a_cache_dir() {
+        let dir = std::env::temp_dir().join(format!(
+            "mpr-exp-engine-test-cache-timers-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut plan = ExperimentPlan::new();
+        plan.push(micro_cell(Precision::Single));
+        plan.push(micro_cell(Precision::Half));
+        let scopes: Vec<String> = plan.cells().iter().map(CellKey::canonical).collect();
+        // The scopes of every `name` timer a run recorded, in order.
+        let timed = |store: ResultStore, runs: usize, name: &str| {
+            let rec = Arc::new(mpr_obs::JsonlRecorder::new());
+            let engine = Engine::new(9)
+                .with_store(Arc::new(store))
+                .with_recorder(rec.clone());
+            for _ in 0..runs {
+                engine.run(&plan);
+            }
+            rec.events()
+                .into_iter()
+                .filter(|e| e.name == name && matches!(e.metric, Metric::Time(_)))
+                .map(|e| e.scope)
+                .collect::<Vec<_>>()
+        };
+        // Cold: every miss reads the disk, then writes its entry.
+        let disk = || ResultStore::with_cache_dir(&dir);
+        assert_eq!(timed(disk(), 1, "cache.read"), scopes);
+        assert!(timed(disk(), 1, "cache.write").is_empty(), "all on disk");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(timed(disk(), 1, "cache.write"), scopes);
+        // Warm: each cell is read from disk once; the rerun's memory
+        // hits read nothing, and nothing is written.
+        assert_eq!(timed(disk(), 2, "cache.read"), scopes);
+        assert!(timed(disk(), 2, "cache.write").is_empty());
+        // Without a cache dir, no disk timer at all.
+        assert!(timed(ResultStore::in_memory(), 1, "cache.read").is_empty());
+        assert!(timed(ResultStore::in_memory(), 1, "cache.write").is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

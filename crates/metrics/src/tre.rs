@@ -7,6 +7,12 @@
 /// Each SDC event contributes its **worst** per-element relative error;
 /// an event is tolerable at threshold `t` when that worst error is `<= t`.
 ///
+/// The curve keeps the severities in the order given and sorts nothing:
+/// a figure asks a handful of thresholds of a few thousand events, and
+/// a counting pass per query costs less than one sort. The derived
+/// `PartialEq` therefore compares severities in that order, so two
+/// curves over the same events listed differently are unequal.
+///
 /// # Example
 ///
 /// ```rust
@@ -19,7 +25,8 @@
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreCurve {
-    /// Worst relative error of each SDC event, sorted ascending.
+    /// Worst relative error of each SDC event, in the order given, with
+    /// NaN stored as `+inf`.
     errors: Vec<f64>,
 }
 
@@ -32,7 +39,6 @@ impl TreCurve {
                 *e = f64::INFINITY;
             }
         }
-        errors.sort_by(f64::total_cmp);
         TreCurve { errors }
     }
 
@@ -42,13 +48,14 @@ impl TreCurve {
     }
 
     /// Fraction of events still counted as errors at tolerance `tre`
-    /// (an event survives when its severity is strictly greater).
-    /// With no events the curve is identically zero.
+    /// (an event survives unless its severity is `<= tre`, so a NaN
+    /// `tre` tolerates nothing). With no events the curve is
+    /// identically zero. One pass over the events.
     pub fn surviving_fraction(&self, tre: f64) -> f64 {
         if self.errors.is_empty() {
             return 0.0;
         }
-        let tolerable = self.errors.partition_point(|&e| e <= tre);
+        let tolerable = self.errors.iter().filter(|&&e| e <= tre).count();
         (self.errors.len() - tolerable) as f64 / self.errors.len() as f64
     }
 

@@ -4,7 +4,78 @@ use mpr_metrics::stats::{poisson_ci95, wilson_ci95};
 use mpr_metrics::{CrossSection, FitRate, Mebf, OutcomeCounts, TreCurve};
 use proptest::prelude::*;
 
+/// Values a severity vector draws from besides arbitrary floats: signed
+/// zeros, infinities, NaNs of both signs, subnormals and the grid's own
+/// thresholds, so ties and duplicates are common.
+const SPECIAL: [f64; 14] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE / 2.0,
+    1e-6,
+    1e-3,
+    1e-2,
+    0.1,
+    1.0,
+];
+
+fn severity() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0usize..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+        any::<f64>(),
+        0.0f64..1.0,
+    ]
+}
+
+/// The sorted curve `TreCurve` used to be: NaN as `+inf`, sorted by
+/// `total_cmp`, the tolerable prefix found by `partition_point`.
+fn sorted_surviving_fraction(errors: &[f64], tre: f64) -> f64 {
+    let mut sorted: Vec<f64> = errors
+        .iter()
+        .map(|&e| if e.is_nan() { f64::INFINITY } else { e })
+        .collect();
+    sorted.sort_by(f64::total_cmp);
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let tolerable = sorted.partition_point(|&e| e <= tre);
+    (sorted.len() - tolerable) as f64 / sorted.len() as f64
+}
+
 proptest! {
+    #[test]
+    fn tre_curve_matches_the_sorted_oracle(
+        errors in proptest::collection::vec(severity(), 0..64),
+        picks in proptest::collection::vec(0usize..64, 0..8),
+        extra in severity(),
+    ) {
+        let curve = TreCurve::from_errors(errors.clone());
+        prop_assert_eq!(curve.event_count(), errors.len());
+        // Exact ties (thresholds drawn from the vector itself), the
+        // standard grid, a NaN threshold and one more drawn value.
+        let mut thresholds: Vec<f64> = picks
+            .iter()
+            .filter_map(|&i| errors.get(i).copied())
+            .collect();
+        thresholds.extend(TreCurve::standard_grid());
+        thresholds.extend([f64::NAN, -f64::NAN, extra]);
+        for tre in thresholds {
+            let want = sorted_surviving_fraction(&errors, tre);
+            let got = curve.surviving_fraction(tre);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "tre {:?}", tre);
+            prop_assert_eq!(
+                curve.tolerable_fraction(tre).to_bits(),
+                (1.0 - want).to_bits(),
+                "tre {:?}", tre
+            );
+        }
+    }
+
     #[test]
     fn tre_curve_is_monotone_nonincreasing(
         errors in proptest::collection::vec(0.0f64..10.0, 0..200),

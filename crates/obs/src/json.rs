@@ -250,6 +250,35 @@ impl<'a> Reader<'a> {
         self.next(b']')
     }
 
+    /// The next element of the innermost open array, taken only when it
+    /// is a string of exactly `n` bytes with no escape that directly
+    /// follows the `[` or its `,` (no whitespace between): its contents,
+    /// with the cursor after the closing quote. Otherwise `None`, and
+    /// the cursor has not moved, so [`Reader::next_item`] reads on from
+    /// the same place. This is the fixed-stride path for arrays whose
+    /// writer emits one compact shape; anything else falls to the
+    /// general grammar, which yields the same values and errors.
+    #[inline]
+    pub fn next_str_of_len(&mut self, n: usize) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let open = if self.first { self.pos } else { self.pos + 1 };
+        let (start, end) = (open + 1, open + 1 + n);
+        let framed = (self.first || bytes.get(self.pos) == Some(&b','))
+            && bytes.get(open) == Some(&b'"')
+            && bytes.get(end) == Some(&b'"');
+        if !framed {
+            return None;
+        }
+        // Both ends sit next to an ASCII quote: char boundaries.
+        let s = self.text.get(start..end)?;
+        if has_special(s.as_bytes()) {
+            return None;
+        }
+        self.pos = end + 1;
+        self.first = false;
+        Some(s)
+    }
+
     /// The key of the next member of the innermost open object, with
     /// the cursor left on its value (read or skip it next); `None` once
     /// the closing `}` is consumed.
@@ -565,21 +594,34 @@ impl<'a> Reader<'a> {
     }
 }
 
+const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+const QUOTES: u64 = u64::from_ne_bytes([b'"'; 8]);
+const BACKSLASHES: u64 = u64::from_ne_bytes([b'\\'; 8]);
+
+/// Whether any byte of an eight-byte word is a quote or a backslash:
+/// the classic any-zero-byte test, applied to the word XORed with each.
+#[inline]
+fn word_has_special(word: [u8; 8]) -> bool {
+    let has_zero = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let w = u64::from_ne_bytes(word);
+    has_zero(w ^ QUOTES) | has_zero(w ^ BACKSLASHES) != 0
+}
+
+/// Whether `bytes` holds a quote or a backslash.
+#[inline]
+fn has_special(bytes: &[u8]) -> bool {
+    let mut words = bytes.chunks_exact(8);
+    words.any(|w| w.try_into().is_ok_and(word_has_special))
+        || words.remainder().iter().any(|b| matches!(b, b'"' | b'\\'))
+}
+
 /// The index of the first quote or backslash at or after `i`, or the
 /// input length. Whole eight-byte words are passed over while none of
-/// their bytes is either; `has_zero` is the classic any-zero-byte test,
-/// applied to the word XORed with each target byte.
+/// their bytes is either.
 fn run_end(bytes: &[u8], mut i: usize) -> usize {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
-    const QUOTES: u64 = u64::from_ne_bytes([b'"'; 8]);
-    const BACKSLASHES: u64 = u64::from_ne_bytes([b'\\'; 8]);
-    let has_zero = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
     while let Some(word) = bytes.get(i..i + 8) {
-        let mut w = [0; 8];
-        w.copy_from_slice(word);
-        let w = u64::from_ne_bytes(w);
-        if has_zero(w ^ QUOTES) | has_zero(w ^ BACKSLASHES) != 0 {
+        if word.try_into().is_ok_and(word_has_special) {
             break;
         }
         i += 8;
@@ -661,6 +703,45 @@ mod tests {
         assert_eq!(max.as_u64(), Some(u64::MAX));
         assert_eq!(Value::Num("-1".into()).as_u64(), None);
         assert_eq!(Value::Num("1.5".into()).as_num(), Some(1.5));
+    }
+
+    #[test]
+    fn fixed_length_strings_leave_the_cursor_on_any_other_item() {
+        // Reads `text`'s one array: fixed-length items while they come,
+        // then the general grammar; returns each item and its route.
+        let read = |text: &str| -> Result<Vec<String>, String> {
+            let mut r = Reader::new(text);
+            assert!(r.array()?);
+            let mut items = Vec::new();
+            while let Some(s) = r.next_str_of_len(2) {
+                items.push(format!("fast {s}"));
+            }
+            while r.next_item()? {
+                items.push(format!("slow {}", r.str()?.unwrap_or_default()));
+            }
+            r.finish()?;
+            Ok(items)
+        };
+        let items = |v: &[&str]| Ok(v.iter().map(|s| s.to_string()).collect());
+        assert_eq!(read(r#"["ab","cd"]"#), items(&["fast ab", "fast cd"]));
+        assert_eq!(read(r#"[]"#), items(&[]));
+        assert_eq!(read(r#"[ "ab"]"#), items(&["slow ab"]));
+        assert_eq!(
+            read(r#"["ab", "cd","ef"]"#),
+            items(&["fast ab", "slow cd", "slow ef"])
+        );
+        assert_eq!(
+            read(r#"["ab","c","de"]"#),
+            items(&["fast ab", "slow c", "slow de"])
+        );
+        assert_eq!(read(r#"["ab","abc"]"#), items(&["fast ab", "slow abc"]));
+        assert_eq!(read(r#"["ab"]"#), items(&["fast ab"]));
+        assert_eq!(read(r#"["é"]"#), items(&["fast é"]));
+        assert_eq!(read(r#"["\"","ab"]"#), items(&["slow \"", "slow ab"]));
+        assert_eq!(read(r#"["ab",1]"#), items(&["fast ab", "slow "]));
+        assert!(read(r#"["ab",]"#).is_err());
+        assert!(read(r#"["ab""#).is_err());
+        assert!(read(r#"["a"#).is_err());
     }
 
     #[test]
