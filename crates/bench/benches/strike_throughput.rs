@@ -18,8 +18,9 @@
 //! - every workload has its own speedup floor (`Config::floor`), so no
 //!   workload can regress behind the headline;
 //! - GEMM half must run within 2x of GEMM single on the batched path —
-//!   `wide::fma` lanes over the branch-free binary16 kernels (the same
-//!   ones every scalar `Half` op runs on) close the softfloat gap, and
+//!   lanes of `Half` values (`wide::row_fma` rows and SoA chain groups)
+//!   over the branch-free binary16 kernels (the same ones every scalar
+//!   `Half` op runs on) close the softfloat gap, and
 //!   this ratio is the regression tripwire for them. The LavaMD and
 //!   Micro half-vs-single ratios are recorded beside it, ungated.
 //!

@@ -112,7 +112,7 @@ impl Workload for HostileWorkload {
         if let HostileMode::SlowStrike { millis } = self.mode {
             std::thread::sleep(Duration::from_millis(millis));
         }
-        crate::dispatch_precision!(self, precision, hook)
+        crate::dispatch_precision!(precision, F => self.run::<F, _>(hook))
     }
 
     /// The fault-free output.

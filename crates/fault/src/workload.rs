@@ -107,19 +107,37 @@ pub trait Workload: Sync {
     }
 }
 
-/// Dispatches a generic `run<F, H>` method on a runtime
-/// [`Precision`](mpr_softfloat::Precision). The hook type is inferred
-/// at the call site, so the same macro serves the `dyn` campaign
-/// boundary and the statically dispatched golden, site-count and
-/// strike runs.
+/// Runs a body generic over the float format on a runtime
+/// [`Precision`](mpr_softfloat::Precision): `dispatch_precision!(p, F
+/// => body)` expands to one match arm per format, each opening with
+/// `type F = f64;` (`f32`, `Half`) before `body`. It is the
+/// workspace's one precision dispatch: the oracle methods of
+/// [`monomorphic_workload!`](crate::monomorphic_workload) and the
+/// workloads' batched fast paths expand it.
+///
+/// ```rust
+/// use mpr_fault::dispatch_precision;
+/// use mpr_softfloat::{FloatExt, Precision};
+///
+/// let third = |p: Precision| dispatch_precision!(p, F => F::from_f64(1.0 / 3.0).to_f64());
+/// assert_eq!(third(Precision::Double), 1.0 / 3.0);
+/// assert_ne!(third(Precision::Half), 1.0 / 3.0);
+/// ```
 #[macro_export]
 macro_rules! dispatch_precision {
-    ($self:ident, $precision:expr, $hook:expr) => {
+    ($precision:expr, $f:ident => $body:expr) => {
         match $precision {
-            $crate::__softfloat::Precision::Double => $self.run::<f64, _>($hook),
-            $crate::__softfloat::Precision::Single => $self.run::<f32, _>($hook),
+            $crate::__softfloat::Precision::Double => {
+                type $f = f64;
+                $body
+            }
+            $crate::__softfloat::Precision::Single => {
+                type $f = f32;
+                $body
+            }
             $crate::__softfloat::Precision::Half => {
-                $self.run::<$crate::__softfloat::Half, _>($hook)
+                type $f = $crate::__softfloat::Half;
+                $body
             }
         }
     };
@@ -143,17 +161,17 @@ macro_rules! monomorphic_workload {
             precision: $crate::__softfloat::Precision,
             hook: &mut dyn $crate::hook::FaultHook,
         ) -> Vec<f64> {
-            $crate::dispatch_precision!(self, precision, hook)
+            $crate::dispatch_precision!(precision, F => self.run::<F, _>(hook))
         }
 
         fn site_count(&self, precision: $crate::__softfloat::Precision) -> u64 {
             let mut hook = $crate::hook::GoldenHook::new();
-            let _ = $crate::dispatch_precision!(self, precision, &mut hook);
+            let _ = $crate::dispatch_precision!(precision, F => self.run::<F, _>(&mut hook));
             hook.sites()
         }
 
         fn run_golden(&self, precision: $crate::__softfloat::Precision) -> Vec<f64> {
-            $crate::dispatch_precision!(self, precision, &mut $crate::hook::NullHook)
+            $crate::dispatch_precision!(precision, F => self.run::<F, _>(&mut $crate::hook::NullHook))
         }
 
         fn run_with_fault(
@@ -163,7 +181,7 @@ macro_rules! monomorphic_workload {
             fault: $crate::ValueFault,
         ) -> Vec<f64> {
             let mut hook = $crate::hook::InjectHook::new(site, fault);
-            $crate::dispatch_precision!(self, precision, &mut hook)
+            $crate::dispatch_precision!(precision, F => self.run::<F, _>(&mut hook))
         }
     };
 }

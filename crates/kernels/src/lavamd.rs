@@ -2,7 +2,7 @@
 
 use crate::util::{index_range, strike_each, to_u64, PrecisionCache};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
-use mpr_fault::{gen_value, monomorphic_workload, ValueFault, Workload};
+use mpr_fault::{dispatch_precision, gen_value, monomorphic_workload, ValueFault, Workload};
 use mpr_softfloat::math::{exp_horner, exp_terms};
 use mpr_softfloat::{FloatExt, Precision};
 
@@ -423,13 +423,10 @@ impl Workload for LavaMd {
         golden: &[f64],
         each: &mut dyn FnMut(usize, &[f64]) -> bool,
     ) {
-        let replay = match precision {
-            Precision::Double => Self::replay::<f64>,
-            Precision::Single => Self::replay::<f32>,
-            Precision::Half => Self::replay::<mpr_softfloat::Half>,
-        };
-        strike_each(strikes, 0..strikes.len(), each, |site, fault, out| {
-            replay(self, site, fault, golden, out)
+        dispatch_precision!(precision, F => {
+            strike_each(strikes, 0..strikes.len(), each, |site, fault, out| {
+                self.replay::<F>(site, fault, golden, out)
+            })
         });
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::util::{strike_each, to_u64, PrecisionCache};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
-use mpr_fault::{gen_value, monomorphic_workload, ValueFault, Workload};
+use mpr_fault::{dispatch_precision, gen_value, monomorphic_workload, ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// Per-precision replay state: exact input and golden-output bits plus
@@ -468,32 +468,22 @@ impl Workload for Lud {
         golden: &[f64],
         each: &mut dyn FnMut(usize, &[f64]) -> bool,
     ) {
-        fn go<F: FloatExt>(
-            lud: &Lud,
-            strikes: &[(u64, ValueFault)],
-            golden: &[f64],
-            each: &mut dyn FnMut(usize, &[f64]) -> bool,
-        ) {
-            let n = to_u64(lud.n);
-            let mut order: Vec<usize> = (0..strikes.len()).collect();
-            order.sort_by_cached_key(|&idx| {
-                let site = strikes[idx].0;
-                let row = match Lud::plan(n, site) {
-                    StrikePlan::Masked => usize::MAX,
-                    StrikePlan::Input { row, .. } | StrikePlan::Elim { row, .. } => row,
-                };
-                (row, site, idx)
-            });
-            let mut replayer = LudReplayer::<F>::new(lud.n, lud.cache::<F>());
+        let n = to_u64(self.n);
+        let mut order: Vec<usize> = (0..strikes.len()).collect();
+        order.sort_by_cached_key(|&idx| {
+            let site = strikes[idx].0;
+            let row = match Lud::plan(n, site) {
+                StrikePlan::Masked => usize::MAX,
+                StrikePlan::Input { row, .. } | StrikePlan::Elim { row, .. } => row,
+            };
+            (row, site, idx)
+        });
+        dispatch_precision!(precision, F => {
+            let mut replayer = LudReplayer::<F>::new(self.n, self.cache::<F>());
             strike_each(strikes, order, each, |site, fault, out| {
                 replayer.strike(site, fault, golden, out)
-            });
-        }
-        match precision {
-            Precision::Double => go::<f64>(self, strikes, golden, each),
-            Precision::Single => go::<f32>(self, strikes, golden, each),
-            Precision::Half => go::<mpr_softfloat::Half>(self, strikes, golden, each),
-        }
+            })
+        });
     }
 }
 
@@ -582,31 +572,6 @@ mod tests {
         assert!(changed > n * n / 2, "only {changed} entries changed");
     }
 
-    /// Runs `strikes` as one batch and checks every result against the
-    /// naive injected run, bit for bit.
-    fn assert_batch_matches_naive(lud: &Lud, p: Precision, strikes: &[(u64, ValueFault)]) {
-        let golden = lud.run_golden(p);
-        let mut got: Vec<Option<Vec<f64>>> = vec![None; strikes.len()];
-        lud.run_strike_batch(p, strikes, &golden, &mut |idx, out| {
-            assert!(got[idx].is_none(), "strike {idx} reported twice");
-            got[idx] = Some(out.to_vec());
-            true
-        });
-        for (idx, &(site, fault)) in strikes.iter().enumerate() {
-            let want = lud.run_with_fault(p, site, fault);
-            let got = got[idx].as_ref().expect("callback ran for every strike");
-            assert_eq!(got.len(), want.len());
-            let same = got
-                .iter()
-                .zip(&want)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(
-                same,
-                "strike {idx} site {site} fault {fault:?} precision {p:?}"
-            );
-        }
-    }
-
     #[test]
     fn batch_matches_naive_bit_for_bit_at_every_site() {
         // Every dynamic site — inputs, factors, updates, and the
@@ -628,7 +593,7 @@ mod tests {
                         (site, fault)
                     })
                     .collect();
-                assert_batch_matches_naive(&lud, p, &strikes);
+                crate::util::assert_batch_matches_naive(&lud, p, &strikes);
             }
         }
     }
@@ -652,7 +617,7 @@ mod tests {
             strikes.push((to_u64(row * n + row % 7), ValueFault::BitFlip(20)));
         }
         for p in [Precision::Double, Precision::Single] {
-            assert_batch_matches_naive(&lud, p, &strikes);
+            crate::util::assert_batch_matches_naive(&lud, p, &strikes);
         }
     }
 
@@ -670,7 +635,7 @@ mod tests {
                 )
             })
             .collect();
-        assert_batch_matches_naive(&lud, p, &strikes);
+        crate::util::assert_batch_matches_naive(&lud, p, &strikes);
     }
 
     #[test]

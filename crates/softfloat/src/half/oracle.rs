@@ -548,13 +548,14 @@ mod tests {
         }
     }
 
-    /// Checks the scalar FMA and both `wide` lane forms against the
-    /// oracle on every (a, b, c) lane.
+    /// Checks the scalar FMA, `wide::fma`, and `wide::row_fma` over a
+    /// one-row matrix against the oracle on every (a, b, c) lane.
     fn check_fma_ops(a: &[u16], b: &[u16], c: &[u16]) {
         let mut acc = c.to_vec();
         wide::fma(a, b, &mut acc);
-        let mut bacc = c.to_vec();
-        wide::fma_broadcast(a[0], b, &mut bacc);
+        let mut racc: Vec<Half> = c.iter().map(|&v| h(v)).collect();
+        let row: Vec<Half> = b.iter().map(|&v| h(v)).collect();
+        wide::row_fma(&[h(a[0])], &row, &mut racc);
         for i in 0..a.len() {
             let want = oracle_fma(a[i], b[i], c[i]);
             assert_eq!(
@@ -567,9 +568,9 @@ mod tests {
             );
             assert_eq!(acc[i], want, "wide::fma lane {i}");
             assert_eq!(
-                bacc[i],
+                racc[i].to_bits(),
                 oracle_fma(a[0], b[i], c[i]),
-                "wide::fma_broadcast lane {i}"
+                "wide::row_fma lane {i}"
             );
         }
     }

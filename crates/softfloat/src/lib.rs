@@ -29,9 +29,9 @@
 //! * [`math`] — in-precision transcendental functions (polynomial `exp`)
 //!   whose intermediate values live in the target precision, mirroring how
 //!   GPUs evaluate transcendentals in software (paper, Section 6.3).
-//! * [`wide`] — binary16 FMA lanes over `&[u16]` bit slices, each lane
-//!   [`Half::mul_add`]; batched strike execution runs its half-precision
-//!   inner loops through them.
+//! * [`wide`] — FMA lanes over slices, each lane the scalar `mul_add`:
+//!   [`wide::row_fma`], one row of a matrix product at any precision,
+//!   and the binary16 bit-pattern step [`wide::fma`].
 //!
 //! # Example
 //!

@@ -1,36 +1,30 @@
-//! Wide binary16 FMA lanes over bit-pattern slices.
+//! Wide FMA lanes: the slice shapes batched kernels and row products
+//! run their inner loops through.
 //!
-//! Campaign strike batches spend nearly all of their half-precision time
-//! in tight FMA loops over independent lanes. This module gives those
-//! loops a slice shape: lanes are `u16` bit patterns, not
-//! [`Half`] values, because batched kernels keep their fault state as
-//! structure-of-arrays bit planes (`Half::to_bits`/`from_bits` are free).
+//! Lanes hold values of one [`FloatExt`] type — `f64`, `f32` or
+//! [`Half`] — and every lane is that type's scalar `mul_add`, so a
+//! slice form is bit-identical to the scalar chain it replaces.
+//! [`row_fma`] is the matrix-row primitive (GEMM's rows of `C`);
+//! [`fma`] is the elementwise binary16 step over `u16` bit patterns.
 //!
 //! # Contract
 //!
-//! Every lane **is** [`Half::mul_add`]: the loops below call it, and it
-//! inlines down to the branch-free widen/narrow kernels every `Half`
-//! operation shares, which the autovectorizer maps onto SIMD float
-//! units. There is no second binary16 implementation to keep in sync;
-//! the crate's tests hold the one implementation to an exact integer
-//! oracle (DESIGN.md §4i).
+//! Every lane **is** the scalar `mul_add`. For [`Half`] it inlines down
+//! to the branch-free widen/narrow kernels every binary16 operation
+//! shares, which the autovectorizer maps onto SIMD float units — which
+//! is why `impl FloatExt for Half` marks every method `#[inline]`.
+//! There is no second binary16 implementation to keep in sync; the
+//! crate's tests hold the one implementation to an exact integer oracle
+//! (DESIGN.md §4i).
 
-use crate::Half;
+use crate::{FloatExt, Half};
 
 /// Natural lane count for batched kernels: 16 lanes of binary16 fill a
 /// 256-bit vector after widening to `f32` pairs on common targets.
 pub const LANES: usize = 16;
 
-#[inline(always)]
-fn fma_lane(a: u16, b: u16, c: u16) -> u16 {
-    Half::from_bits(a)
-        .mul_add(Half::from_bits(b), Half::from_bits(c))
-        .to_bits()
-}
-
 /// Elementwise fused multiply-accumulate over bit patterns:
-/// `acc[i] = fma(a[i], b[i], acc[i])`, each lane `Half::mul_add`. This
-/// is the batched kernels' dot-product step.
+/// `acc[i] = fma(a[i], b[i], acc[i])`, each lane `Half::mul_add`.
 ///
 /// # Panics
 ///
@@ -54,28 +48,61 @@ pub fn fma(a: &[u16], b: &[u16], acc: &mut [u16]) {
         acc.len()
     );
     for ((&x, &y), c) in a.iter().zip(b).zip(acc.iter_mut()) {
-        *c = fma_lane(x, y, *c);
+        *c = Half::from_bits(x)
+            .mul_add(Half::from_bits(y), Half::from_bits(*c))
+            .to_bits();
     }
 }
 
-/// Broadcast fused multiply-accumulate:
-/// `acc[i] = fma(a, b[i], acc[i])` — the GEMM row-recompute step, where
-/// one faulted `A` element multiplies a contiguous `B` row.
+/// One row of a matrix product, accumulated onto `acc`: for row-major
+/// `rows` with `acc.len()` columns, `acc[j] = fma(x[k], rows[k][j],
+/// acc[j])` for `k` in order. From a zeroed `acc`, lane `j` is exactly
+/// the `k`-ordered FMA chain `sum_k x[k] * rows[k][j]` from `+0`.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ.
+/// Panics if `acc` is empty or `rows.len() != x.len() * acc.len()`.
+///
+/// ```rust
+/// use mpr_softfloat::{wide, Half};
+/// let h = Half::from_f32;
+/// let rows = [h(1.0), h(2.0), h(3.0), h(4.0)]; // [[1, 2], [3, 4]]
+/// let mut acc = [Half::ZERO; 2];
+/// wide::row_fma(&[h(1.0), h(0.5)], &rows, &mut acc);
+/// assert_eq!(acc.map(Half::to_f32), [2.5, 4.0]);
+/// ```
 #[inline]
-pub fn fma_broadcast(a: u16, b: &[u16], acc: &mut [u16]) {
-    assert_eq!(b.len(), acc.len(), "wide lanes need equal lengths");
-    for (&y, c) in b.iter().zip(acc.iter_mut()) {
-        *c = fma_lane(a, y, *c);
+pub fn row_fma<F: FloatExt>(x: &[F], rows: &[F], acc: &mut [F]) {
+    assert_eq!(
+        rows.len(),
+        x.len() * acc.len(),
+        "wide lanes need one row per coefficient"
+    );
+    for (&xk, row) in x.iter().zip(rows.chunks_exact(acc.len())) {
+        for (c, &y) in acc.iter_mut().zip(row) {
+            *c = xk.mul_add(y, *c);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `row_fma` against the scalar `k`-ordered `mul_add` chain from a
+    /// non-zero accumulator, over `F`'s bit patterns.
+    fn row_fma_matches_scalar<F: FloatExt>(pattern: impl Fn(usize) -> F) {
+        let (k, n) = (5, 37);
+        let x: Vec<F> = (0..k).map(|i| pattern(i * 13 + 1)).collect();
+        let rows: Vec<F> = (0..k * n).map(|i| pattern(i * 31 + 7)).collect();
+        let acc0: Vec<F> = (0..n).map(|i| pattern(i * 17 + 3)).collect();
+        let mut acc = acc0.clone();
+        row_fma(&x, &rows, &mut acc);
+        for j in 0..n {
+            let want = (0..k).fold(acc0[j], |c, kk| x[kk].mul_add(rows[kk * n + j], c));
+            assert_eq!(acc[j].to_bits_u64(), want.to_bits_u64(), "lane {j}");
+        }
+    }
 
     #[test]
     fn slice_forms_agree_with_scalar_mul_add() {
@@ -85,9 +112,6 @@ mod tests {
         let acc0: Vec<u16> = (0..n).map(|i| a[(i * 17 + 3) % n]).collect();
         let mut acc = acc0.clone();
         fma(&a, &b, &mut acc);
-        let coef = Half::from_f32(1.25).to_bits();
-        let mut bacc = acc0.clone();
-        fma_broadcast(coef, &b, &mut bacc);
         for i in 0..n {
             let (x, y, z) = (
                 Half::from_bits(a[i]),
@@ -95,12 +119,14 @@ mod tests {
                 Half::from_bits(acc0[i]),
             );
             assert_eq!(acc[i], x.mul_add(y, z).to_bits(), "fma lane {i}");
-            assert_eq!(
-                bacc[i],
-                Half::from_bits(coef).mul_add(y, z).to_bits(),
-                "fma_broadcast lane {i}"
-            );
         }
+        // Spread patterns over each format's whole bit space, so NaNs,
+        // infinities and subnormals of both signs come up.
+        let spread =
+            |i: usize, bits: u32| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits);
+        row_fma_matches_scalar(|i| f64::from_bits(spread(i, 64)));
+        row_fma_matches_scalar(|i| f32::from_bits(spread(i, 32) as u32));
+        row_fma_matches_scalar(|i| Half::from_bits(spread(i, 16) as u16));
     }
 
     #[test]
@@ -108,5 +134,12 @@ mod tests {
     fn mismatched_lengths_rejected() {
         let mut acc = [0u16; 2];
         fma(&[0; 3], &[0; 3], &mut acc);
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per coefficient")]
+    fn row_fma_rejects_a_short_matrix() {
+        let mut acc = [0.0f32; 2];
+        row_fma(&[1.0; 3], &[0.0; 5], &mut acc);
     }
 }
