@@ -8,8 +8,9 @@
 //! 1. a differential sweep — every workload x supported precision x a
 //!    deterministic spread of fault sites (region boundaries included)
 //!    x every fault shape, batched fast path vs naive oracle, compared
-//!    bit-for-bit — and GEMM's hook-free spans (`FaultHook::skip`)
-//!    against the same run with every skip refused;
+//!    bit-for-bit — and the hook-free spans (`FaultHook::skip`) of
+//!    GEMM and the networks against the same run with every skip
+//!    refused;
 //! 2. pinned fingerprints — golden outputs, campaign severity vectors
 //!    (threads 1/2/5), beam cross-section counts and accumulation
 //!    outcomes hashed against values captured from the
@@ -266,8 +267,8 @@ fn gemm_skips_match_the_touched_oracle() {
         for p in Precision::ALL {
             let width = p.total_bits();
             let what = |label: &str| format!("GEMM-{n} {p} {label}");
-            both_ways(&gemm, p, sites, &what("null"), || NullHook);
-            both_ways(&gemm, p, sites, &what("golden"), GoldenHook::new);
+            both_ways(&gemm, p, Some(sites), &what("null"), || NullHook);
+            both_ways(&gemm, p, Some(sites), &what("golden"), GoldenHook::new);
             for site in (0..sites).step_by(97) {
                 let fault = match site % 3 {
                     0 => ValueFault::BitFlip(width - 2),
@@ -275,8 +276,9 @@ fn gemm_skips_match_the_touched_oracle() {
                     _ => ValueFault::BitFlip(0),
                 };
                 let label = what(&format!("inject {site}"));
-                let [taken, refused] =
-                    both_ways(&gemm, p, sites, &label, || InjectHook::new(site, fault));
+                let [taken, refused] = both_ways(&gemm, p, Some(sites), &label, || {
+                    InjectHook::new(site, fault)
+                });
                 assert!(taken.fired() && refused.fired(), "{label}: fired");
             }
             let high = ValueFault::StuckHigh(width - 2);
@@ -314,7 +316,7 @@ fn gemm_skips_match_the_touched_oracle() {
             ];
             for (label, strikes) in cases {
                 let live = strikes.iter().filter(|&&(s, _)| s < sites).count();
-                let [taken, refused] = both_ways(&gemm, p, sites, &what(label), || {
+                let [taken, refused] = both_ways(&gemm, p, Some(sites), &what(label), || {
                     MultiStrikeHook::new(strikes.clone())
                 });
                 assert_eq!((taken.fired(), refused.fired()), (live, live), "{label}");
@@ -323,14 +325,81 @@ fn gemm_skips_match_the_touched_oracle() {
     }
 }
 
-/// Runs `gemm` at `p` on two fresh hooks from `make`, the first taking
+#[test]
+fn network_skips_match_the_touched_oracle() {
+    // Every hook that answers `skip`, through the networks' conv rows
+    // and through the same dispatch with every skip refused: output
+    // bits, sites passed and strikes fired must match. Each conv layer
+    // is `(first site, output rows, sites per row)`; a row is `ow`
+    // chains of `in_ch * k^2` FMAs.
+    type Conv = (u64, u64, u64);
+    let mnist = Mnist::new();
+    let yolo = TinyYolo::new();
+    let nets: [(&dyn Workload, [Conv; 2]); 2] = [
+        (&mnist, [(0, 4 * 12, 12 * 25), (15_120, 8 * 4, 4 * 36)]),
+        (&yolo, [(0, 8 * 12, 12 * 27), (32_544, 16 * 4, 4 * 72)]),
+    ];
+    for (w, convs) in nets {
+        for p in Precision::ALL {
+            let sites = w.site_count(p);
+            let width = p.total_bits();
+            let what = |label: &str| format!("{} {p} {label}", w.name());
+            both_ways(w, p, Some(sites), &what("null"), || NullHook);
+            both_ways(w, p, Some(sites), &what("golden"), GoldenHook::new);
+            let mut targets: BTreeSet<u64> = (0..sites).step_by(1_999).collect();
+            for &(base, rows, row) in &convs {
+                for r in [0, rows / 2, rows - 1] {
+                    targets.insert(base + r * row);
+                    targets.insert(base + (r + 1) * row - 1);
+                }
+            }
+            for site in targets {
+                let fault = match site % 3 {
+                    0 => ValueFault::BitFlip(width - 2),
+                    1 => ValueFault::StuckHigh(width - 3),
+                    _ => ValueFault::BitFlip(0),
+                };
+                let label = what(&format!("inject {site}"));
+                let [taken, refused] =
+                    both_ways(w, p, None, &label, || InjectHook::new(site, fault));
+                assert!(taken.fired() && refused.fired(), "{label}: fired");
+            }
+            let high = ValueFault::StuckHigh(width - 2);
+            let flip = ValueFault::BitFlip(width - 1);
+            for &(base, rows, row) in &convs {
+                let mid = base + rows / 2 * row;
+                let cases = [
+                    (
+                        "two strikes in one row",
+                        [(mid + 3, high), (mid + row - 2, flip)],
+                    ),
+                    (
+                        "two strikes in adjacent rows",
+                        [(mid - 1, flip), (mid, high)],
+                    ),
+                ];
+                for (label, strikes) in cases {
+                    let label = what(&format!("{label} from site {mid}"));
+                    let [taken, refused] = both_ways(w, p, None, &label, || {
+                        MultiStrikeHook::new(strikes.to_vec())
+                    });
+                    assert_eq!((taken.fired(), refused.fired()), (2, 2), "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// Runs `w` at `p` on two fresh hooks from `make`, the first taking
 /// the skips it is granted and the second refusing every one, asserts
-/// that both give the same output bits and pass all `sites`, and hands
-/// back the two spent hooks.
+/// that both give the same output bits and pass the same number of
+/// sites — `sites`, where given — and hands back the two spent hooks.
+/// A network strike can move a later sigmoid's site count, so a
+/// network run is held to `sites` only when fault-free.
 fn both_ways<H: FaultHook>(
-    gemm: &Gemm,
+    w: &dyn Workload,
     p: Precision,
-    sites: u64,
+    sites: Option<u64>,
     what: &str,
     make: impl Fn() -> H,
 ) -> [H; 2] {
@@ -342,16 +411,15 @@ fn both_ways<H: FaultHook>(
                 refuse_skips,
                 sites: 0,
             };
-            let out = bits(&gemm.dispatch(p, &mut relay));
+            let out = bits(&w.dispatch(p, &mut relay));
             let passed = relay.sites;
             (hook, out, passed)
         });
     assert_eq!(taken_bits, refused_bits, "{what}: output bits");
-    assert_eq!(
-        (taken_sites, refused_sites),
-        (sites, sites),
-        "{what}: sites"
-    );
+    assert_eq!(taken_sites, refused_sites, "{what}: sites");
+    if let Some(sites) = sites {
+        assert_eq!(taken_sites, sites, "{what}: site count");
+    }
     [taken, refused]
 }
 
