@@ -1,17 +1,19 @@
 //! Precision-generic network layers with fault-site instrumentation.
 //!
-//! Every multiply-accumulate, activation, and pooling decision passes
-//! through the [`FaultHook`], so a beam strike can land anywhere in the
-//! network's dataflow. Max-pooling and ReLU are the *natural masking*
-//! mechanisms the paper credits for the CNN's low architectural
-//! vulnerability (Section 4.1): a corrupted value that is not the pool
-//! maximum, or that is negative going into ReLU, never reaches the
-//! output.
+//! Every multiply-accumulate, activation, and pooling decision is a
+//! fault site of the [`FaultHook`], so a beam strike can land anywhere
+//! in the network's dataflow. [`conv2d`] offers each output row's FMA
+//! chains to [`FaultHook::skip`] and runs an accepted row hook-free as
+//! [`wide::row_fma`] lanes; every other site is touched one value at a
+//! time. Max-pooling and ReLU are the *natural masking* mechanisms the
+//! paper credits for the CNN's low architectural vulnerability
+//! (Section 4.1): a corrupted value that is not the pool maximum, or
+//! that is negative going into ReLU, never reaches the output.
 
 use crate::Tensor;
 use mpr_fault::hook::{FaultHook, HookExt};
 use mpr_softfloat::math::{exp_horner, exp_reduce};
-use mpr_softfloat::FloatExt;
+use mpr_softfloat::{wide, FloatExt};
 
 /// Weights of one convolution layer: `out_ch` kernels of
 /// `in_ch x k x k`, plus biases.
@@ -55,6 +57,18 @@ impl<F: FloatExt> ConvWeights<F> {
 
 /// Valid (no padding) stride-1 2-D convolution.
 ///
+/// Fault sites: one per FMA, `out_ch * oh * ow * in_ch * k^2` in all,
+/// in `(o, y, x, i, dy, dx)` order; each output element is the chain
+/// `bias[o]`, then `kernel(o, i, dy, dx).mul_add(input[i][y + dy][x +
+/// dx], acc)` over `(i, dy, dx)`. Each output row `(o, y)` — `ow`
+/// consecutive chains — is offered to [`FaultHook::skip`] first. An
+/// accepted row runs hook-free as `ow` [`wide::row_fma`] lanes started
+/// at the bias, one call per `(i, dy, dx)` over a contiguous input row
+/// slice. A refused row offers each chain on its own: an accepted chain
+/// takes its lane from the row, computed once when first needed, and
+/// only a refused chain is touched value by value. Every lane is the
+/// scalar chain, so the output bits do not depend on which path ran.
+///
 /// # Panics
 ///
 /// Panics if the input is smaller than the kernel or the channel counts
@@ -69,22 +83,48 @@ pub fn conv2d<F: FloatExt, H: FaultHook + ?Sized>(
     assert!(h >= w.k && width >= w.k, "input smaller than kernel");
     let oh = h - w.k + 1;
     let ow = width - w.k + 1;
+    let chain = (in_ch * w.k * w.k) as u64;
+    let src = input.as_slice();
+    let row_lanes = |o: usize, y: usize, lanes: &mut [F]| {
+        lanes.fill(w.biases[o]);
+        for i in 0..in_ch {
+            for dy in 0..w.k {
+                let start = (i * h + y + dy) * width;
+                for dx in 0..w.k {
+                    let b = &src[start + dx..start + dx + ow];
+                    wide::row_fma(&[w.kernel(o, i, dy, dx)], b, lanes);
+                }
+            }
+        }
+    };
     let mut out = Tensor::zeros(w.out_ch, oh, ow);
+    let mut lanes = vec![F::zero(); ow];
     for o in 0..w.out_ch {
         for y in 0..oh {
+            let row_clear = hook.skip(ow as u64 * chain);
+            let mut computed = false;
             for x in 0..ow {
-                let mut acc = w.biases[o];
-                for i in 0..in_ch {
-                    for dy in 0..w.k {
-                        for dx in 0..w.k {
-                            acc = hook.touch(
-                                w.kernel(o, i, dy, dx)
-                                    .mul_add(input.get(i, y + dy, x + dx), acc),
-                            );
+                let v = if row_clear || hook.skip(chain) {
+                    if !computed {
+                        computed = true;
+                        row_lanes(o, y, &mut lanes);
+                    }
+                    lanes[x]
+                } else {
+                    let mut acc = w.biases[o];
+                    for i in 0..in_ch {
+                        for dy in 0..w.k {
+                            for dx in 0..w.k {
+                                acc = hook.touch(
+                                    w.kernel(o, i, dy, dx)
+                                        .mul_add(input.get(i, y + dy, x + dx), acc),
+                                );
+                            }
                         }
                     }
-                }
-                out.set(o, y, x, acc);
+                    acc
+                };
+                out.set(o, y, x, v);
             }
         }
     }
@@ -242,6 +282,51 @@ mod tests {
         let out = conv2d(&input, &w, &mut h);
         assert_eq!(out.to_f64_vec(), input.to_f64_vec());
         assert_eq!(h.sites(), 9);
+    }
+
+    /// Counts every touch and keeps the default `skip`, which refuses:
+    /// the touch-by-touch oracle.
+    #[derive(Default)]
+    struct Refusing(u64);
+
+    impl FaultHook for Refusing {
+        fn touch_bits(&mut self, bits: u64, _width: u32) -> u64 {
+            self.0 += 1;
+            bits
+        }
+    }
+
+    #[test]
+    fn conv_site_counts_are_closed_form() {
+        // (in_ch, input side, out_ch, k) of the networks' convolutions:
+        // MNIST conv1 and conv2, YOLO conv1 and conv2.
+        for (in_ch, side, out_ch, k) in [(1, 16, 4, 5), (4, 6, 8, 3), (3, 14, 8, 3), (8, 6, 16, 3)]
+        {
+            let input: Tensor<f32> = Tensor::from_fn(in_ch, side, side, |c, y, x| {
+                ((c * 7 + y * 3 + x) % 11) as f32 - 5.0
+            });
+            let w = ConvWeights::new(
+                crate::synth::gen_weights(0x5EED, out_ch * in_ch * k * k, in_ch * k * k),
+                crate::synth::gen_weights(0xB1A5, out_ch, in_ch * k * k),
+                in_ch,
+                out_ch,
+                k,
+            );
+            let o = side - k + 1;
+            let want = (out_ch * o * o * in_ch * k * k) as u64;
+            let mut golden = GoldenHook::new();
+            let mut refusing = Refusing::default();
+            let skipped = conv2d(&input, &w, &mut golden);
+            let touched = conv2d(&input, &w, &mut refusing);
+            assert_eq!(
+                (golden.sites(), refusing.0),
+                (want, want),
+                "{in_ch}->{out_ch} {k}x{k}"
+            );
+            let bits =
+                |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&skipped), bits(&touched), "{in_ch}->{out_ch} {k}x{k}");
+        }
     }
 
     #[test]

@@ -174,6 +174,16 @@ mod tests {
     }
 
     #[test]
+    fn site_count_is_the_sum_of_the_layer_table() {
+        // conv1 4x12x12 chains of 25, ReLU, pool 4x6x6, conv2 8x4x4
+        // chains of 36, ReLU, pool 8x2x2, dense 10x32: 20,208 sites.
+        let layers: [u64; 7] = [14_400, 576, 144, 4_608, 128, 32, 320];
+        for p in Precision::ALL {
+            assert_eq!(Mnist::new().site_count(p), layers.iter().sum(), "{p}");
+        }
+    }
+
+    #[test]
     fn many_faults_are_masked_by_pooling_and_relu() {
         // The paper's FPGA result: CNNs naturally mask a significant
         // fraction of faults. Flip a low mantissa bit at scattered sites

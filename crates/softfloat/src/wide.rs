@@ -1,11 +1,13 @@
-//! Wide FMA lanes: the slice shapes batched kernels and row products
-//! run their inner loops through.
+//! Wide FMA lanes: the slice shapes batched kernels, row products and
+//! network layers run their inner loops through.
 //!
 //! Lanes hold values of one [`FloatExt`] type — `f64`, `f32` or
 //! [`Half`] — and every lane is that type's scalar `mul_add`, so a
 //! slice form is bit-identical to the scalar chain it replaces.
-//! [`row_fma`] is the matrix-row primitive (GEMM's rows of `C`);
-//! [`fma`] is the elementwise binary16 step over `u16` bit patterns.
+//! [`row_fma`] is the matrix-row primitive: GEMM's rows of `C`, and
+//! the output rows of a convolution, one call per kernel tap from the
+//! bias row; [`fma`] is the elementwise binary16 step over `u16` bit
+//! patterns.
 //!
 //! # Contract
 //!
@@ -57,7 +59,9 @@ pub fn fma(a: &[u16], b: &[u16], acc: &mut [u16]) {
 /// One row of a matrix product, accumulated onto `acc`: for row-major
 /// `rows` with `acc.len()` columns, `acc[j] = fma(x[k], rows[k][j],
 /// acc[j])` for `k` in order. From a zeroed `acc`, lane `j` is exactly
-/// the `k`-ordered FMA chain `sum_k x[k] * rows[k][j]` from `+0`.
+/// the `k`-ordered FMA chain `sum_k x[k] * rows[k][j]` from `+0` (a
+/// GEMM row of `C`); from a bias row, a one-coefficient call per step
+/// extends chains that start at the bias (a convolution's output row).
 ///
 /// # Panics
 ///
